@@ -16,9 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .control import ConeSpec, cone_membership, optimal_control, trajectory
+from .control import ConeSpec, cone_membership, optimal_control
 from .exceptions import ChainError
-from .gramian import gramian_matrix
 from .model import SpaceTimePoint
 
 __all__ = [
@@ -33,6 +32,11 @@ __all__ = [
 ]
 
 _TIME_TOL = 1e-12
+# Iterations a stopping-time solve may take before it counts as failed.
+# Newton from the previous rate needs a handful; a solve that cannot meet its
+# residual falls back to bisection and, for times of order one, runs out of
+# floats between the bracket ends within about 60 halvings.
+_NEWTON_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -109,11 +113,16 @@ def build_chain(problem, config):
     """Construct the chain for a steering problem with ``T - t <= tau``.
 
     Each next time is ``(t_j + tau*beta) ^ inf{s : energy on [t_j, s] >= eps}``
-    capped at ``T``; the infimum is found by bisection on the closed-form
-    monotone partial-cost map to absolute time tolerance 1e-12, and times
-    within ``1e-9 * (T - t)`` of ``T`` snap to ``T``.  When the whole horizon
-    fits a single time budget and the total energy is within one cost budget,
-    the single-step fast path is taken verbatim.
+    capped at ``T``.  The infimum is found by safeguarded Newton on the
+    energy spent since ``t_j``, whose derivative is the closed-form rate
+    ``|sigma^T e^((T-s)B^T) w|^2``; each step starts from the rate and its
+    slope at ``t_j`` and stops once the spent energy is within
+    ``1e-12 * max(1, eps)`` of ``eps``.  The energy left, its rate and the
+    trajectory point ``e^(-(T-s)B) (y - C(T-s) w)`` at each iterate all come
+    from one exponential of the system's propagator.  Times within
+    ``1e-9 * (T - t)`` of ``T`` snap to ``T``.  When the whole horizon fits a
+    single time budget and the total energy is within one cost budget, the
+    single-step fast path is taken verbatim.
 
     Raises
     ------
@@ -122,7 +131,8 @@ def build_chain(problem, config):
     GramianError
         If the steering problem is unsolvable (singular covariance).
     ChainError
-        If a constructed chain violates its own step-count bound.
+        If a Newton solve does not converge, or a constructed chain violates
+        its own step-count bound.
     """
     if problem.horizon > config.tau + _TIME_TOL:
         raise ValueError(
@@ -135,12 +145,23 @@ def build_chain(problem, config):
     t, T = problem.t, problem.T
     snap = 1e-9 * problem.horizon
     exponent = 1.0 / config.beta + V / eps
+    propagator = problem.system.propagator
+    m0 = problem.system.m0
+    coupling = problem.system.B[:, :m0].T  # sigma^T B^T, as sigma = (I; 0)
 
-    def tail_energy(s):
-        # w^T C(T - s) w: the energy left after time s, decreasing in s.
+    def state(s):
+        # The energy left after s (w^T C(T - s) w, decreasing in s), the rate
+        # |v|^2 at which it is spent, that rate's slope, and gamma(s), all
+        # from the exponential at T - s; v = sigma^T u with u = e^((T-s)B^T) w
+        # and dv/ds = -sigma^T B^T u.
         if s >= T:
-            return 0.0
-        return float(ctrl.w @ gramian_matrix(problem.system, T - s) @ ctrl.w)
+            u, left, point = ctrl.w, 0.0, problem.y
+        else:
+            inv_flow, flow, C = propagator.at(T - s)
+            Cw = C @ ctrl.w
+            u, left, point = flow.T @ ctrl.w, float(ctrl.w @ Cw), inv_flow @ (problem.y - Cw)
+        v = u[:m0]
+        return left, float(v @ v), -2.0 * float(v @ (coupling @ u)), point
 
     times = [t]
     points = [problem.x]
@@ -152,39 +173,28 @@ def build_chain(problem, config):
         steps.append(StepRecord(t, T, V, "terminal"))
     else:
         max_steps = math.ceil(exponent) + 8
+        at_j = state(t)
         while times[-1] < T:
             if len(steps) > max_steps:
                 raise ChainError(
                     f"chain exceeded {max_steps} steps; stopping rule is not advancing"
                 )
             t_j = times[-1]
-            tail_j = tail_energy(t_j)
             right = min(t_j + step_cap, T)
-            budget = tail_j - tail_energy(right)
-            if budget < eps:
-                t_next = right
+            t_next, at_next = _stopping_time(state, t_j, at_j, right, eps)
+            step_cost = at_j[0] - at_next[0]
+            if t_next == right and step_cost < eps:
                 clause = "terminal" if right >= T - snap else "time-budget"
-                step_cost = budget
             else:
-                lo, hi = t_j, right
-                while hi - lo > _TIME_TOL:
-                    mid = 0.5 * (lo + hi)
-                    if tail_j - tail_energy(mid) >= eps:
-                        hi = mid
-                    else:
-                        lo = mid
-                t_next = hi
                 clause = "cost-budget"
-                step_cost = tail_j - tail_energy(t_next)
             if T - t_next <= snap:
                 t_next = T
                 clause = "terminal"
-                step_cost = tail_j
+                step_cost = at_j[0]
             times.append(t_next)
-            points.append(
-                problem.y if t_next == T else trajectory(ctrl, t_next)
-            )
+            points.append(problem.y if t_next == T else at_next[3])
             steps.append(StepRecord(t_j, t_next, step_cost, clause))
+            at_j = at_next
 
     chain = HarnackChain(
         problem=problem,
@@ -197,6 +207,47 @@ def build_chain(problem, config):
     )
     _check_chain_invariants(chain)
     return chain
+
+
+def _stopping_time(state, lo, at_lo, hi, eps):
+    """The time in ``(lo, hi]`` where the energy spent since ``lo`` reaches ``eps``.
+
+    ``state(s)`` returns ``(energy left, spending rate, its slope, gamma(s))``.
+    The first step solves the quadratic model of the spent energy given by
+    the rate and slope at ``lo``; later steps are Newton steps.  ``hi`` is
+    evaluated only when a step reaches it, and a step that leaves the bracket
+    is replaced by bisection.  Returns the time and its state once the spent
+    energy is within ``1e-12 * max(1, eps)`` of ``eps``; ``hi`` if less than
+    ``eps`` is spent by then; or, if the bracket shrinks to adjacent floats
+    first, the end with the smaller residual.
+    """
+    tol = 1e-12 * max(1.0, eps)
+    left_lo = at_lo[0]
+    f_lo, f_hi, at_hi = -eps, None, None
+    rate, slope = at_lo[1], at_lo[2]
+    reach = rate + math.sqrt(max(rate * rate + 2.0 * slope * eps, 0.0))
+    s = lo + 2.0 * eps / reach if reach > 0 else hi
+    for _ in range(_NEWTON_MAX):
+        if not lo < s < hi:
+            if at_hi is None:
+                s = hi
+            else:
+                s = 0.5 * (lo + hi)
+                if not lo < s < hi:
+                    return (lo, at_lo) if abs(f_lo) < abs(f_hi) else (hi, at_hi)
+        at_s = state(s)
+        f = left_lo - at_s[0] - eps
+        if abs(f) <= tol or (s == hi and f < 0):
+            return s, at_s
+        if f < 0:
+            lo, at_lo, f_lo = s, at_s, f
+        else:
+            hi, at_hi, f_hi = s, at_s, f
+        s = s - f / at_s[1] if at_s[1] > 0 else hi
+    raise ChainError(
+        f"stopping-time solve did not converge in {_NEWTON_MAX} iterations "
+        f"(bracket [{lo!r}, {hi!r}], residuals {f_lo:.3e}, {f_hi})"
+    )
 
 
 def _check_chain_invariants(chain):
@@ -228,13 +279,14 @@ def verify_chain(chain, config, system):
     """
     cfg = config
     R = np.sqrt(cfg.tau)
+    base = SpaceTimePoint(chain.times[0], chain.points[0])
     for j in range(chain.J):
-        base = SpaceTimePoint(chain.times[j], chain.points[j])
         nxt = SpaceTimePoint(chain.times[j + 1], chain.points[j + 1])
         if nxt.t - base.t > cfg.tau * cfg.beta + 1e-9:
             return False
         if not cone_membership(ConeSpec(cfg.beta, cfg.r, R, base), nxt, system):
             return False
+        base = nxt
     return True
 
 

@@ -80,6 +80,11 @@ def load_model(path):
     ellipticity check against the declared constant, and the sampled
     coefficient bound check.
     """
+    return _validated_model(path)[0]
+
+
+def _validated_model(path):
+    """`load_model`'s spec together with its sampled ellipticity constants."""
     with open(path) as fh:
         cfg = json.load(fh)
     spec = spec_from_config(cfg)
@@ -100,7 +105,7 @@ def load_model(path):
             "coefficient-bound",
             f"sampled sup norms ({sup_a}, {sup_b}, {sup_c}) exceed M={spec.M_bound}",
         )
-    return spec
+    return spec, (mu_low, mu_high)
 
 
 def _fmt(v):
@@ -183,8 +188,7 @@ def _grid_points(system, t, x, T, radius, n):
 
 
 def _cmd_validate(args):
-    spec = load_model(args.model)
-    mu_low, mu_high = ellipticity_check(spec)
+    spec, (mu_low, mu_high) = _validated_model(args.model)
     summary = {
         "blocks": list(spec.structure.m),
         "d": spec.system.d,
@@ -469,7 +473,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if getattr(args, "subcommand", None) is None:
-            parser.parse_args(["--help"])
+            parser.print_usage(sys.stderr)
+            print("usage error: a subcommand is required", file=sys.stderr)
             return EXIT_USAGE
         if args.out is None and args.subcommand != "validate":
             args.out = f"kolmo-{args.subcommand}"

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import cho_solve, expm
 
 from .exceptions import GramianError
-from .gramian import Gramian, gramian_matrix
+from .gramian import Gramian
 from .model import SpaceTimePoint, dilation_exponents, sigma_matrix
 
 __all__ = [
@@ -81,8 +81,8 @@ def optimal_control(problem):
     deficient), in which case not every target is reachable.
     """
     tau = problem.horizon
-    C = gramian_matrix(problem.system, tau)
-    offset = problem.y - expm(tau * problem.system.B) @ problem.x
+    _, flow, C = problem.system.propagator.at(tau)
+    offset = problem.y - flow @ problem.x
     g = Gramian.from_matrix(C, tau, problem.system)
     # w = C^-1 offset via the Cholesky factor, cost = <C^-1 offset, offset>.
     w = cho_solve((g.chol, True), offset)
@@ -101,24 +101,23 @@ def control_value(ctrl, s):
     if not p.t <= s <= p.T:
         raise ValueError(f"s={s} outside [{p.t}, {p.T}]")
     sig = sigma_matrix(p.system.structure)
-    return (expm((p.T - s) * p.system.B) @ sig).T @ ctrl.w
+    return (p.system.propagator.flow(p.T - s) @ sig).T @ ctrl.w
 
 
 def trajectory(ctrl, s):
-    """Controlled state ``gamma(s) = e^((s-t)B) x + C(s-t) e^((T-s)B^T) w``.
+    """Controlled state ``gamma(s) = e^(-(T-s)B) (y - C(T-s) w)``.
 
-    The integral term collapses to a partial Gramian, so the evaluation is
-    closed-form up to matrix exponentials; ``gamma(t) = x`` and
-    ``gamma(T) = y`` hold identically.
+    This is ``e^((s-t)B) x + C(s-t) e^((T-s)B^T) w`` rewritten with the
+    semigroup identity for ``C(T-t)``, so it needs the single exponential at
+    ``T - s``; ``gamma(t) = x`` and ``gamma(T) = y`` hold identically.
     """
     p = ctrl.problem
     if not p.t <= s <= p.T:
         raise ValueError(f"s={s} outside [{p.t}, {p.T}]")
-    flow = expm((s - p.t) * p.system.B) @ p.x
     if s == p.t:
-        return flow
-    C_partial = gramian_matrix(p.system, s - p.t)
-    return flow + C_partial @ expm((p.T - s) * p.system.B).T @ ctrl.w
+        return p.x.copy()
+    inv_flow, _, C = p.system.propagator.at(p.T - s)
+    return inv_flow @ (p.y - C @ ctrl.w)
 
 
 def partial_cost(ctrl, s_lo, s_hi):
@@ -128,9 +127,9 @@ def partial_cost(ctrl, s_lo, s_hi):
         raise ValueError(f"need t <= s_lo <= s_hi <= T, got {s_lo}, {s_hi}")
     if s_lo == s_hi:
         return 0.0
-    C_hi = gramian_matrix(p.system, p.T - s_lo)
+    C_hi = p.system.propagator.gramian(p.T - s_lo)
     C_lo = (
-        gramian_matrix(p.system, p.T - s_hi) if s_hi < p.T else np.zeros_like(C_hi)
+        p.system.propagator.gramian(p.T - s_hi) if s_hi < p.T else np.zeros_like(C_hi)
     )
     return max(float(ctrl.w @ (C_hi - C_lo) @ ctrl.w), 0.0)
 
@@ -178,6 +177,11 @@ def kappa_estimate(system, s_grid=None):
     value is the grid maximum with a 1.1 safety factor, so sampled
     trajectory points of any finite-energy control stay strictly inside the
     cone of that radius.
+
+    The grid's Gramians come from the system's propagator, one exponential
+    per distinct step between sorted grid points (one for the default
+    uniform grid of 1024 points, for any drift), and the top eigenvalues
+    from one batched ``eigvalsh``.
     """
     if s_grid is None:
         s_grid = np.arange(1, 1025) / 1024.0
@@ -187,13 +191,10 @@ def kappa_estimate(system, s_grid=None):
     if np.any(s_grid <= 0) or np.any(s_grid > 1):
         raise ValueError("s grid must lie in (0, 1]")
     exps = dilation_exponents(system.structure).astype(float)
-    kappa_raw = 0.0
-    for s in s_grid:
-        C = gramian_matrix(system, s)
-        D_inv = np.diag(s ** (-0.5 * exps))
-        top = np.linalg.eigvalsh(D_inv @ C @ D_inv)[-1]
-        kappa_raw = max(kappa_raw, np.sqrt(max(top, 0.0)))
-    return 1.1 * kappa_raw
+    scale = s_grid[:, None] ** (-0.5 * exps)
+    dilated = scale[:, :, None] * system.propagator.gramians(s_grid) * scale[:, None, :]
+    top = np.linalg.eigvalsh(dilated)[:, -1].max()
+    return 1.1 * float(np.sqrt(max(top, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def cone_membership(cone, p, system):
     lam = np.sqrt(dt / cone.beta)
     if lam > cone.R:
         return False
-    offset = p.x - expm(dt * system.B) @ cone.base.x
+    offset = p.x - system.propagator.flow(dt) @ cone.base.x
     exps = dilation_exponents(system.structure).astype(float)
     xi = lam ** (-exps) * offset
     return bool(np.linalg.norm(xi) < cone.r)
@@ -246,10 +247,10 @@ def cylinder_membership(center, rho, p, system):
     if rho <= 0:
         raise ValueError(f"cylinder scale must be positive, got {rho}")
     dt = p.t - center.t
-    rel = p.x - expm(dt * system.B) @ center.x
     s = dt / rho**2
     if not 0 <= s < 1:
         return False
+    rel = p.x - system.propagator.flow(dt) @ center.x
     exps = dilation_exponents(system.structure).astype(float)
     xi = rho ** (-exps) * rel
     return bool(np.linalg.norm(xi) < 1.0)

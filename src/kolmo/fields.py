@@ -23,6 +23,7 @@ __all__ = [
     "ConstantMatrixField",
     "VectorField",
     "batch_scalar",
+    "sample_scalar",
     "batch_gradient",
     "scalar_field_from_config",
     "scalar_field_to_config",
@@ -212,6 +213,29 @@ def batch_scalar(field, t, X):
         idx = np.argmin(np.abs(pts[None, :] - X[:, field.axis][:, None]), axis=1)
         return vals[idx]
     return np.array([float(field(t, xi)) for xi in X])
+
+
+def sample_scalar(field, ts, X):
+    """A scalar field at the samples ``(ts[i], X[i])``, bit for bit as pointwise calls.
+
+    Goes through `batch_scalar` once per distinct time (once in all for a
+    constant), except that the space-sinusoid phase takes one inner product
+    per sample, as the pointwise call does: a matrix-vector product rounds
+    differently.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if isinstance(field, ConstantField):
+        return batch_scalar(field, 0.0, X)
+    if isinstance(field, SpaceSinusoidField):
+        k = np.asarray(field.wave, dtype=float)
+        dots = (X[:, None, :] @ k[:, None])[:, 0, 0]
+        return field.base + field.amplitude * np.sin(2.0 * np.pi * dots + field.phase)
+    times, group = np.unique(np.asarray(ts, dtype=float), return_inverse=True)
+    out = np.empty(len(X))
+    for i, t in enumerate(times):
+        rows = group == i
+        out[rows] = batch_scalar(field, float(t), X[rows])
+    return out
 
 
 def batch_gradient(field, t, X):

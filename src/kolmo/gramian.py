@@ -1,12 +1,17 @@
 """Controllability Gramians, their factorizations, and scaling equivalences.
 
 The covariance ``C(t) = int_0^t e^(sB) sigma sigma^T e^(sB^T) ds`` is computed
-by the augmented block-exponential identity
+by the augmented block-exponential identity (Van Loan, IEEE TAC 23(3), 1978)
 
-    expm(t * [[-B, sigma sigma^T], [0, B^T]]) = [[*, H], [0, e(t B^T)]],
+    expm(t * [[-B, sigma sigma^T], [0, B^T]]) = [[e(-t B), H], [0, e(t B^T)]],
     C(t) = e(t B^T)^T  H,
 
-which is exact up to the accuracy of the matrix exponential, and is
+which is exact up to the accuracy of the matrix exponential.  Each system
+owns one `Propagator` (``system.propagator``) that reads the inverse flow,
+the flow and ``C(t)`` off that single exponential and keeps the last few
+horizons in a small bounded cache; a grid of horizons costs one exponential
+per distinct step through the semigroup identity
+``C(s + h) = C(h) + e(hB) C(s) e(hB^T)``.  The checked `gramian` is
 cross-checked against adaptive Simpson quadrature.  Quadratic forms go
 through the Cholesky factor; the inverse is never formed explicitly, since
 the conditioning of ``C(t)`` degrades like ``t**-(2 nu)`` as ``t -> 0``.
@@ -15,6 +20,7 @@ the conditioning of ``C(t)`` degrades like ``t**-(2 nu)`` as ``t -> 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm, solve_triangular
@@ -28,6 +34,7 @@ from .model import (
 )
 
 __all__ = [
+    "Propagator",
     "Gramian",
     "EquivalenceReport",
     "matrix_exponential",
@@ -92,22 +99,88 @@ class Gramian:
         return self.C.shape[0]
 
 
-def _vanloan_matrix(B, sigma_sq, t):
-    """``int_0^t e^(sB) Q e^(sB^T) ds`` for ``Q = sigma_sq`` via one exponential."""
-    d = B.shape[0]
-    M = np.zeros((2 * d, 2 * d))
-    M[:d, :d] = -B
-    M[:d, d:] = sigma_sq
-    M[d:, d:] = B.T
-    E = expm(M * float(t))
-    C = E[d:, d:].T @ E[:d, d:]
-    return 0.5 * (C + C.T)
+# Horizons a propagator keeps: enough for the points one chain step or one
+# control sample revisits, few enough that float keys never pile up.
+_CACHE_SIZE = 64
+
+
+class Propagator:
+    """Flow ``e^(sB)`` and covariance ``int_0^s e^(uB) Q e^(uB^T) du`` of one drift.
+
+    One Van Loan exponential at ``s`` gives all three of ``e^(-sB)`` (its
+    top-left block), ``e^(sB)`` (its bottom-right block, transposed) and the
+    covariance.  The last 64 horizons are cached and their arrays returned
+    read-only; the cache is safe to share between threads.  A system's own
+    propagator, with ``Q = sigma sigma^T``, is ``system.propagator``.
+    """
+
+    def __init__(self, B, Q):
+        d = B.shape[0]
+        M = np.zeros((2 * d, 2 * d))
+        M[:d, :d] = -B
+        M[:d, d:] = Q
+        M[d:, d:] = B.T
+        self._M = M
+        self._at = lru_cache(maxsize=_CACHE_SIZE)(self._exponentiate)
+
+    def _exponentiate(self, s):
+        d = self._M.shape[0] // 2
+        E = expm(self._M * s)
+        C = E[d:, d:].T @ E[:d, d:]
+        C = 0.5 * (C + C.T)
+        # Contiguous copies: products with a strided view round differently.
+        out = (np.ascontiguousarray(E[:d, :d]), np.ascontiguousarray(E[d:, d:].T), C)
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    def at(self, s):
+        """``(e^(-sB), e^(sB), C(s))`` from one exponential."""
+        return self._at(float(s))
+
+    def flow(self, s):
+        """``e^(sB)``."""
+        return self.at(s)[1]
+
+    def gramian(self, s):
+        """The covariance ``C(s)``, symmetrized."""
+        return self.at(s)[2]
+
+    def gramians(self, s_grid):
+        """``C(s)`` at every horizon of a grid, as an ``(n, d, d)`` array.
+
+        Walks the sorted distinct horizons with the semigroup identity
+        ``C(s + h) = C(h) + e^(hB) C(s) e^(hB^T)``, so the grid costs one
+        exponential per distinct step between consecutive horizons.  A
+        uniform grid ``h, 2h, ..., nh`` unrolls the walk into the batched sum
+        ``C(kh) = sum_(i<k) e^(ihB) C(h) e^(ihB^T)``.
+        """
+        knots, where = np.unique(np.asarray(s_grid, dtype=float), return_inverse=True)
+        steps, step_of = np.unique(np.diff(knots, prepend=0.0), return_inverse=True)
+        pieces = [self.at(h)[1:] for h in steps]
+        d = self._M.shape[0] // 2
+        n = len(knots)
+        out = np.empty((n, d, d))
+        if len(steps) == 1:
+            E, C_h = pieces[0]
+            out[0] = np.eye(d)
+            k = 1
+            while k < n:  # powers e^(ihB) by doubling
+                m = min(k, n - k)
+                out[k : k + m] = out[:m] @ (out[k - 1] @ E)
+                k += m
+            return np.cumsum(out @ C_h @ out.swapaxes(1, 2), axis=0)[where]
+        C = np.zeros((d, d))
+        for k, j in enumerate(step_of):
+            E, C_h = pieces[j]
+            C = C_h + E @ C @ E.T
+            out[k] = C
+        return out[where]
 
 
 def gramian_matrix(system, t):
     """Raw covariance matrix at horizon ``t`` (no factorization, no cross-check)."""
-    sig = sigma_matrix(system.structure)
-    return _vanloan_matrix(system.B, sig @ sig.T, t)
+    return system.propagator.gramian(t)
 
 
 def _simpson_panel(f, a, fa, b, fb, m, fm, whole, rel_tol, abs_floor, depth, scale):

@@ -10,6 +10,7 @@ ratios of kernels are exponent differences, so tails never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm, solve_triangular
@@ -69,8 +70,9 @@ class GaussianKernel:
         ``lam * C(T-t)``; a positive scalar field of time gives the exact
         time-weighted covariance.
 
-    Gramians are cached per ``(t, T)``; insertion into the cache is atomic
-    under the GIL, so concurrent readers are safe.
+    Flows come from the system's propagator.  The covariances of the last
+    32 ``(t, T)`` pairs are cached with their Cholesky factors; the cache is
+    safe to share between threads.
     """
 
     def __init__(self, system, lam=1.0):
@@ -79,8 +81,7 @@ class GaussianKernel:
         self._constant = not hasattr(lam, "time_dependent") and not callable(lam)
         if self._constant and lam <= 0:
             raise ValueError(f"diffusion strength must be positive, got {lam}")
-        self._cov_cache = {}
-        self._flow_cache = {}
+        self._covariance = lru_cache(maxsize=32)(self._build_covariance)
 
     @property
     def d(self):
@@ -95,36 +96,29 @@ class GaussianKernel:
         return float(self.lam(t))
 
     def flow(self, dt):
-        key = float(dt)
-        out = self._flow_cache.get(key)
-        if out is None:
-            out = expm(key * self.system.B)
-            self._flow_cache[key] = out
-        return out
+        return self.system.propagator.flow(dt)
 
     def covariance(self, t, T):
         """The covariance Gramian of the transition from ``t`` to ``T``."""
         if not T > t:
             raise ValueError(f"need T > t, got t={t}, T={T}")
-        key = (float(t), float(T))
-        out = self._cov_cache.get(key)
-        if out is None:
-            if self._constant:
-                C = float(self.lam) * gramian_matrix(self.system, T - t)
-            else:
-                sig = sigma_matrix(self.system.structure)
+        return self._covariance(float(t), float(T))
 
-                def integrand(s):
-                    lam_s = self.lambda_at(s)
-                    if lam_s <= 0:
-                        raise GramianError(f"diffusion strength not positive at s={s}")
-                    Es = expm((T - s) * self.system.B) @ sig
-                    return lam_s * (Es @ Es.T)
+    def _build_covariance(self, t, T):
+        if self._constant:
+            C = float(self.lam) * gramian_matrix(self.system, T - t)
+        else:
+            sig = sigma_matrix(self.system.structure)
 
-                C = adaptive_simpson(integrand, float(t), float(T))
-            out = Gramian.from_matrix(C, T - t, self.system)
-            self._cov_cache[key] = out
-        return out
+            def integrand(s):
+                lam_s = self.lambda_at(s)
+                if lam_s <= 0:
+                    raise GramianError(f"diffusion strength not positive at s={s}")
+                Es = expm((T - s) * self.system.B) @ sig
+                return lam_s * (Es @ Es.T)
+
+            C = adaptive_simpson(integrand, t, T)
+        return Gramian.from_matrix(C, T - t, self.system)
 
     def log_batch(self, t, x, T, Y):
         """Log density at targets ``Y`` (n, d) from a single source ``(t, x)``."""
@@ -328,7 +322,7 @@ def aronson_upper_form(c_A, system, t, x, T, y):
     _check_unit_horizon(t, T)
     tau = T - t
     Q = homogeneous_dimension(system.structure)
-    offset = np.asarray(y, float) - expm(tau * system.B) @ np.asarray(x, float)
+    offset = np.asarray(y, float) - system.propagator.flow(tau) @ np.asarray(x, float)
     z = dilation_matrix(system.structure, tau**-0.5) @ offset
     return float(c_A * tau ** (-Q / 2.0) * np.exp(-float(z @ z) / c_A))
 
@@ -338,8 +332,9 @@ def lower_bound_form(c_D, system, t, x, T, y):
     _check_unit_horizon(t, T)
     tau = T - t
     Q = homogeneous_dimension(system.structure)
-    g = Gramian.from_matrix(gramian_matrix(system, tau), tau, system)
-    offset = np.asarray(y, float) - expm(tau * system.B) @ np.asarray(x, float)
+    _, flow, C = system.propagator.at(tau)
+    g = Gramian.from_matrix(C, tau, system)
+    offset = np.asarray(y, float) - flow @ np.asarray(x, float)
     return float(c_D * tau ** (-Q / 2.0) * np.exp(-quadratic_form(g, offset) / c_D))
 
 
@@ -347,8 +342,9 @@ def covariance_upper_form(c_L, system, t, x, T, y):
     """Covariance-form upper envelope with ``det C`` normalization."""
     _check_unit_horizon(t, T)
     tau = T - t
-    g = Gramian.from_matrix(gramian_matrix(system, tau), tau, system)
-    offset = np.asarray(y, float) - expm(tau * system.B) @ np.asarray(x, float)
+    _, flow, C = system.propagator.at(tau)
+    g = Gramian.from_matrix(C, tau, system)
+    offset = np.asarray(y, float) - flow @ np.asarray(x, float)
     return float(
         c_L * np.exp(-0.5 * g.logdet) * np.exp(-quadratic_form(g, offset) / c_L)
     )

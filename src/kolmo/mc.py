@@ -28,7 +28,7 @@ from scipy.linalg import expm
 
 from . import fields
 from .exceptions import CoefficientError
-from .gramian import _vanloan_matrix, gramian_matrix
+from .gramian import Propagator, gramian_matrix
 from .kernel import GaussianKernel
 from .model import (
     dilation_exponents,
@@ -137,7 +137,7 @@ def simulate_paths(spec, t, x, T, config, a_divergence=None):
     if not space_dep:
         if isinstance(a_field, fields.ConstantMatrixField):
             Q = sig @ (2.0 * a_field.matrix) @ sig.T
-            L_const = np.linalg.cholesky(_vanloan_matrix(system.B, Q, dt))
+            L_const = np.linalg.cholesky(Propagator(system.B, Q).gramian(dt))
         else:
             # Isotropic: per-step covariance is 2*alpha(s_k) * C(dt).
             L_base = np.linalg.cholesky(gramian_matrix(system, dt))

@@ -11,6 +11,7 @@ operator class with bounded measurable coefficients on the diffusion block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -127,6 +128,14 @@ class SystemMatrix:
     @property
     def m0(self):
         return self.structure.m0
+
+    @cached_property
+    def propagator(self):
+        """The system's `kolmo.gramian.Propagator`: flow and Gramian, built on first use."""
+        from .gramian import Propagator  # gramian imports this module
+
+        sig = sigma_matrix(self.structure)
+        return Propagator(self.B, sig @ sig.T)
 
 
 @dataclass(frozen=True)
@@ -336,6 +345,22 @@ def default_sample_grid(structure, n_time=32, n_space=32, seed=0):
     return [(float(t), x) for t in times for x in xs]
 
 
+def _sample_arrays(spec, sample_points):
+    """Times ``(n,)`` and states ``(n, d)`` of a sample list."""
+    ts = np.array([t for t, _ in sample_points], dtype=float)
+    X = np.array([x for _, x in sample_points], dtype=float).reshape(len(ts), spec.system.d)
+    return ts, X
+
+
+def _batch_matrix(a, ts, X):
+    """A matrix field at every sample, stacked ``(n, m, m)``."""
+    if isinstance(a, fields.ConstantMatrixField):
+        return np.broadcast_to(a.matrix, (len(ts),) + a.matrix.shape)
+    if isinstance(a, fields.IsotropicMatrixField):
+        return fields.sample_scalar(a.scalar, ts, X)[:, None, None] * np.eye(a.dim)
+    return np.array([np.asarray(a(t, x), dtype=float) for t, x in zip(ts, X)])
+
+
 def ellipticity_check(spec, sample_points=None, directions=None):
     """Tightest sampled ellipticity constants of the diffusion coefficient.
 
@@ -344,56 +369,71 @@ def ellipticity_check(spec, sample_points=None, directions=None):
     ``mu_high`` the smallest for the upper bound (``max lambda_max``).  With
     explicit ``directions`` the extremes are taken over those Rayleigh
     quotients only; otherwise eigenvalues give the exact extremes over all
-    unit directions.
+    unit directions.  All samples are evaluated at once, with one batched
+    eigenvalue call.
 
     Raises
     ------
     CoefficientError
         If a sampled coefficient matrix is nonsymmetric, non-finite, or not
-        positive definite.
+        positive definite; the message names the first such sample.
     """
     if sample_points is None:
         sample_points = default_sample_grid(spec.structure)
     if len(sample_points) == 0:
         raise ValueError("sample grid must be nonempty")
-    lo = -np.inf
-    hi = -np.inf
-    for t, x in sample_points:
-        a_val = np.asarray(spec.a(t, x), dtype=float)
-        if not np.all(np.isfinite(a_val)):
+    A = _batch_matrix(spec.a, *_sample_arrays(spec, sample_points))
+    finite = np.isfinite(A).all(axis=(1, 2))
+    A = np.where(finite[:, None, None], A, np.eye(A.shape[1]))
+    symmetric = np.abs(A - A.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12 * np.maximum(
+        1.0, np.abs(A).max(axis=(1, 2))
+    )
+    if directions is None:
+        eigs = np.linalg.eigvalsh(A)
+        emin, emax = eigs[:, 0], eigs[:, -1]
+    else:
+        # Stacked products take one inner product per sample and so round as
+        # ``v @ a @ v`` does for a single matrix.
+        vs = [np.asarray(v, dtype=float) for v in directions]
+        quots = np.stack(
+            [(v[None, None, :] @ A @ v[:, None])[:, 0, 0] / float(v @ v) for v in vs], axis=1
+        )
+        emin, emax = quots.min(axis=1), quots.max(axis=1)
+    bad = ~(finite & symmetric & (emin > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        t, x = sample_points[i]
+        if not finite[i]:
             raise CoefficientError(f"non-finite diffusion coefficient at (t={t}, x={x})")
-        if not np.allclose(a_val, a_val.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a_val).max())):
+        if not symmetric[i]:
             raise CoefficientError(f"nonsymmetric diffusion coefficient at (t={t}, x={x})")
-        if directions is None:
-            eigs = np.linalg.eigvalsh(a_val)
-            emin, emax = eigs[0], eigs[-1]
-        else:
-            quots = [float(v @ a_val @ v) / float(v @ v) for v in directions]
-            emin, emax = min(quots), max(quots)
-        if emin <= 0:
-            raise CoefficientError(
-                f"diffusion coefficient not positive definite at (t={t}, x={x})"
-            )
-        lo = max(lo, 1.0 / emin)
-        hi = max(hi, emax)
-    return lo, hi
+        raise CoefficientError(
+            f"diffusion coefficient not positive definite at (t={t}, x={x})"
+        )
+    return np.max(1.0 / emin), np.max(emax)
 
 
 def coefficient_bounds(spec, sample_points=None):
-    """Sampled sup norms of the lower-order coefficients ``(a_i, b_i, c)``."""
+    """Sampled sup norms of the lower-order coefficients ``(a_i, b_i, c)``.
+
+    All samples are evaluated at once; a non-finite value raises
+    `CoefficientError` naming the first sample that has one.
+    """
     if sample_points is None:
         sample_points = default_sample_grid(spec.structure)
-    sup_a = sup_b = sup_c = 0.0
-    for t, x in sample_points:
-        va = spec.a_low(t, x)
-        vb = spec.b_low(t, x)
-        vc = spec.c(t, x)
-        if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb)) and np.isfinite(vc)):
-            raise CoefficientError(f"non-finite lower-order coefficient at (t={t}, x={x})")
-        sup_a = max(sup_a, float(np.abs(va).max()) if va.size else 0.0)
-        sup_b = max(sup_b, float(np.abs(vb).max()) if vb.size else 0.0)
-        sup_c = max(sup_c, abs(float(vc)))
-    return sup_a, sup_b, sup_c
+    ts, X = _sample_arrays(spec, sample_points)
+    va, vb = (
+        np.array([fields.sample_scalar(c, ts, X) for c in vec.components]).reshape(
+            len(vec.components), len(ts)
+        )
+        for vec in (spec.a_low, spec.b_low)
+    )
+    vc = fields.sample_scalar(spec.c, ts, X)
+    finite = np.isfinite(va).all(axis=0) & np.isfinite(vb).all(axis=0) & np.isfinite(vc)
+    if not finite.all():
+        t, x = sample_points[int(np.argmax(~finite))]
+        raise CoefficientError(f"non-finite lower-order coefficient at (t={t}, x={x})")
+    return tuple(float(np.abs(v).max(initial=0.0)) for v in (va, vb, vc))
 
 
 def spec_from_config(cfg):

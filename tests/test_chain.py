@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,13 +7,30 @@ from scipy.linalg import expm
 
 from kolmo.chain import (
     HarnackConfig,
+    _stopping_time,
     build_chain,
     chain_bound_exponent,
     global_harnack_factor,
     verify_chain,
 )
-from kolmo.control import ControlProblem, kappa_estimate
+from kolmo.control import ControlProblem, kappa_estimate, optimal_control
+from kolmo.exceptions import ChainError
+from kolmo.gramian import gramian_matrix
 from kolmo.model import dilation_matrix
+
+# LANGEVIN steering problems whose chains once overshot the cost budget: a
+# step of a bisection stopped on a 1e-12 time tolerance spent more than
+# eps + 1e-9 where the energy rate is large.  Endpoints are (t, x1, x2).
+OVERSHOOT_PROBLEMS = [
+    (
+        [0.31523465405947115, -0.1185112058536042, -0.3035092352562141],
+        [0.5822327130432137, 1.828988847423185, 0.2682656596473897],
+    ),
+    (
+        [-0.42352458167261076, -0.6772742797667823, 0.24027585999239798],
+        [-0.1298854587553157, 1.7497871025035412, 0.017566991823318612],
+    ),
+]
 
 
 def heat_config(**kwargs):
@@ -198,3 +216,117 @@ class TestGlobalHarnackFactor:
         assert np.isinf(out.constructive)
         assert np.isfinite(out.log_constructive)
         assert out.log_constructive <= out.log_statement
+
+
+def overshoot_chain(langevin, index):
+    frm, to = OVERSHOOT_PROBLEMS[index]
+    problem = ControlProblem(langevin, frm[0], to[0], frm[1:], to[1:])
+    cfg = heat_config(r=0.4, kappa=kappa_estimate(langevin))
+    return problem, cfg
+
+
+def bisection_stop(ctrl, t_j, right, eps):
+    """First float in ``(t_j, right]`` where the energy spent since ``t_j`` reaches eps."""
+    p = ctrl.problem
+
+    def left(s):
+        return 0.0 if s >= p.T else float(ctrl.w @ gramian_matrix(p.system, p.T - s) @ ctrl.w)
+
+    left_j = left(t_j)
+    lo, hi = t_j, right
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if left_j - left(mid) >= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestStoppingTimes:
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_overshoot_problems_build_and_verify(self, langevin, index):
+        problem, cfg = overshoot_chain(langevin, index)
+        chain = build_chain(problem, cfg)
+        assert verify_chain(chain, cfg, langevin)
+        assert chain.J <= math.ceil(chain.exponent) + 1
+        bound = cfg.epsilon + 1e-12 * max(1.0, cfg.epsilon)
+        assert all(step.cost <= bound for step in chain.steps)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_newton_matches_bisection_oracle(self, langevin, index):
+        problem, cfg = overshoot_chain(langevin, index)
+        chain = build_chain(problem, cfg)
+        ctrl = optimal_control(problem)
+        cost_steps = [s for s in chain.steps if s.clause == "cost-budget"]
+        assert len(cost_steps) >= 100
+        # Every 20th step and the last: each oracle solve costs ~50 exponentials.
+        for step in cost_steps[::20] + cost_steps[-1:]:
+            right = min(step.t_start + cfg.tau * cfg.beta, problem.T)
+            oracle = bisection_stop(ctrl, step.t_start, right, cfg.epsilon)
+            assert abs(oracle - step.t_end) <= 2e-12
+
+    @staticmethod
+    def jump_state(at):
+        # Energy left drops from 1 to 0.1 at time ``at``, with zero rate:
+        # no float meets the residual, so every step bisects.
+        return lambda s: (0.1 if s >= at else 1.0, 0.0, 0.0, s)
+
+    def test_collapsed_bracket_takes_smaller_residual(self):
+        state = self.jump_state(0.3)
+        s, at_s = _stopping_time(state, 0.0, state(0.0), 1.0, eps=0.5)
+        # Residuals -0.5 before the jump and +0.4 after: the later end wins.
+        assert s == at_s[3] and s >= 0.3 and np.nextafter(s, 0.0) < 0.3
+
+    def test_stalled_solve_raises(self):
+        # Near zero, floats are too dense for the bracket to collapse in time.
+        state = self.jump_state(1e-200)
+        with pytest.raises(ChainError):
+            _stopping_time(state, 0.0, state(0.0), 1.0, eps=0.5)
+
+    def test_heat_trace_matches_bisection_oracle(self, heat1d):
+        cfg = heat_config()
+        problem = ControlProblem(heat1d, 0.0, 1.0, [0.0], [1.0])
+        chain = build_chain(problem, cfg)
+        ctrl = optimal_control(problem)
+        for step in chain.steps[:-1]:
+            oracle = bisection_stop(ctrl, step.t_start, step.t_start + 0.5, cfg.epsilon)
+            assert abs(oracle - step.t_end) <= 2e-12
+
+
+class TestExponentialCount:
+    """Counts of ``expm`` calls, not times: one propagator serves every consumer."""
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return expm(*args, **kwargs)
+
+        for name in ("gramian", "control", "kernel", "model", "mc"):
+            module = sys.modules[f"kolmo.{name}"]
+            if hasattr(module, "expm"):
+                monkeypatch.setattr(module, "expm", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
+    def test_default_kappa_grid_is_one_exponential(self, name, request, expm_calls):
+        kappa_estimate(request.getfixturevalue(name))
+        assert expm_calls[0] == 1
+
+    def test_heat_trace_per_step(self, heat1d, expm_calls):
+        cfg = heat_config()
+        chain = build_chain(ControlProblem(heat1d, 0.0, 1.0, [0.0], [1.0]), cfg)
+        assert verify_chain(chain, cfg, heat1d)
+        assert chain.J == 16
+        assert expm_calls[0] <= 8 * chain.J
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_langevin_chain_per_step(self, langevin, index, expm_calls):
+        problem, cfg = overshoot_chain(langevin, index)
+        expm_calls[0] = 0
+        chain = build_chain(problem, cfg)
+        assert verify_chain(chain, cfg, langevin)
+        assert expm_calls[0] <= 8 * chain.J

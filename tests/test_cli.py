@@ -236,6 +236,30 @@ class TestSubcommands:
     def test_unknown_subcommand(self):
         assert main(["frobnicate", "--model", "x"]) == EXIT_USAGE
 
+    def test_missing_subcommand_is_usage_error(self, capsys):
+        assert main([]) == EXIT_USAGE
+        assert "subcommand is required" in capsys.readouterr().err
+
+    def test_help_and_version_succeed(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert main(["--version"]) == EXIT_OK
+
+    def test_validate_samples_ellipticity_once(self, langevin_model_path, monkeypatch, capsys):
+        import kolmo.cli
+
+        calls = []
+        original = kolmo.cli.ellipticity_check
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(kolmo.cli, "ellipticity_check", counting)
+        assert main(["validate", "--model", langevin_model_path]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert summary["mu_sampled"] == list(original(calls[0]))
+
     def test_gramian_on_invalid_model(self, tmp_path):
         cfg = langevin_config()
         cfg["B"] = [[0.0, 0.0], [0.0, 0.0]]

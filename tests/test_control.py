@@ -19,11 +19,14 @@ from kolmo.exceptions import GramianError
 from kolmo.gramian import adaptive_simpson, gramian, quadratic_form
 from kolmo.model import (
     SpaceTimePoint,
+    dilation_exponents,
     dilation_matrix,
     group_compose,
     sigma_matrix,
     validate_structure,
 )
+
+FIXTURES = ["heat1d", "langevin", "kinetic21", "deep221", "starful"]
 
 
 def random_langevin_problem(rng, system, tau_range=(0.3, 1.0), scale=1.0):
@@ -184,6 +187,41 @@ class TestKappaEstimate:
             kappa_estimate(heat1d, s_grid=[])
         with pytest.raises(ValueError):
             kappa_estimate(heat1d, s_grid=[2.0])
+
+    @staticmethod
+    def per_point_reference(system, s_grid):
+        # One Van Loan exponential per grid point, as the estimate was first built.
+        d = system.d
+        sig = sigma_matrix(system.structure)
+        M = np.zeros((2 * d, 2 * d))
+        M[:d, :d] = -system.B
+        M[:d, d:] = sig @ sig.T
+        M[d:, d:] = system.B.T
+        exps = dilation_exponents(system.structure).astype(float)
+        top = 0.0
+        for s in s_grid:
+            E = expm(M * s)
+            C = E[d:, d:].T @ E[:d, d:]
+            D_inv = np.diag(s ** (-0.5 * exps))
+            top = max(top, np.linalg.eigvalsh(D_inv @ (0.5 * (C + C.T)) @ D_inv)[-1])
+        return 1.1 * np.sqrt(top)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_matches_per_point_reference(self, name, request):
+        system = request.getfixturevalue(name)
+        grid = np.arange(1, 1025) / 1024.0
+        ref = self.per_point_reference(system, grid)
+        assert abs(kappa_estimate(system) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_unsorted_nonuniform_grid(self, name, request):
+        system = request.getfixturevalue(name)
+        rng = np.random.default_rng(29)
+        grid = rng.uniform(1e-3, 1.0, 200) ** 2
+        grid = np.concatenate([grid, grid[:7], [1.0]])
+        rng.shuffle(grid)
+        ref = self.per_point_reference(system, grid)
+        assert abs(kappa_estimate(system, s_grid=grid) - ref) <= 1e-12 * ref
 
     def test_certifies_trajectory_cone(self, langevin):
         # Every sampled optimal-trajectory point lies in the cone with radius

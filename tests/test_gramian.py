@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,6 +7,7 @@ from scipy.linalg import expm
 from kolmo import fields
 from kolmo.exceptions import GramianError
 from kolmo.gramian import (
+    Propagator,
     adaptive_simpson,
     dilation_scaling_defect,
     equivalence_constants,
@@ -84,6 +87,72 @@ class TestGramian:
         g = gramian(deep221, 0.5)
         np.testing.assert_allclose(g.chol @ g.chol.T, g.C, rtol=1e-10)
         assert np.all(np.diag(g.chol) > 0)
+
+
+class TestPropagator:
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return expm(*args, **kwargs)
+
+        monkeypatch.setattr(sys.modules["kolmo.gramian"], "expm", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["langevin", "deep221", "starful"])
+    def test_one_exponential_gives_flows_and_gramian(self, name, request, expm_calls):
+        system = request.getfixturevalue(name)
+        inv_flow, flow, C = system.propagator.at(0.7)
+        assert expm_calls[0] == 1
+        np.testing.assert_allclose(flow, expm(0.7 * system.B), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(inv_flow @ flow, np.eye(system.d), atol=1e-13)
+        np.testing.assert_array_equal(C, gramian(system, 0.7).C)
+        for a in (inv_flow, flow, C):
+            assert not a.flags.writeable
+
+    def test_diffusion_matrix_scales_gramian(self, kinetic21):
+        sig = sigma_matrix(kinetic21.structure)
+        doubled = Propagator(kinetic21.B, 2.0 * sig @ sig.T)
+        np.testing.assert_allclose(
+            doubled.gramian(0.4), 2.0 * gramian_matrix(kinetic21, 0.4), rtol=1e-14
+        )
+
+    @pytest.mark.parametrize("name", ["langevin", "kinetic21", "deep221", "starful"])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_grid_matches_per_point(self, name, uniform, request):
+        system = request.getfixturevalue(name)
+        rng = np.random.default_rng(11)
+        if uniform:
+            grid = np.concatenate([np.arange(1, 301) / 256.0, [0.5]])
+        else:
+            grid = np.concatenate([rng.uniform(0.01, 1.0, 40), [0.5, 0.5, 1.0]])
+        rng.shuffle(grid)
+        sig = sigma_matrix(system.structure)
+        fresh = Propagator(system.B, sig @ sig.T)
+        stacked = fresh.gramians(grid)
+        for s, C in zip(grid, stacked):
+            ref = gramian_matrix(system, s)
+            assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_grid_costs_one_exponential_per_distinct_step(self, langevin, expm_calls):
+        langevin.propagator.gramians([0.75, 0.25, 0.5, 1.0, 0.25])
+        assert expm_calls[0] == 1
+        # Steps 0.125, 0.25, 0.125, 0.125: only 0.125 is new.
+        langevin.propagator.gramians([0.625, 0.125, 0.375, 0.5])
+        assert expm_calls[0] == 2
+
+    def test_cache_is_bounded(self, langevin, expm_calls):
+        prop = langevin.propagator
+        horizons = np.linspace(0.01, 1.0, 200)
+        for s in horizons:
+            prop.at(s)
+        assert expm_calls[0] == 200
+        prop.at(horizons[-1])
+        assert expm_calls[0] == 200
+        prop.at(horizons[0])
+        assert expm_calls[0] == 201
 
 
 class TestWeightedGramian:

@@ -8,6 +8,8 @@ from kolmo.model import (
     BlockStructure,
     SpaceTimePoint,
     SystemMatrix,
+    coefficient_bounds,
+    default_sample_grid,
     dilation_matrix,
     ellipticity_check,
     group_compose,
@@ -249,6 +251,104 @@ class TestEllipticityCheck:
     def test_empty_samples_rejected(self, heat1d):
         with pytest.raises(ValueError):
             ellipticity_check(make_spec(heat1d), sample_points=[])
+
+
+def ellipticity_loop(spec, sample_points, directions=None):
+    """Reference: the checks one sample at a time, in sample order."""
+    lo = hi = -np.inf
+    for t, x in sample_points:
+        a_val = np.asarray(spec.a(t, x), dtype=float)
+        if not np.all(np.isfinite(a_val)):
+            raise CoefficientError(f"non-finite diffusion coefficient at (t={t}, x={x})")
+        if not np.allclose(a_val, a_val.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a_val).max())):
+            raise CoefficientError(f"nonsymmetric diffusion coefficient at (t={t}, x={x})")
+        if directions is None:
+            eigs = np.linalg.eigvalsh(a_val)
+            emin, emax = eigs[0], eigs[-1]
+        else:
+            quots = [float(v @ a_val @ v) / float(v @ v) for v in directions]
+            emin, emax = min(quots), max(quots)
+        if emin <= 0:
+            raise CoefficientError(
+                f"diffusion coefficient not positive definite at (t={t}, x={x})"
+            )
+        lo, hi = max(lo, 1.0 / emin), max(hi, emax)
+    return lo, hi
+
+
+def coefficient_bounds_loop(spec, sample_points):
+    """Reference: the sup norms one sample at a time, in sample order."""
+    sup_a = sup_b = sup_c = 0.0
+    for t, x in sample_points:
+        va, vb, vc = spec.a_low(t, x), spec.b_low(t, x), spec.c(t, x)
+        if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb)) and np.isfinite(vc)):
+            raise CoefficientError(f"non-finite lower-order coefficient at (t={t}, x={x})")
+        sup_a = max(sup_a, float(np.abs(va).max()))
+        sup_b = max(sup_b, float(np.abs(vb).max()))
+        sup_c = max(sup_c, abs(float(vc)))
+    return sup_a, sup_b, sup_c
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CoefficientError as exc:
+        return str(exc)
+
+
+class TestBatchedValidation:
+    """The batched checks give the per-sample loop's results bit for bit."""
+
+    @staticmethod
+    def specs(system):
+        d, m0 = system.d, system.m0
+        wave = tuple(0.5 * (i + 1) / d for i in range(d))
+        space = fields.SpaceSinusoidField(base=0.6, amplitude=0.3, wave=wave, phase=0.2)
+        time = fields.TimeSinusoidField(base=0.625, amplitude=0.375, frequency=2.0)
+        tab_time = fields.TabulatedField((0.0, 0.3, 0.7), (0.5, 0.9, 1.3))
+        tab_space = fields.TabulatedField((-0.5, 0.0, 0.5), (0.7, 1.1, 0.4), axis=d - 1)
+        low = fields.VectorField(tuple([space, time, tab_space][: m0] + [tab_time] * (m0 - 3)))
+        spd = np.eye(m0) + 0.3 * np.ones((m0, m0))
+        return [
+            make_spec(system, lam=1.5),
+            make_spec(system, a=fields.ConstantMatrixField(spd), b_low=low, c=tab_time),
+            make_spec(system, a=fields.IsotropicMatrixField(time, m0), a_low=low, c=space),
+            make_spec(system, a=fields.IsotropicMatrixField(space, m0), c=time),
+            make_spec(system, a=fields.IsotropicMatrixField(tab_space, m0), b_low=low),
+            make_spec(system, a=fields.IsotropicMatrixField(tab_time, m0)),
+        ]
+
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221"])
+    def test_bitwise_equal_to_loop(self, name, request):
+        system = request.getfixturevalue(name)
+        rng = np.random.default_rng(41)
+        mixed = [(float(t), x) for t, x in zip(rng.uniform(-1, 1, 200), rng.normal(size=(200, system.d)))]
+        directions = [np.eye(system.m0)[0], np.ones(system.m0), rng.normal(size=system.m0)]
+        for spec in self.specs(system):
+            for samples in (default_sample_grid(system.structure), mixed):
+                ref = ellipticity_loop(spec, samples)
+                got = ellipticity_check(spec, samples)
+                assert got == ref and type(got[0]) is type(ref[0])
+                assert ellipticity_check(spec, samples, directions) == ellipticity_loop(
+                    spec, samples, directions
+                )
+                assert coefficient_bounds(spec, samples) == coefficient_bounds_loop(spec, samples)
+            assert coefficient_bounds(spec, []) == coefficient_bounds_loop(spec, [])
+
+    def test_first_offending_sample_named(self, kinetic21):
+        # Sample 1 is not positive definite and sample 2 not finite; either
+        # order must report the earlier one, as the loop does.
+        field = fields.TabulatedField((-1.0, 0.0, 1.0), (float("nan"), -1.0, 1.0), axis=0)
+        spec = make_spec(kinetic21, a=fields.IsotropicMatrixField(field, 2), c=field)
+        samples = [(0.0, np.array([0.9, 0.0, 0.0])), (0.5, np.array([0.1, 0.2, 0.0])),
+                   (0.25, np.array([-0.9, 0.0, 0.0]))]
+        for order in (samples, samples[::-1], samples[:1] + samples[2:]):
+            expected = outcome(ellipticity_loop, spec, order)
+            assert isinstance(expected, str)
+            assert outcome(ellipticity_check, spec, order) == expected
+            assert outcome(coefficient_bounds, spec, order) == outcome(
+                coefficient_bounds_loop, spec, order
+            )
 
 
 class TestConfigRoundTrip:
