@@ -43,11 +43,10 @@ _NEWTON_MAX = 200
 class HarnackConfig:
     """Constants of the local inequality and the derived chain budgets.
 
-    ``epsilon`` is derived as ``(r / kappa)**2``; passing it explicitly with
-    a different value is rejected.  The two cylinders at scale ``r`` with
-    time offsets 0 and ``beta`` must be disjoint and contained in the unit
-    cylinder, which for these axis-aligned cylinders means ``r**2 <= beta``
-    and ``beta + r**2 <= 1``.
+    ``epsilon`` is the read-only ``(r / kappa)**2``.  The two cylinders at
+    scale ``r`` with time offsets 0 and ``beta`` must be disjoint and
+    contained in the unit cylinder, which for these axis-aligned cylinders
+    means ``r**2 <= beta`` and ``beta + r**2 <= 1``.
     """
 
     C_harnack: float
@@ -55,7 +54,6 @@ class HarnackConfig:
     r: float
     tau: float
     kappa: float
-    epsilon: float = None
 
     def __post_init__(self):
         if self.C_harnack < 1:
@@ -68,18 +66,16 @@ class HarnackConfig:
             raise ValueError(f"need 0 < tau <= 1, got {self.tau}")
         if self.kappa <= 0:
             raise ValueError(f"need kappa > 0, got {self.kappa}")
-        derived = (self.r / self.kappa) ** 2
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", derived)
-        elif abs(self.epsilon - derived) > 1e-12 * derived:
-            raise ValueError(
-                f"inconsistent config: epsilon={self.epsilon} but (r/kappa)^2={derived}"
-            )
         if self.r**2 > self.beta or self.beta + self.r**2 > 1:
             raise ValueError(
                 "cylinders at scale r with offsets 0 and beta are not disjoint "
                 f"inside the unit cylinder (r^2={self.r ** 2}, beta={self.beta})"
             )
+
+    @property
+    def epsilon(self):
+        """The per-step energy budget ``(r / kappa)**2``."""
+        return (self.r / self.kappa) ** 2
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import json
 import sys
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import __version__
 from .chain import HarnackConfig, build_chain, verify_chain
@@ -36,7 +35,6 @@ from .gramian import equivalence_constants, gramian, gramian_homogeneous
 from .kernel import (
     GaussianKernel,
     aronson_upper_form,
-    eval_kernel,
     eval_log_kernel,
     lower_bound_form,
 )
@@ -174,7 +172,7 @@ def _parse_grid(text):
 
 def _grid_points(system, t, x, T, radius, n):
     """Axis-aligned dilated offsets around the flow image, ``n`` per axis."""
-    mean = expm((T - t) * system.B) @ x
+    mean = system.propagator.flow(T - t) @ x
     exps = dilation_exponents(system.structure).astype(float)
     scale = (T - t) ** (0.5 * exps)
     pts = []
@@ -238,11 +236,12 @@ def _cmd_kernel(args):
         ys = y[None, :]
     rows = []
     for yi in ys:
+        log_gamma = eval_log_kernel(kernel, t, x, T, yi)
         rows.append(
             [
                 *yi.tolist(),
-                eval_kernel(kernel, t, x, T, yi),
-                eval_log_kernel(kernel, t, x, T, yi),
+                float(np.exp(log_gamma)),
+                log_gamma,
                 lower_bound_form(args.c_lower, system, t, x, T, yi),
                 aronson_upper_form(args.c_upper, system, t, x, T, yi),
             ]

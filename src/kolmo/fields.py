@@ -147,11 +147,6 @@ class IsotropicMatrixField:
     def __call__(self, t, x):
         return float(self.scalar(t, x)) * np.eye(self.dim)
 
-    def divergence(self, t, x, dim=None):
-        """Row divergence ``(sum_j d_j a_ij)_i``; the gradient of the scalar."""
-        g = self.scalar.space_gradient(t, x)
-        return np.asarray(g, dtype=float)[: self.dim]
-
 
 @dataclass(frozen=True)
 class ConstantMatrixField:
@@ -167,9 +162,6 @@ class ConstantMatrixField:
 
     def __call__(self, t, x):
         return self.matrix
-
-    def divergence(self, t, x, dim=None):
-        return np.zeros(self.matrix.shape[0])
 
 
 @dataclass(frozen=True)

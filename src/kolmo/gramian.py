@@ -11,10 +11,14 @@ owns one `Propagator` (``system.propagator``) that reads the inverse flow,
 the flow and ``C(t)`` off that single exponential and keeps the last few
 horizons in a small bounded cache; a grid of horizons costs one exponential
 per distinct step through the semigroup identity
-``C(s + h) = C(h) + e(hB) C(s) e(hB^T)``.  The checked `gramian` is
-cross-checked against adaptive Simpson quadrature.  Quadratic forms go
-through the Cholesky factor; the inverse is never formed explicitly, since
-the conditioning of ``C(t)`` degrades like ``t**-(2 nu)`` as ``t -> 0``.
+``C(s + h) = C(h) + e(hB) C(s) e(hB^T)``.
+
+`gramian_weighted` integrates the time-weighted covariance by adaptive
+Simpson quadrature, with the strength read by `strength_at`; the checked
+`gramian` cross-checks ``C(t)`` against the same quadrature at unit weight.
+Quadratic forms go through the Cholesky factor; the inverse is never formed
+explicitly, since the conditioning of ``C(t)`` degrades like ``t**-(2 nu)``
+as ``t -> 0``.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "gramian_matrix",
     "gramian_weighted",
     "gramian_homogeneous",
+    "strength_at",
     "quadratic_form",
     "equivalence_constants",
 ]
@@ -233,13 +238,7 @@ def gramian(system, t, cross_check=True):
         raise ValueError(f"horizon must be positive, got {t}")
     C = gramian_matrix(system, t)
     if cross_check:
-        sig = sigma_matrix(system.structure)
-
-        def integrand(s):
-            Es = expm(s * system.B) @ sig
-            return Es @ Es.T
-
-        C_quad = adaptive_simpson(integrand, 0.0, float(t))
+        C_quad = _weighted_simpson(system, 1.0, 0.0, t)
         denom = max(np.abs(C).max(), 1e-300)
         if np.abs(C - C_quad).max() > 1e-9 * denom:
             raise GramianError(
@@ -248,43 +247,52 @@ def gramian(system, t, cross_check=True):
     return Gramian.from_matrix(C, t, system)
 
 
+def strength_at(lam, s):
+    """A diffusion strength at time ``s``.
+
+    ``lam`` is a number, a scalar coefficient field of ``(t, x)`` (read at
+    ``x = None``) or a callable of ``s`` alone.
+    """
+    if hasattr(lam, "time_dependent"):
+        return float(lam(s, None))
+    if callable(lam):
+        return float(lam(s))
+    return float(lam)
+
+
+def _weighted_simpson(system, lam, t, T):
+    """``int_t^T lam(s) (e^((T-s)B) sigma)(...)^T ds`` by adaptive Simpson."""
+    sig = sigma_matrix(system.structure)
+
+    def integrand(s):
+        w = strength_at(lam, s)
+        if not (w > 0 and np.isfinite(w)):
+            raise GramianError(f"weight must be positive at quadrature nodes, got {w} at s={s}")
+        Es = expm((T - s) * system.B) @ sig
+        return w * (Es @ Es.T)
+
+    return adaptive_simpson(integrand, float(t), float(T))
+
+
 def gramian_weighted(system, lambda_field, t, T):
     """Time-weighted covariance ``int_t^T lambda(s) (e^((T-s)B) sigma)(...)^T ds``.
 
     Exact covariance of the linear diffusion whose squared diffusion
     coefficient is ``lambda(s) I`` on the diffusion block; reduces to
-    ``gramian(system, T - t)`` when ``lambda == 1``.  ``lambda_field`` may be
-    a scalar field or any callable of ``s`` alone.
+    ``gramian(system, T - t)`` when ``lambda == 1``.  ``lambda_field`` is any
+    strength `strength_at` reads: a number, a scalar field or a callable of
+    ``s`` alone.
 
     Raises
     ------
     ValueError
         If ``T <= t``.
     GramianError
-        If the weight is not positive at a quadrature node.
+        If the weight is not positive and finite at a quadrature node.
     """
     if T <= t:
         raise ValueError(f"need T > t, got t={t}, T={T}")
-    sig = sigma_matrix(system.structure)
-
-    def weight(s):
-        lam = lambda_field(s, None) if _takes_two_args(lambda_field) else lambda_field(s)
-        lam = float(lam)
-        if lam <= 0 or not np.isfinite(lam):
-            raise GramianError(f"weight must be positive at quadrature nodes, got {lam} at s={s}")
-        return lam
-
-    def integrand(s):
-        Es = expm((T - s) * system.B) @ sig
-        return weight(s) * (Es @ Es.T)
-
-    C = adaptive_simpson(integrand, float(t), float(T))
-    return Gramian.from_matrix(C, T - t, system)
-
-
-def _takes_two_args(f):
-    # Coefficient fields are called as f(t, x); plain callables as f(s).
-    return hasattr(f, "time_dependent")
+    return Gramian.from_matrix(_weighted_simpson(system, lambda_field, t, T), T - t, system)
 
 
 def gramian_homogeneous(system, t):

@@ -1,10 +1,11 @@
 """Explicit Gaussian fundamental solutions and the two-sided bound envelopes.
 
-For a comparison operator with diffusion strength ``lambda`` (constant or a
-positive time field), the fundamental solution is the Gaussian with mean
-``e^((T-t)B) x`` and covariance ``lambda * C(T-t)`` (the time-weighted
-covariance in the variable case).  All density work happens in log space;
-ratios of kernels are exponent differences, so tails never overflow.
+For a comparison operator with diffusion strength ``lambda``, the
+fundamental solution is the Gaussian with mean ``e^((T-t)B) x`` and
+covariance ``lambda * C(T-t)`` for a constant strength, or the time-weighted
+covariance `kolmo.gramian.gramian_weighted` for a strength that varies in
+time.  All density work happens in log space; ratios of kernels are exponent
+differences, so tails never overflow.
 """
 
 from __future__ import annotations
@@ -13,16 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .exceptions import GramianError
-from .gramian import Gramian, adaptive_simpson, gramian_matrix, quadratic_form
-from .model import (
-    dilation_exponents,
-    dilation_matrix,
-    homogeneous_dimension,
-    sigma_matrix,
-)
+from .gramian import Gramian, gramian_matrix, gramian_weighted, quadratic_form, strength_at
+from .model import dilation_exponents, dilation_matrix, homogeneous_dimension
 
 __all__ = [
     "GaussianKernel",
@@ -65,10 +60,12 @@ class GaussianKernel:
     system : SystemMatrix
         Drift system; must satisfy the full-rank coupling condition, else
         covariance construction raises `GramianError`.
-    lam : float or time field
-        Diffusion strength.  A positive constant gives covariance
-        ``lam * C(T-t)``; a positive scalar field of time gives the exact
-        time-weighted covariance.
+    lam : float, scalar field or callable
+        Diffusion strength, in one of three forms: a positive number, which
+        gives covariance ``lam * C(T-t)``; a scalar coefficient field of
+        ``(t, x)`` that depends on time only; or a callable of ``s`` alone.
+        The last two give the exact time-weighted covariance, and a strength
+        that is not positive at a quadrature node raises `GramianError`.
 
     Flows come from the system's propagator.  The covariances of the last
     32 ``(t, T)`` pairs are cached with their Cholesky factors; the cache is
@@ -78,8 +75,7 @@ class GaussianKernel:
     def __init__(self, system, lam=1.0):
         self.system = system
         self.lam = lam
-        self._constant = not hasattr(lam, "time_dependent") and not callable(lam)
-        if self._constant and lam <= 0:
+        if not callable(lam) and lam <= 0:
             raise ValueError(f"diffusion strength must be positive, got {lam}")
         self._covariance = lru_cache(maxsize=32)(self._build_covariance)
 
@@ -89,11 +85,7 @@ class GaussianKernel:
 
     def lambda_at(self, t):
         """Diffusion strength at time ``t``."""
-        if self._constant:
-            return float(self.lam)
-        if hasattr(self.lam, "time_dependent"):
-            return float(self.lam(t, None))
-        return float(self.lam(t))
+        return strength_at(self.lam, t)
 
     def flow(self, dt):
         return self.system.propagator.flow(dt)
@@ -105,19 +97,9 @@ class GaussianKernel:
         return self._covariance(float(t), float(T))
 
     def _build_covariance(self, t, T):
-        if self._constant:
-            C = float(self.lam) * gramian_matrix(self.system, T - t)
-        else:
-            sig = sigma_matrix(self.system.structure)
-
-            def integrand(s):
-                lam_s = self.lambda_at(s)
-                if lam_s <= 0:
-                    raise GramianError(f"diffusion strength not positive at s={s}")
-                Es = expm((T - s) * self.system.B) @ sig
-                return lam_s * (Es @ Es.T)
-
-            C = adaptive_simpson(integrand, t, T)
+        if callable(self.lam):
+            return gramian_weighted(self.system, self.lam, t, T)
+        C = float(self.lam) * gramian_matrix(self.system, T - t)
         return Gramian.from_matrix(C, T - t, self.system)
 
     def log_batch(self, t, x, T, Y):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fields
 from .exceptions import CoefficientError, StructureError
@@ -244,7 +243,7 @@ def group_compose(zeta, z, system):
     """Non-Euclidean left translation ``(tau, xi) o (t, x) = (t + tau, x + e^(tB) xi)``."""
     if zeta.x.shape != z.x.shape or zeta.x.shape[0] != system.d:
         raise ValueError("dimension mismatch in group composition")
-    flow = expm(z.t * system.B)
+    flow = system.propagator.flow(z.t)
     return SpaceTimePoint(z.t + zeta.t, z.x + flow @ zeta.x)
 
 
@@ -255,7 +254,7 @@ def group_inverse(zeta, system):
     with a linear solve rather than a second exponential, so the defining
     identity holds to rounding accuracy regardless of sign conventions.
     """
-    flow = expm(zeta.t * system.B)
+    flow = system.propagator.flow(zeta.t)
     return SpaceTimePoint(-zeta.t, -np.linalg.solve(flow, zeta.x))
 
 

@@ -44,11 +44,6 @@ class TestHarnackConfig:
         cfg = heat_config()
         assert cfg.epsilon == 0.0625
 
-    def test_explicit_epsilon_must_match(self):
-        HarnackConfig(C_harnack=10, beta=0.5, r=0.25, tau=1.0, kappa=1.0, epsilon=0.0625)
-        with pytest.raises(ValueError):
-            HarnackConfig(C_harnack=10, beta=0.5, r=0.25, tau=1.0, kappa=1.0, epsilon=0.07)
-
     def test_cylinder_disjointness(self):
         # r^2 > beta: the two cylinders would overlap in time.
         with pytest.raises(ValueError):

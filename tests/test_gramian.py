@@ -25,6 +25,19 @@ from kolmo.model import dilation_matrix, sigma_matrix, validate_structure
 LANGEVIN_C1 = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
 
 
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Counts the exponentials `kolmo.gramian` computes."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return expm(*args, **kwargs)
+
+    monkeypatch.setattr(sys.modules["kolmo.gramian"], "expm", counting)
+    return calls
+
+
 class TestMatrixExponential:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(matrix_exponential(np.zeros((3, 3)), 1.0), np.eye(3))
@@ -90,17 +103,6 @@ class TestGramian:
 
 
 class TestPropagator:
-    @pytest.fixture
-    def expm_calls(self, monkeypatch):
-        calls = [0]
-
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return expm(*args, **kwargs)
-
-        monkeypatch.setattr(sys.modules["kolmo.gramian"], "expm", counting)
-        return calls
-
     @pytest.mark.parametrize("name", ["langevin", "deep221", "starful"])
     def test_one_exponential_gives_flows_and_gramian(self, name, request, expm_calls):
         system = request.getfixturevalue(name)
@@ -153,6 +155,22 @@ class TestPropagator:
         assert expm_calls[0] == 200
         prop.at(horizons[0])
         assert expm_calls[0] == 201
+
+
+class TestCheckedGramianCost:
+    # Van Loan plus the Simpson nodes of the cross-check: 1 + 5 when the
+    # first panel converges, more on the systems with a growing flow.
+    EXPECTED = {"deep221": (6, 66, 130), "starful": (6, 66, 130)}
+
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
+    def test_expm_calls(self, name, request, expm_calls):
+        system = request.getfixturevalue(name)
+        counts = []
+        for t in (0.01, 0.5, 1.0):
+            expm_calls[0] = 0
+            gramian(system, t)
+            counts.append(expm_calls[0])
+        assert tuple(counts) == self.EXPECTED.get(name, (6, 6, 6))
 
 
 class TestWeightedGramian:

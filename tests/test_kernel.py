@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kolmo.gramian import gramian
+from kolmo import fields
+from kolmo.exceptions import GramianError
+from kolmo.gramian import gramian, gramian_weighted
 from kolmo.kernel import (
     BoundEnvelope,
     GaussianKernel,
@@ -56,6 +58,51 @@ class TestEvalKernel:
         broken = SystemMatrix(np.zeros((2, 2)), BlockStructure((1, 1)))
         with pytest.raises(GramianError):
             eval_kernel(GaussianKernel(broken, 1.0), 0.0, [0, 0], 1.0, [0, 0])
+
+
+def sinusoid_strength(s):
+    return 1.25 + 0.75 * np.sin(2.0 * np.pi * s)
+
+
+class TestTimeFieldStrength:
+    """A strength that varies in time: a scalar field, or a plain callable of ``s``."""
+
+    STRENGTHS = {
+        "field": fields.TimeSinusoidField(base=1.25, amplitude=0.75),
+        "callable": sinusoid_strength,
+    }
+
+    @pytest.mark.parametrize("form", ["field", "callable"])
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
+    def test_covariance_is_the_weighted_gramian(self, form, name, request):
+        system = request.getfixturevalue(name)
+        lam = self.STRENGTHS[form]
+        cov = GaussianKernel(system, lam).covariance(0.1, 0.7)
+        ref = gramian_weighted(system, lam, 0.1, 0.7)
+        np.testing.assert_array_equal(cov.C, ref.C)
+        np.testing.assert_array_equal(cov.chol, ref.chol)
+
+    @pytest.mark.parametrize("form", ["field", "callable"])
+    def test_heat_covariance_is_the_mean_strength(self, form, heat1d):
+        # int_0^1 (1.25 + 0.75 sin(2 pi s)) ds = 1.25.
+        cov = GaussianKernel(heat1d, self.STRENGTHS[form]).covariance(0.0, 1.0)
+        assert abs(cov.C[0, 0] - 1.25) <= 1e-10
+
+    def test_lambda_at_reads_every_form(self, heat1d):
+        for s in (0.0, 0.1, 0.37, 1.0):
+            ref = sinusoid_strength(s)
+            assert GaussianKernel(heat1d, ref).lambda_at(s) == ref
+            for lam in self.STRENGTHS.values():
+                assert GaussianKernel(heat1d, lam).lambda_at(s) == ref
+
+    @pytest.mark.parametrize(
+        "lam",
+        [fields.TimeSinusoidField(base=0.5, amplitude=1.0), lambda s: 0.5 - s],
+        ids=["field", "callable"],
+    )
+    def test_nonpositive_strength_raises(self, lam, langevin):
+        with pytest.raises(GramianError):
+            GaussianKernel(langevin, lam).covariance(0.0, 1.0)
 
 
 class TestLogKernel:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,30 @@ class TestVerifyBounds:
         assert not report.exact
         assert 2 in report.zero_hit_indices
         assert np.isfinite(report.C_minus) and report.C_minus > 0
+
+    def test_mc_route_reuses_the_full_horizon_run(self, heat1d, monkeypatch):
+        calls = []
+
+        def counting(spec, t, x, T, config):
+            calls.append(T)
+            return simulate_paths(spec, t, x, T, config)
+
+        monkeypatch.setattr(sys.modules["kolmo.mc"], "simulate_paths", counting)
+        a = fields.IsotropicMatrixField(
+            fields.SpaceSinusoidField(base=0.5, amplitude=0.05, wave=(1.0,)), 1
+        )
+        spec = make_spec(heat1d, a=a, mu=2.5)
+        config = SimConfig(20_000, 8, seed=23)
+        report = verify_bounds(
+            spec, -0.4, [0.0], 0.6, np.zeros((1, 1)), 1 / 2.5, 2.5, sim_config=config
+        )
+        # One main run plus one per diagonal horizon short of the full one.
+        assert calls == [0.6, -0.4 + 0.25, -0.4 + 0.5]
+        full = estimate_density(
+            simulate_paths(spec, -0.4, [0.0], 0.6, config), [0.0], 0.2, heat1d.structure, 1.0
+        )
+        assert report.diagonal_c[-1] == full.value
+        assert report.gamma[0] == full.value
 
     def test_mc_route_requires_config(self, heat1d):
         a = fields.IsotropicMatrixField(

@@ -1,0 +1,35 @@
+"""Each quantity has one source: structural checks on the package's own code."""
+
+import ast
+from pathlib import Path
+
+import kolmo
+
+SOURCES = sorted(Path(kolmo.__file__).parent.glob("*.py"))
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in SOURCES}
+
+
+def test_expm_imported_only_where_needed():
+    # gramian: the Van Loan exponential and the Simpson integrand; control:
+    # the discrete least-norm oracle; mc: the step flow, kept bit for bit.
+    importers = {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(a.name == "expm" for a in node.names)
+    }
+    assert importers == {"gramian.py", "control.py", "mc.py"}
+
+
+def test_one_adaptive_simpson_call():
+    calls = [
+        (name, node.lineno)
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "adaptive_simpson"
+    ]
+    assert len(calls) == 1, calls
