@@ -185,30 +185,21 @@ def _grid_points(system, t, x, T, radius, n):
     return np.array(pts)
 
 
-def _cmd_validate(args):
-    spec, (mu_low, mu_high) = _validated_model(args.model)
+def _cmd_validate(args, spec, mu_sampled):
     summary = {
         "blocks": list(spec.structure.m),
         "d": spec.system.d,
-        "kalman_rank": kalman_rank(spec.system),
+        "kalman_rank": spec.system.d,  # the loader rejects any smaller rank
         "mu_declared": spec.mu,
-        "mu_sampled": [mu_low, mu_high],
+        "mu_sampled": list(mu_sampled),
         "valid": True,
     }
-    outputs = {}
-    if args.out:
-        _write_json(args.out + ".json", summary)
-        outputs["json"] = args.out + ".json"
-    else:
-        print(json.dumps(summary, sort_keys=True))
-    return summary, outputs
+    return summary, None
 
 
-def _cmd_gramian(args):
-    spec = load_model(args.model)
-    taus = [float(v) for v in args.tau_grid.split(",")]
+def _cmd_gramian(args, spec, mu_sampled):
     rows = []
-    for tau in taus:
+    for tau in (float(v) for v in args.tau_grid.split(",")):
         g = gramian(spec.system, tau)
         g0 = gramian_homogeneous(spec.system, tau)
         det_ratio = float(np.exp(g.logdet - g0.logdet))
@@ -218,12 +209,10 @@ def _cmd_gramian(args):
         "logdet",
         "det_ratio",
     ]
-    _write_csv(args.out + ".csv", header, rows)
-    return {"taus": taus}, {"csv": args.out + ".csv"}
+    return None, (header, rows)
 
 
-def _cmd_kernel(args):
-    spec = load_model(args.model)
+def _cmd_kernel(args, spec, mu_sampled):
     system = spec.system
     d = system.d
     t, x = _parse_point(args.frm, d)
@@ -247,12 +236,10 @@ def _cmd_kernel(args):
             ]
         )
     header = [f"y{i}" for i in range(d)] + ["gamma", "log_gamma", "lower_form", "upper_form"]
-    _write_csv(args.out + ".csv", header, rows)
-    return {"points": len(rows)}, {"csv": args.out + ".csv"}
+    return None, (header, rows)
 
 
-def _cmd_control(args):
-    spec = load_model(args.model)
+def _cmd_control(args, spec, mu_sampled):
     d = spec.system.d
     t, x = _parse_point(args.frm, d)
     T, y = _parse_point(args.to, d)
@@ -267,14 +254,11 @@ def _cmd_control(args):
         v = control_value(ctrl, s)
         rows.append([s, *trajectory(ctrl, s).tolist(), float(v @ v), accum])
     header = ["s"] + [f"gamma{i}" for i in range(d)] + ["v_sq", "cost_accum"]
-    _write_csv(args.out + ".csv", header, rows)
     summary = {"cost": ctrl.cost, "discrete_check": discrete_least_norm_control(problem, 256)}
-    _write_json(args.out + ".json", summary)
-    return summary, {"csv": args.out + ".csv", "json": args.out + ".json"}
+    return summary, (header, rows)
 
 
-def _cmd_chain(args):
-    spec = load_model(args.model)
+def _cmd_chain(args, spec, mu_sampled):
     d = spec.system.d
     t, x = _parse_point(args.frm, d)
     T, y = _parse_point(args.to, d)
@@ -290,7 +274,6 @@ def _cmd_chain(args):
         rows.append([j, step.t_start, *chain.points[j].tolist(), step.cost, step.clause])
     rows.append([chain.J, chain.times[-1], *chain.points[-1].tolist(), 0.0, "end"])
     header = ["j", "t_j"] + [f"gamma{i}" for i in range(d)] + ["step_cost", "clause"]
-    _write_csv(args.out + ".csv", header, rows)
     summary = {
         "V": chain.V,
         "epsilon": config.epsilon,
@@ -305,12 +288,10 @@ def _cmd_chain(args):
             "kappa": config.kappa,
         },
     }
-    _write_json(args.out + ".json", summary)
-    return summary, {"csv": args.out + ".csv", "json": args.out + ".json"}
+    return summary, (header, rows)
 
 
-def _cmd_simulate(args):
-    spec = load_model(args.model)
+def _cmd_simulate(args, spec, mu_sampled):
     d = spec.system.d
     t, x = _parse_point(args.frm, d)
     T = args.horizon
@@ -322,7 +303,6 @@ def _cmd_simulate(args):
     for i in range(d):
         rows.append([f"cov_{i}", *cov[i].tolist()])
     header = ["stat"] + [f"x{i}" for i in range(d)]
-    _write_csv(args.out + ".csv", header, rows)
     summary = {"n_paths": args.paths, "n_steps": args.steps, "seed": args.seed}
     if args.density_at is not None:
         y = np.array([float(v) for v in args.density_at.split(",")])
@@ -334,12 +314,10 @@ def _cmd_simulate(args):
             "n_hits": est.n_hits,
             "bandwidth": est.bandwidth,
         }
-    _write_json(args.out + ".json", summary)
-    return summary, {"csv": args.out + ".csv", "json": args.out + ".json"}
+    return summary, (header, rows)
 
 
-def _cmd_verify_bounds(args):
-    spec = load_model(args.model)
+def _cmd_verify_bounds(args, spec, mu_sampled):
     d = spec.system.d
     t, x = _parse_point(args.frm, d)
     T = args.horizon
@@ -367,7 +345,6 @@ def _cmd_verify_bounds(args):
         "gamma_est", "stderr", "gamma_lambda_minus", "gamma_lambda_plus",
         "ratio_minus", "ratio_plus",
     ]
-    _write_csv(args.out + ".csv", header, rows)
     summary = {
         "C_minus": report.C_minus,
         "C_plus": report.C_plus,
@@ -380,26 +357,24 @@ def _cmd_verify_bounds(args):
             "c": list(report.diagonal_c),
             "c_fit": report.diagonal_c_fit,
         },
-        "seed": args.seed,
-        "config": {"n_paths": args.paths, "n_steps": args.steps, "bandwidth": args.bandwidth},
     }
-    _write_json(args.out + ".json", summary)
-    return summary, {"csv": args.out + ".csv", "json": args.out + ".json"}
+    if not report.exact:  # the exact route simulates nothing
+        summary["seed"] = args.seed
+        summary["config"] = {
+            "n_paths": args.paths, "n_steps": args.steps, "bandwidth": args.bandwidth
+        }
+    return summary, (header, rows)
 
 
-def _cmd_equivalence(args):
-    spec = load_model(args.model)
-    taus = [float(v) for v in args.tau_grid.split(",")]
-    report = equivalence_constants(spec.system, taus)
+def _cmd_equivalence(args, spec, mu_sampled):
+    report = equivalence_constants(spec.system, [float(v) for v in args.tau_grid.split(",")])
     rows = [[tau, ratio] for tau, ratio in zip(report.tau_grid, report.det_ratio)]
-    _write_csv(args.out + ".csv", ["tau", "det_ratio"], rows)
     summary = {
         "k_dilation": list(report.k_dilation),
         "k_quadratic": list(report.k_quadratic),
         "tau_grid": list(report.tau_grid),
     }
-    _write_json(args.out + ".json", summary)
-    return summary, {"csv": args.out + ".csv", "json": args.out + ".json"}
+    return summary, (["tau", "det_ratio"], rows)
 
 
 def _build_parser():
@@ -407,67 +382,66 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, help, *, to=False, sim=False):
+        """A subcommand; ``to`` adds ``--from --to``, ``sim`` the simulation options."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--model", required=True, help="model config JSON")
         p.add_argument("--out", default=None, help="output path base")
+        if to or sim:
+            p.add_argument("--from", dest="frm", required=True, help="t,x1,...,xd")
+        if to:
+            p.add_argument("--to", required=True, help="T,y1,...,yd")
+        if sim:
+            p.add_argument("--horizon", type=float, required=True)
+            p.add_argument("--paths", type=int, default=100000)
+            p.add_argument("--steps", type=int, default=16)
+            p.add_argument("--seed", type=int, required=True)
+            p.add_argument("--bandwidth", type=float, default=0.2)
         p.set_defaults(func=fn)
         return p
 
-    add("validate", _cmd_validate, help="validate a model config")
+    add("validate", _cmd_validate, "validate a model config")
 
-    p = add("gramian", _cmd_gramian, help="covariance matrices over a horizon grid")
+    p = add("gramian", _cmd_gramian, "covariance matrices over a horizon grid")
     p.add_argument("--tau-grid", default="0.1,0.5,1.0")
 
-    p = add("kernel", _cmd_kernel, help="Gaussian kernel and bound forms")
+    p = add("kernel", _cmd_kernel, "Gaussian kernel and bound forms", to=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--from", dest="frm", required=True, help="t,x1,...,xd")
-    p.add_argument("--to", dest="to", required=True, help="T,y1,...,yd")
     p.add_argument("--grid", default=None, help="radius=3,n=25 (dilated offsets)")
     p.add_argument("--c-lower", type=float, default=1.0)
     p.add_argument("--c-upper", type=float, default=1.0)
 
-    p = add("control", _cmd_control, help="minimum-energy control trajectory")
-    p.add_argument("--from", dest="frm", required=True)
-    p.add_argument("--to", dest="to", required=True)
+    p = add("control", _cmd_control, "minimum-energy control trajectory", to=True)
     p.add_argument("--n", type=int, default=65)
 
-    p = add("chain", _cmd_chain, help="Harnack chain construction")
-    p.add_argument("--from", dest="frm", required=True)
-    p.add_argument("--to", dest="to", required=True)
+    p = add("chain", _cmd_chain, "Harnack chain construction", to=True)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--r", type=float, default=0.25)
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--kappa", type=float, default=None, help="default: estimated")
     p.add_argument("--c-harnack", type=float, default=10.0)
 
-    p = add("simulate", _cmd_simulate, help="endpoint simulation")
-    p.add_argument("--from", dest="frm", required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--paths", type=int, default=100000)
-    p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--seed", type=int, required=True)
+    p = add("simulate", _cmd_simulate, "endpoint simulation", sim=True)
     p.add_argument("--density-at", default=None, help="y1,...,yd")
-    p.add_argument("--bandwidth", type=float, default=0.2)
 
-    p = add("verify-bounds", _cmd_verify_bounds, help="two-sided bound verification")
-    p.add_argument("--from", dest="frm", required=True)
-    p.add_argument("--horizon", type=float, required=True)
+    p = add("verify-bounds", _cmd_verify_bounds, "two-sided bound verification", sim=True)
     p.add_argument("--grid", default="radius=3,n=25")
     p.add_argument("--lambda-minus", type=float, required=True)
     p.add_argument("--lambda-plus", type=float, required=True)
-    p.add_argument("--paths", type=int, default=100000)
-    p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bandwidth", type=float, default=0.2)
 
-    p = add("equivalence", _cmd_equivalence, help="homogeneous comparison constants")
+    p = add("equivalence", _cmd_equivalence, "homogeneous comparison constants")
     p.add_argument("--tau-grid", default="0.01,0.1,1.0")
 
     return parser
 
 
 def main(argv=None):
+    """Run one subcommand and write its files; handlers only compute.
+
+    A handler returns ``(summary, table)``, either possibly None: the table
+    goes to ``<out>.csv``, the summary to ``<out>.json``, and the manifest
+    lists exactly those files.  ``validate`` with no ``--out`` prints instead.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -477,9 +451,18 @@ def main(argv=None):
             return EXIT_USAGE
         if args.out is None and args.subcommand != "validate":
             args.out = f"kolmo-{args.subcommand}"
-        summary, outputs = args.func(args)
-        if outputs:
-            _write_json(args.out + ".manifest.json", _manifest(args, outputs))
+        summary, table = args.func(args, *_validated_model(args.model))
+        if args.out is None:
+            print(json.dumps(summary, sort_keys=True))
+            return EXIT_OK
+        outputs = {}
+        if table is not None:
+            outputs["csv"] = args.out + ".csv"
+            _write_csv(outputs["csv"], *table)
+        if summary is not None:
+            outputs["json"] = args.out + ".json"
+            _write_json(outputs["json"], summary)
+        _write_json(args.out + ".manifest.json", _manifest(args, outputs))
         return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

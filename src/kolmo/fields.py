@@ -44,9 +44,6 @@ class ConstantField:
     def __call__(self, t, x):
         return self.value
 
-    def space_gradient(self, t, x):
-        return np.zeros(np.shape(x))
-
 
 @dataclass(frozen=True)
 class TimeSinusoidField:
@@ -64,9 +61,6 @@ class TimeSinusoidField:
         return self.base + self.amplitude * np.sin(
             2.0 * np.pi * self.frequency * t + self.phase
         )
-
-    def space_gradient(self, t, x):
-        return np.zeros(np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -86,11 +80,6 @@ class SpaceSinusoidField:
         return self.base + self.amplitude * np.sin(
             2.0 * np.pi * float(k @ np.asarray(x, dtype=float)) + self.phase
         )
-
-    def space_gradient(self, t, x):
-        k = np.asarray(self.wave, dtype=float)
-        arg = 2.0 * np.pi * float(k @ np.asarray(x, dtype=float)) + self.phase
-        return self.amplitude * 2.0 * np.pi * np.cos(arg) * k
 
 
 @dataclass(frozen=True)
@@ -120,13 +109,6 @@ class TabulatedField:
         coord = t if self.axis == "time" else np.asarray(x, dtype=float)[self.axis]
         pts = np.asarray(self.points, dtype=float)
         return float(np.asarray(self.values, dtype=float)[np.argmin(np.abs(pts - coord))])
-
-    def space_gradient(self, t, x):
-        if self.space_dependent:
-            raise CoefficientError(
-                "tabulated space fields are piecewise constant; no usable gradient"
-            )
-        return np.zeros(np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -204,7 +186,7 @@ def batch_scalar(field, t, X):
         vals = np.asarray(field.values, dtype=float)
         idx = np.argmin(np.abs(pts[None, :] - X[:, field.axis][:, None]), axis=1)
         return vals[idx]
-    return np.array([float(field(t, xi)) for xi in X])
+    raise CoefficientError(f"no batch evaluation for {type(field).__name__}")
 
 
 def sample_scalar(field, ts, X):
@@ -230,16 +212,14 @@ def sample_scalar(field, ts, X):
     return out
 
 
-def batch_gradient(field, t, X):
-    """Space gradients of a scalar field at many states."""
+def batch_gradient(field, X):
+    """Space gradients of a space-sinusoid field at many states."""
+    if not isinstance(field, SpaceSinusoidField):
+        raise CoefficientError(f"no space gradient for {type(field).__name__}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(field, SpaceSinusoidField):
-        k = np.asarray(field.wave, dtype=float)
-        arg = 2.0 * np.pi * (X @ k) + field.phase
-        return field.amplitude * 2.0 * np.pi * np.cos(arg)[:, None] * k[None, :]
-    if isinstance(field, (ConstantField, TimeSinusoidField)):
-        return np.zeros_like(X)
-    return np.stack([np.asarray(field.space_gradient(t, xi), dtype=float) for xi in X])
+    k = np.asarray(field.wave, dtype=float)
+    arg = 2.0 * np.pi * (X @ k) + field.phase
+    return field.amplitude * 2.0 * np.pi * np.cos(arg)[:, None] * k[None, :]
 
 
 _SCALAR_KINDS = {

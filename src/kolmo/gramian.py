@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm, solve_triangular
 
-from .exceptions import GramianError, QuadratureError
+from .exceptions import CoefficientError, GramianError, QuadratureError
 from .model import (
     dilation_matrix,
     homogeneous_dimension,
@@ -46,6 +46,7 @@ __all__ = [
     "gramian_matrix",
     "gramian_weighted",
     "gramian_homogeneous",
+    "is_time_field",
     "strength_at",
     "quadratic_form",
     "equivalence_constants",
@@ -188,7 +189,7 @@ def gramian_matrix(system, t):
     return system.propagator.gramian(t)
 
 
-def _simpson_panel(f, a, fa, b, fb, m, fm, whole, rel_tol, abs_floor, depth, scale):
+def _simpson_panel(f, a, fa, b, fb, m, fm, whole, depth, tol):
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm = f(lm)
@@ -196,19 +197,21 @@ def _simpson_panel(f, a, fa, b, fb, m, fm, whole, rel_tol, abs_floor, depth, sca
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     err = np.abs(left + right - whole).max()
-    if err <= 15.0 * max(rel_tol * scale, abs_floor) or depth >= 40:
+    if err <= tol or depth >= 40:
         return left + right + (left + right - whole) / 15.0
-    return _simpson_panel(
-        f, a, fa, m, fm, lm, flm, left, rel_tol, abs_floor, depth + 1, scale
-    ) + _simpson_panel(f, m, fm, b, fb, rm, frm, right, rel_tol, abs_floor, depth + 1, scale)
+    return _simpson_panel(f, a, fa, m, fm, lm, flm, left, depth + 1, tol) + _simpson_panel(
+        f, m, fm, b, fb, rm, frm, right, depth + 1, tol
+    )
 
 
-def adaptive_simpson(f, a, b, rel_tol=1e-10, abs_floor=1e-14):
+def adaptive_simpson(f, a, b):
     """Adaptive Simpson quadrature for matrix-valued integrands.
 
-    Bisection depth is capped at 40; the error control mixes the relative
-    tolerance against the running magnitude with an absolute floor.
+    Bisection depth is capped at 40; a panel is accepted when its max-norm
+    error estimate is at most 1e-10 times the max norm of the first
+    whole-interval estimate, or at most 1e-14.
     """
+    rel_tol, abs_floor = 1e-10, 1e-14
     if not b > a:
         raise QuadratureError(f"empty integration interval [{a}, {b}]")
     fa, fb = f(a), f(b)
@@ -216,7 +219,8 @@ def adaptive_simpson(f, a, b, rel_tol=1e-10, abs_floor=1e-14):
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     scale = max(np.abs(whole).max(), abs_floor)
-    return _simpson_panel(f, a, fa, b, fb, m, fm, whole, rel_tol, abs_floor, 0, scale)
+    tol = 15.0 * max(rel_tol * scale, abs_floor)
+    return _simpson_panel(f, a, fa, b, fb, m, fm, whole, 0, tol)
 
 
 def gramian(system, t, cross_check=True):
@@ -247,13 +251,27 @@ def gramian(system, t, cross_check=True):
     return Gramian.from_matrix(C, t, system)
 
 
+def is_time_field(lam):
+    """Whether a diffusion strength is a scalar coefficient field of ``(t, x)``.
+
+    Such a field is read at ``x = None``, so it must not depend on space: a
+    field that does raises `CoefficientError` naming it.  A number or a
+    callable of ``s`` alone gives False.
+    """
+    if not hasattr(lam, "space_dependent"):
+        return False
+    if lam.space_dependent:
+        raise CoefficientError(f"diffusion strength must depend on time only, got {lam!r}")
+    return True
+
+
 def strength_at(lam, s):
     """A diffusion strength at time ``s``.
 
-    ``lam`` is a number, a scalar coefficient field of ``(t, x)`` (read at
-    ``x = None``) or a callable of ``s`` alone.
+    ``lam`` is a number, a scalar coefficient field of ``(t, x)`` that
+    depends on time only (see `is_time_field`) or a callable of ``s`` alone.
     """
-    if hasattr(lam, "time_dependent"):
+    if is_time_field(lam):
         return float(lam(s, None))
     if callable(lam):
         return float(lam(s))
@@ -287,11 +305,14 @@ def gramian_weighted(system, lambda_field, t, T):
     ------
     ValueError
         If ``T <= t``.
+    CoefficientError
+        If ``lambda_field`` is a coefficient field that depends on space.
     GramianError
         If the weight is not positive and finite at a quadrature node.
     """
     if T <= t:
         raise ValueError(f"need T > t, got t={t}, T={T}")
+    is_time_field(lambda_field)  # a space-dependent field raises before any quadrature
     return Gramian.from_matrix(_weighted_simpson(system, lambda_field, t, T), T - t, system)
 
 
@@ -337,16 +358,16 @@ class EquivalenceReport:
             raise GramianError("equivalence constants must be ordered")
 
 
-def equivalence_constants(system, tau_grid, direction_samples=None):
+def equivalence_constants(system, tau_grid):
     """Fit the determinant and quadratic-form comparison constants on a grid.
 
     Parameters
     ----------
     system : SystemMatrix
     tau_grid : sequence of float in (0, 1]
-    direction_samples : (n, d) array, optional
-        Unit vectors over which the quadratic-form ratios are sampled;
-        defaults to 64 seeded directions plus the coordinate axes.
+
+    The quadratic-form ratios are sampled over the coordinate axes and 64
+    seeded unit directions.
     """
     tau_grid = tuple(float(v) for v in tau_grid)
     if len(tau_grid) == 0:
@@ -354,14 +375,9 @@ def equivalence_constants(system, tau_grid, direction_samples=None):
     if any(v <= 0 or v > 1 for v in tau_grid):
         raise ValueError("tau grid must lie in (0, 1]")
     d = system.d
-    if direction_samples is None:
-        rng = np.random.default_rng(7)
-        dirs = rng.normal(size=(64, d))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        direction_samples = np.vstack([np.eye(d), dirs])
-    direction_samples = np.asarray(direction_samples, dtype=float)
-    if direction_samples.size == 0:
-        raise ValueError("direction sample set must be nonempty")
+    dirs = np.random.default_rng(7).normal(size=(64, d))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    direction_samples = np.vstack([np.eye(d), dirs])
 
     h_system = homogeneous_system(system)
     det_ratio = []

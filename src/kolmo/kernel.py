@@ -16,7 +16,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .gramian import Gramian, gramian_matrix, gramian_weighted, quadratic_form, strength_at
+from .gramian import (
+    Gramian,
+    gramian_matrix,
+    gramian_weighted,
+    is_time_field,
+    quadratic_form,
+    strength_at,
+)
 from .model import dilation_exponents, dilation_matrix, homogeneous_dimension
 
 __all__ = [
@@ -65,7 +72,8 @@ class GaussianKernel:
         gives covariance ``lam * C(T-t)``; a scalar coefficient field of
         ``(t, x)`` that depends on time only; or a callable of ``s`` alone.
         The last two give the exact time-weighted covariance, and a strength
-        that is not positive at a quadrature node raises `GramianError`.
+        that is not positive at a quadrature node raises `GramianError`; a
+        field that depends on space raises `CoefficientError` here.
 
     Flows come from the system's propagator.  The covariances of the last
     32 ``(t, T)`` pairs are cached with their Cholesky factors; the cache is
@@ -75,7 +83,7 @@ class GaussianKernel:
     def __init__(self, system, lam=1.0):
         self.system = system
         self.lam = lam
-        if not callable(lam) and lam <= 0:
+        if not (is_time_field(lam) or callable(lam)) and lam <= 0:
             raise ValueError(f"diffusion strength must be positive, got {lam}")
         self._covariance = lru_cache(maxsize=32)(self._build_covariance)
 
@@ -256,12 +264,13 @@ def payoff_gaussian_bump(center, width):
     return phi
 
 
-def payoff_smoothed_indicator(center, radius, sharpness=20.0):
+def payoff_smoothed_indicator(center, radius):
+    """Logistic step of sharpness 20 from 1 inside the ball to 0 outside."""
     center = np.asarray(center, dtype=float)
 
     def phi(y):
         r = np.linalg.norm(np.asarray(y, dtype=float) - center)
-        return float(1.0 / (1.0 + np.exp(-sharpness * (radius - r))))
+        return float(1.0 / (1.0 + np.exp(-20.0 * (radius - r))))
 
     return phi
 

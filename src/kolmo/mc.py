@@ -145,8 +145,8 @@ def simulate_paths(spec, t, x, T, config):
         out += np.stack(
             [fields.batch_scalar(c, s, X) for c in spec.b_low.components], axis=1
         )
-        if isinstance(a_field, fields.IsotropicMatrixField) and space_dep:
-            out += fields.batch_gradient(a_field.scalar, s, X)[:, :m0]
+        if space_dep:
+            out += fields.batch_gradient(a_field.scalar, X)[:, :m0]
         return out
 
     def run_chunk(chunk_index, n_rows):
@@ -234,13 +234,15 @@ def mass_concentration(endpoints, flow_point, R, structure, horizon):
     return float(np.mean(np.linalg.norm(scaled, axis=1) <= R))
 
 
-def mass_concentration_dual(kernel, t, T, y, R, n_radial=128, n_angular=256):
+def mass_concentration_dual(kernel, t, T, y, R):
     """Source-side mass near the backward flow: quadrature check of the dual form.
 
     Computes ``int G(t, x; T, y) dx`` over
     ``|D((T-t)^(-1/2)) (y - e^((T-t)B) x)| <= R`` by substituting the dilated
-    offset, for constant-coefficient kernels in dimension at most 2.
+    offset, for constant-coefficient kernels in dimension at most 2: 128
+    Gauss-Legendre radial nodes, and 256 equispaced angles in dimension 2.
     """
+    n_radial, n_angular = 128, 256
     system = kernel.system
     d = system.d
     tau = T - t

@@ -331,15 +331,15 @@ def principal_part(spec, lam):
     )
 
 
-def default_sample_grid(structure, n_time=32, n_space=32, seed=0):
+def default_sample_grid(structure):
     """Deterministic sample points for coefficient checks.
 
-    Times ``k / n_time`` (hitting sinusoid extremes for integer frequencies)
-    crossed with seeded uniform space points in ``[-1, 1]^d``.
+    The 32 times ``k / 32`` (hitting sinusoid extremes for integer
+    frequencies) crossed with 32 seeded uniform space points in ``[-1, 1]^d``.
     """
-    rng = np.random.default_rng(seed)
-    times = np.arange(n_time) / n_time
-    xs = rng.uniform(-1.0, 1.0, size=(n_space, structure.d))
+    rng = np.random.default_rng(0)
+    times = np.arange(32) / 32
+    xs = rng.uniform(-1.0, 1.0, size=(32, structure.d))
     xs[0] = 0.0
     return [(float(t), x) for t in times for x in xs]
 
@@ -357,7 +357,7 @@ def _batch_matrix(a, ts, X):
         return np.broadcast_to(a.matrix, (len(ts),) + a.matrix.shape)
     if isinstance(a, fields.IsotropicMatrixField):
         return fields.sample_scalar(a.scalar, ts, X)[:, None, None] * np.eye(a.dim)
-    return np.array([np.asarray(a(t, x), dtype=float) for t, x in zip(ts, X)])
+    raise CoefficientError(f"no batch evaluation for {type(a).__name__}")
 
 
 def ellipticity_check(spec, sample_points=None, directions=None):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -79,10 +80,13 @@ class TestLoadModel:
 
 
 class TestSubcommands:
-    def test_validate_ok(self, langevin_model_path, capsys):
+    def test_validate_ok(self, langevin_model_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
         assert main(["validate", "--model", langevin_model_path]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["kalman_rank"] == 2
+        assert sorted(os.listdir(tmp_path)) == before  # no --out: printed, not written
 
     def test_gramian_csv(self, langevin_model_path, tmp_path):
         out = str(tmp_path / "g")
@@ -188,6 +192,8 @@ class TestSubcommands:
         assert code == EXIT_OK
         summary = json.loads(open(out + ".json").read())
         assert summary["exact"] is True
+        assert "seed" not in summary and "config" not in summary  # nothing was simulated
+        assert json.loads(open(out + ".manifest.json").read())["seed"] == 7
         assert 1e-3 <= summary["C_minus"] <= 1e3
         assert 1e-3 <= summary["C_plus"] <= 1e3
         rows = read_csv(out + ".csv")
@@ -219,6 +225,8 @@ class TestSubcommands:
         assert code == EXIT_OK
         summary = json.loads(open(out + ".json").read())
         assert summary["exact"] is False
+        assert summary["seed"] == 3
+        assert summary["config"] == {"n_paths": 30000, "n_steps": 8, "bandwidth": 0.25}
         assert summary["zero_hit_indices"]  # the radius-6 tails are unreachable
         for row in read_csv(out + ".csv")[1:]:
             assert all(np.isfinite(float(v)) for v in row)
@@ -265,3 +273,44 @@ class TestSubcommands:
         cfg["B"] = [[0.0, 0.0], [0.0, 0.0]]
         model = write_model(tmp_path, cfg)
         assert main(["gramian", "--model", model, "--out", str(tmp_path / "g")]) == EXIT_VALIDATION
+
+
+class TestOutputs:
+    """`main` writes every file; handlers only compute."""
+
+    RUNS = {
+        "validate": ["--out", "o"],
+        "gramian": ["--out", "o"],
+        "kernel": ["--from", "0,0,0", "--to", "1,0.5,0.2", "--grid", "radius=2,n=3", "--out", "o"],
+        "control": ["--from", "0,0,0", "--to", "1,1,0", "--n", "9", "--out", "o"],
+        "chain": ["--from", "0,0,0", "--to", "1,1,0", "--out", "o"],
+        "simulate": ["--from", "0,0,0", "--horizon", "1", "--paths", "2000", "--seed", "4",
+                     "--density-at", "0,0", "--out", "o"],
+        "verify-bounds": ["--from", "0,0,0", "--horizon", "1", "--lambda-minus", "1",
+                          "--lambda-plus", "1", "--grid", "radius=2,n=3", "--seed", "4",
+                          "--out", "o"],
+        "equivalence": ["--out", "o"],
+    }
+    FILES = {
+        "validate": {"json"},
+        "gramian": {"csv"},
+        "kernel": {"csv"},
+    }
+
+    def test_reruns_identical_and_manifest_lists_the_files(
+        self, langevin_model_path, tmp_path, monkeypatch
+    ):
+        for sub, extra in self.RUNS.items():
+            runs = []
+            for rerun in ("a", "b"):
+                cwd = tmp_path / sub / rerun
+                cwd.mkdir(parents=True)
+                monkeypatch.chdir(cwd)
+                assert main([sub, "--model", langevin_model_path, *extra]) == EXIT_OK
+                manifest = json.loads((cwd / "o.manifest.json").read_text())
+                assert set(manifest["outputs"]) == self.FILES.get(sub, {"csv", "json"})
+                assert sorted(os.listdir(cwd)) == sorted(
+                    [*manifest["outputs"].values(), "o.manifest.json"]
+                )
+                runs.append({name: (cwd / name).read_bytes() for name in os.listdir(cwd)})
+            assert runs[0] == runs[1], sub

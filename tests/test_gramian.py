@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from kolmo import fields
-from kolmo.exceptions import GramianError
+from kolmo.exceptions import CoefficientError, GramianError
 from kolmo.gramian import (
     Propagator,
     adaptive_simpson,
@@ -195,6 +195,19 @@ class TestWeightedGramian:
     def test_nonpositive_weight_rejected(self, heat1d):
         with pytest.raises(GramianError):
             gramian_weighted(heat1d, lambda s: -1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            fields.SpaceSinusoidField(1.0, 0.1, (1.0,)),
+            fields.TabulatedField((0.0, 1.0), (1.0, 2.0), axis=0),
+        ],
+        ids=["space-sinusoid", "tabulated-space"],
+    )
+    def test_space_field_rejected_before_quadrature(self, field, heat1d, expm_calls):
+        with pytest.raises(CoefficientError, match=type(field).__name__):
+            gramian_weighted(heat1d, field, 0.0, 1.0)
+        assert expm_calls[0] == 0
 
 
 class TestHomogeneousGramian:

@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from kolmo import fields
-from kolmo.exceptions import GramianError
-from kolmo.gramian import gramian, gramian_weighted
+from kolmo.exceptions import CoefficientError, GramianError
+from kolmo.gramian import gramian, gramian_weighted, strength_at
 from kolmo.kernel import (
     BoundEnvelope,
     GaussianKernel,
@@ -103,6 +103,20 @@ class TestTimeFieldStrength:
     def test_nonpositive_strength_raises(self, lam, langevin):
         with pytest.raises(GramianError):
             GaussianKernel(langevin, lam).covariance(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            fields.SpaceSinusoidField(1.0, 0.1, (1.0,)),
+            fields.TabulatedField((0.0, 1.0), (1.0, 2.0), axis=0),
+        ],
+        ids=["space-sinusoid", "tabulated-space"],
+    )
+    def test_space_field_rejected_up_front(self, field, heat1d):
+        with pytest.raises(CoefficientError, match=type(field).__name__):
+            GaussianKernel(heat1d, field)
+        with pytest.raises(CoefficientError, match=type(field).__name__):
+            strength_at(field, 0.5)
 
 
 class TestLogKernel:

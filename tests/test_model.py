@@ -350,6 +350,20 @@ class TestBatchedValidation:
                 coefficient_bounds_loop, spec, order
             )
 
+    def test_unknown_field_type_named(self, langevin):
+        class Doubled:  # a field of no known kind
+            time_dependent = space_dependent = False
+
+            def __call__(self, t, x):
+                return 2.0 * np.eye(1)
+
+        with pytest.raises(CoefficientError, match="Doubled"):
+            ellipticity_check(make_spec(langevin, a=Doubled()))
+        with pytest.raises(CoefficientError, match="Doubled"):
+            fields.batch_scalar(Doubled(), 0.0, np.zeros((3, 2)))
+        with pytest.raises(CoefficientError, match="TimeSinusoidField"):
+            fields.batch_gradient(fields.TimeSinusoidField(1.0, 0.5), np.zeros((3, 2)))
+
 
 class TestConfigRoundTrip:
     def test_langevin_round_trip(self):

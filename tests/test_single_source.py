@@ -33,3 +33,16 @@ def test_one_adaptive_simpson_call():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "adaptive_simpson"
     ]
     assert len(calls) == 1, calls
+
+
+def test_only_main_writes_cli_files():
+    tree = _trees()["cli.py"]
+    writers = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("_write_csv", "_write_json")
+    }
+    assert writers == {"main"}
