@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 import numpy as np
@@ -41,7 +42,7 @@ from .kernel import (
 from .mc import SimConfig, estimate_density, simulate_paths, verify_bounds
 from .model import (
     coefficient_bounds,
-    dilation_exponents,
+    dilation_scales,
     ellipticity_check,
     kalman_rank,
     spec_from_config,
@@ -65,6 +66,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _ParseError(KolmoError):
+    pass
+
+
 class _ValidationFailure(KolmoError):
     def __init__(self, clause, message):
         super().__init__(message)
@@ -76,7 +81,8 @@ def load_model(path):
 
     Runs the structural validation, the coupling rank check, the sampled
     ellipticity check against the declared constant, and the sampled
-    coefficient bound check.
+    coefficient bound check.  A document that is not a JSON object, or
+    lacks a required key, raises a `KolmoError` naming the key.
     """
     return _validated_model(path)[0]
 
@@ -85,7 +91,14 @@ def _validated_model(path):
     """`load_model`'s spec together with its sampled ellipticity constants."""
     with open(path) as fh:
         cfg = json.load(fh)
-    spec = spec_from_config(cfg)
+    if not isinstance(cfg, dict):
+        raise _ParseError(f"model must be a JSON object, got {type(cfg).__name__}")
+    try:
+        spec = spec_from_config(cfg)
+    except KeyError as exc:
+        raise _ParseError(f"model is missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:  # a list or a string where an object belongs
+        raise _ParseError(f"model has a value of the wrong type: {exc}") from exc
     rank = kalman_rank(spec.system)
     if rank != spec.system.d:
         raise _ValidationFailure(
@@ -173,16 +186,11 @@ def _parse_grid(text):
 def _grid_points(system, t, x, T, radius, n):
     """Axis-aligned dilated offsets around the flow image, ``n`` per axis."""
     mean = system.propagator.flow(T - t) @ x
-    exps = dilation_exponents(system.structure).astype(float)
-    scale = (T - t) ** (0.5 * exps)
-    pts = []
-    offsets = np.linspace(-radius, radius, n)
+    scale = dilation_scales(system.structure, (T - t) ** 0.5)
+    pts = np.tile(mean, (system.d, n, 1))
     for axis in range(system.d):
-        for u in offsets:
-            y = mean.copy()
-            y[axis] += u * scale[axis]
-            pts.append(y)
-    return np.array(pts)
+        pts[axis, :, axis] += np.linspace(-radius, radius, n) * scale[axis]
+    return pts.reshape(-1, system.d)
 
 
 def _cmd_validate(args, spec, mu_sampled):
@@ -385,6 +393,9 @@ def _build_parser():
     def add(name, fn, help, *, to=False, sim=False):
         """A subcommand; ``to`` adds ``--from --to``, ``sim`` the simulation options."""
         p = sub.add_parser(name, help=help)
+        # A point such as -0.2,0,0 is a value, not an option: argparse's own
+        # negative-number test accepts only a bare number.
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--model", required=True, help="model config JSON")
         p.add_argument("--out", default=None, help="output path base")
         if to or sim:
@@ -470,7 +481,7 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse --help/--version exit; usage failures come through _UsageError
         return 0 if exc.code in (None, 0) else EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, _ParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (StructureError, CoefficientError, _ValidationFailure) as exc:

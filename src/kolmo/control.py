@@ -20,7 +20,7 @@ from scipy.linalg import cho_solve, expm
 
 from .exceptions import GramianError
 from .gramian import Gramian
-from .model import SpaceTimePoint, dilation_exponents, sigma_matrix
+from .model import SpaceTimePoint, dilation_scales, sigma_matrix
 
 __all__ = [
     "ControlProblem",
@@ -190,8 +190,7 @@ def kappa_estimate(system, s_grid=None):
         raise ValueError("s grid must be nonempty")
     if np.any(s_grid <= 0) or np.any(s_grid > 1):
         raise ValueError("s grid must lie in (0, 1]")
-    exps = dilation_exponents(system.structure).astype(float)
-    scale = s_grid[:, None] ** (-0.5 * exps)
+    scale = dilation_scales(system.structure, s_grid**-0.5)
     dilated = scale[:, :, None] * system.propagator.gramians(s_grid) * scale[:, None, :]
     top = np.linalg.eigvalsh(dilated)[:, -1].max()
     return 1.1 * float(np.sqrt(max(top, 0.0)))
@@ -232,8 +231,7 @@ def cone_membership(cone, p, system):
     if lam > cone.R:
         return False
     offset = p.x - system.propagator.flow(dt) @ cone.base.x
-    exps = dilation_exponents(system.structure).astype(float)
-    xi = lam ** (-exps) * offset
+    xi = dilation_scales(system.structure, 1.0 / lam) * offset
     return bool(np.linalg.norm(xi) < cone.r)
 
 
@@ -251,6 +249,5 @@ def cylinder_membership(center, rho, p, system):
     if not 0 <= s < 1:
         return False
     rel = p.x - system.propagator.flow(dt) @ center.x
-    exps = dilation_exponents(system.structure).astype(float)
-    xi = rho ** (-exps) * rel
+    xi = dilation_scales(system.structure, 1.0 / rho) * rel
     return bool(np.linalg.norm(xi) < 1.0)

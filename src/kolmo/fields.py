@@ -8,7 +8,7 @@ through a config file.  Every field is evaluated pointwise at ``(t, x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -96,6 +96,8 @@ class TabulatedField:
     def __post_init__(self):
         if len(self.points) != len(self.values) or len(self.points) == 0:
             raise CoefficientError("tabulated field needs matching, nonempty grids")
+        if self.axis != "time":
+            object.__setattr__(self, "axis", int(self.axis))
 
     @property
     def time_dependent(self):
@@ -229,68 +231,39 @@ _SCALAR_KINDS = {
     "tabulated": TabulatedField,
 }
 
+# How a JSON value becomes a field parameter, by the parameter's annotation.
+_FROM_JSON = {
+    "float": float,
+    "tuple": lambda v: tuple(float(u) for u in v),
+    "object": lambda v: v,
+}
+
 
 def scalar_field_from_config(cfg):
-    """Build a scalar field from its JSON dict form."""
+    """Build a scalar field from its JSON dict form.
+
+    ``kind`` names an entry of `_SCALAR_KINDS`; the other keys are that
+    class's dataclass fields, and a field left out takes its default.  A
+    missing field with no default raises `KeyError` naming it.
+    """
     if cfg is None:
         return ConstantField(0.0)
     if isinstance(cfg, (int, float)):
         return ConstantField(float(cfg))
     kind = cfg.get("kind")
-    if kind == "constant":
-        return ConstantField(float(cfg["value"]))
-    if kind == "time-sinusoid":
-        return TimeSinusoidField(
-            base=float(cfg["base"]),
-            amplitude=float(cfg["amplitude"]),
-            frequency=float(cfg.get("frequency", 1.0)),
-            phase=float(cfg.get("phase", 0.0)),
-        )
-    if kind == "space-sinusoid":
-        return SpaceSinusoidField(
-            base=float(cfg["base"]),
-            amplitude=float(cfg["amplitude"]),
-            wave=tuple(float(v) for v in cfg["wave"]),
-            phase=float(cfg.get("phase", 0.0)),
-        )
-    if kind == "tabulated":
-        axis = cfg.get("axis", "time")
-        if axis != "time":
-            axis = int(axis)
-        return TabulatedField(
-            points=tuple(float(v) for v in cfg["points"]),
-            values=tuple(float(v) for v in cfg["values"]),
-            axis=axis,
-        )
-    raise CoefficientError(f"unknown scalar field kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in _SCALAR_KINDS:
+        raise CoefficientError(f"unknown scalar field kind: {kind!r}")
+    cls = _SCALAR_KINDS[kind]
+    params = [f for f in fields(cls) if f.name in cfg or f.default is MISSING]
+    return cls(**{f.name: _FROM_JSON[f.type](cfg[f.name]) for f in params})
 
 
 def scalar_field_to_config(f):
-    if isinstance(f, ConstantField):
-        return {"kind": "constant", "value": f.value}
-    if isinstance(f, TimeSinusoidField):
-        return {
-            "kind": "time-sinusoid",
-            "base": f.base,
-            "amplitude": f.amplitude,
-            "frequency": f.frequency,
-            "phase": f.phase,
-        }
-    if isinstance(f, SpaceSinusoidField):
-        return {
-            "kind": "space-sinusoid",
-            "base": f.base,
-            "amplitude": f.amplitude,
-            "wave": list(f.wave),
-            "phase": f.phase,
-        }
-    if isinstance(f, TabulatedField):
-        return {
-            "kind": "tabulated",
-            "axis": f.axis,
-            "points": list(f.points),
-            "values": list(f.values),
-        }
+    """The JSON dict form of a scalar field, read back by `scalar_field_from_config`."""
+    for kind, cls in _SCALAR_KINDS.items():
+        if type(f) is cls:
+            params = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(f).items()}
+            return {"kind": kind, **params}
     raise CoefficientError(f"cannot serialize field of type {type(f).__name__}")
 
 

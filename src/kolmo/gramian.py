@@ -326,12 +326,18 @@ def gramian_homogeneous(system, t):
 
 
 def quadratic_form(g, z):
-    """``<C^-1 z, z>`` through two triangular solves on the Cholesky factor."""
+    """``<C^-1 z, z>`` through a triangular solve on the Cholesky factor.
+
+    ``z`` is one vector ``(d,)``, giving a float, or rows ``(n, d)``, giving
+    an ``(n,)`` array with one form per row.
+    """
     z = np.asarray(z, dtype=float)
-    if z.shape != (g.d,):
-        raise ValueError(f"vector has shape {z.shape}, expected ({g.d},)")
-    w = solve_triangular(g.chol, z, lower=True)
-    return float(w @ w)
+    if z.ndim > 2 or z.shape[-1:] != (g.d,):
+        raise ValueError(f"vector has shape {z.shape}, expected ({g.d},) or (n, {g.d})")
+    W = solve_triangular(g.chol, z.T, lower=True)
+    if z.ndim == 1:
+        return float(W @ W)
+    return np.einsum("ij,ij->j", W, W)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .gramian import (
     Gramian,
@@ -24,7 +23,7 @@ from .gramian import (
     quadratic_form,
     strength_at,
 )
-from .model import dilation_exponents, dilation_matrix, homogeneous_dimension
+from .model import dilation_scales, homogeneous_dimension
 
 __all__ = [
     "GaussianKernel",
@@ -46,17 +45,18 @@ __all__ = [
 ]
 
 
+_BOX_RADIUS = 8.0
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor Gauss-Legendre setup on a dilation-adapted box.
 
-    The box is ``|D((T-t)^(-1/2)) (z - mean)|_inf <= box_radius``; at the
-    default radius 8 the Gaussian mass outside is negligible for diffusion
-    strengths up to about 1.
+    The box is ``|D((T-t)^(-1/2)) (z - mean)|_inf <= 8``; the Gaussian mass
+    outside is negligible for diffusion strengths up to about 1.
     """
 
     nodes: int = 160
-    box_radius: float = 8.0
 
 
 class GaussianKernel:
@@ -115,16 +115,14 @@ class GaussianKernel:
         cov = self.covariance(t, T)
         mean = self.flow(T - t) @ np.asarray(x, dtype=float)
         delta = np.atleast_2d(Y) - mean[None, :]
-        W = solve_triangular(cov.chol, delta.T, lower=True)
-        qf = np.einsum("ij,ij->j", W, W)
+        qf = quadratic_form(cov, delta)
         return -0.5 * (self.d * np.log(2.0 * np.pi) + cov.logdet) - 0.5 * qf
 
     def log_batch_sources(self, t, X, T, y):
         """Log density at a single target ``y`` from sources ``X`` (n, d)."""
         cov = self.covariance(t, T)
         delta = np.asarray(y, dtype=float)[None, :] - np.atleast_2d(X) @ self.flow(T - t).T
-        W = solve_triangular(cov.chol, delta.T, lower=True)
-        qf = np.einsum("ij,ij->j", W, W)
+        qf = quadratic_form(cov, delta)
         return -0.5 * (self.d * np.log(2.0 * np.pi) + cov.logdet) - 0.5 * qf
 
 
@@ -141,8 +139,7 @@ def eval_kernel(kernel, t, x, T, y):
 def _dilated_box(system, center, scale, spec):
     """Gauss-Legendre nodes/weights on the dilation-adapted box around ``center``."""
     nodes, wts = np.polynomial.legendre.leggauss(spec.nodes)
-    exps = dilation_exponents(system.structure).astype(float)
-    half = spec.box_radius * scale ** exps
+    half = _BOX_RADIUS * dilation_scales(system.structure, scale)
     axes = [center[i] + half[i] * nodes for i in range(system.d)]
     waxes = [half[i] * wts for i in range(system.d)]
     if system.d == 1:
@@ -205,7 +202,7 @@ def pde_residual(kernel, t, x, T, y, h=None, drift_matrix=None):
     system = kernel.system
     B = system.B if drift_matrix is None else np.asarray(drift_matrix, dtype=float)
     m0 = system.m0
-    exps = dilation_exponents(system.structure).astype(float)
+    steps = dilation_scales(system.structure, h)
 
     def g(tt, xx):
         return float(np.exp(kernel.log_batch(tt, xx, T, y[None, :])[0]))
@@ -217,7 +214,7 @@ def pde_residual(kernel, t, x, T, y, h=None, drift_matrix=None):
     lap = 0.0
     grad = np.zeros(system.d)
     for i in range(system.d):
-        hi = h ** exps[i]
+        hi = steps[i]
         e = np.zeros(system.d)
         e[i] = hi
         gp, gm = g(t, x + e), g(t, x - e)
@@ -314,7 +311,7 @@ def aronson_upper_form(c_A, system, t, x, T, y):
     tau = T - t
     Q = homogeneous_dimension(system.structure)
     offset = np.asarray(y, float) - system.propagator.flow(tau) @ np.asarray(x, float)
-    z = dilation_matrix(system.structure, tau**-0.5) @ offset
+    z = dilation_scales(system.structure, tau**-0.5) * offset
     return float(c_A * tau ** (-Q / 2.0) * np.exp(-float(z @ z) / c_A))
 
 

@@ -28,10 +28,10 @@ from scipy.linalg import expm
 
 from . import fields
 from .exceptions import CoefficientError
-from .gramian import Propagator, gramian_matrix
+from .gramian import Propagator, gramian_matrix, quadratic_form
 from .kernel import GaussianKernel
 from .model import (
-    dilation_exponents,
+    dilation_scales,
     ellipticity_check,
     homogeneous_dimension,
     sigma_matrix,
@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
+# Horizons of the on-diagonal fit, as fractions of ``T - t``.
+_DIAGONAL_FRACTIONS = (0.25, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,8 @@ def estimate_density(endpoints, y, h, structure, horizon):
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     n, d = endpoints.shape
-    exps = dilation_exponents(structure).astype(float)
-    scaled = (endpoints - np.asarray(y, float)[None, :]) * horizon ** (-0.5 * exps)
+    scale = dilation_scales(structure, horizon**-0.5)
+    scaled = (endpoints - np.asarray(y, float)[None, :]) * scale
     hits = int(np.sum(np.all(np.abs(scaled) <= h / 2.0, axis=1)))
     Q = homogeneous_dimension(structure)
     volume = h**d * horizon ** (Q / 2.0)
@@ -229,8 +231,8 @@ def mass_concentration(endpoints, flow_point, R, structure, horizon):
     if R <= 0:
         raise ValueError(f"radius must be positive, got {R}")
     endpoints = np.asarray(endpoints, dtype=float)
-    exps = dilation_exponents(structure).astype(float)
-    scaled = (endpoints - np.asarray(flow_point, float)[None, :]) * horizon ** (-0.5 * exps)
+    scale = dilation_scales(structure, horizon**-0.5)
+    scaled = (endpoints - np.asarray(flow_point, float)[None, :]) * scale
     return float(np.mean(np.linalg.norm(scaled, axis=1) <= R))
 
 
@@ -247,18 +249,13 @@ def mass_concentration_dual(kernel, t, T, y, R):
     d = system.d
     tau = T - t
     cov = kernel.covariance(t, T)
-    exps = dilation_exponents(system.structure).astype(float)
-    jac = math.exp(-tau * float(np.trace(system.B))) * tau ** (
-        homogeneous_dimension(system.structure) / 2.0
-    )
+    scales = dilation_scales(system.structure, tau**0.5)
+    # dx = e^(-tau tr B) det D(sqrt(tau)) dz
+    jac = math.exp(-tau * float(np.trace(system.B))) * float(np.prod(scales))
     norm = (2.0 * math.pi) ** (-d / 2.0) * math.exp(-0.5 * cov.logdet)
 
     def density_of_z(Z):
-        delta = Z * tau ** (0.5 * exps)[None, :]
-        from scipy.linalg import solve_triangular
-
-        W = solve_triangular(cov.chol, delta.T, lower=True)
-        return norm * np.exp(-0.5 * np.einsum("ij,ij->j", W, W))
+        return norm * np.exp(-0.5 * quadratic_form(cov, Z * scales))
 
     if d == 1:
         nodes, wts = np.polynomial.legendre.leggauss(n_radial)
@@ -333,7 +330,6 @@ def verify_bounds(
     lambda_plus,
     sim_config=None,
     bandwidth=0.2,
-    horizon_fractions=(0.25, 0.5, 1.0),
 ):
     """Fit two-sided comparison constants on a target grid.
 
@@ -342,9 +338,9 @@ def verify_bounds(
     used; otherwise the density is estimated by simulation (``sim_config``
     required) and the fitted constants are widened by three standard errors.
     Also fits the on-diagonal constant ``c`` in
-    ``G(t, x; t+h, x) >= c * h**(-Q/2)`` over a horizon grid, and, on the
-    exact route, checks the positive-semidefinite covariance sandwich
-    ``lambda- C <= C_w <= lambda+ C``.
+    ``G(t, x; t+h, x) >= c * h**(-Q/2)`` at ``h`` a quarter, a half and all
+    of ``T - t``, and, on the exact route, checks the positive-semidefinite
+    covariance sandwich ``lambda- C <= C_w <= lambda+ C``.
 
     The comparison range must cover the operator's sampled diffusion
     strength: ``lambda- <= 2 min_eig(a)`` and ``2 max_eig(a) <= lambda+``
@@ -390,7 +386,7 @@ def verify_bounds(
         )
         diag_gamma = [
             float(np.exp(exact_kernel.log_batch(t, x, t + f * tau, x[None, :])[0]))
-            for f in horizon_fractions
+            for f in _DIAGONAL_FRACTIONS
         ]
     else:
         if sim_config is None:
@@ -407,7 +403,7 @@ def verify_bounds(
         gamma_lo_conf = np.maximum(gamma - 3.0 * stderr, 0.0)
         gamma_hi_conf = gamma + 3.0 * stderr
         diag_gamma = []
-        for f in horizon_fractions:
+        for f in _DIAGONAL_FRACTIONS:
             # The full horizon is the main run's: reuse its endpoints.
             ep = endpoints if f == 1.0 else simulate_paths(spec, t, x, t + f * tau, sim_config)
             diag_gamma.append(
@@ -428,7 +424,7 @@ def verify_bounds(
     C_plus = float(np.max(ratio_plus[live])) if live else float("nan")
 
     diagonal_c = tuple(
-        g * (f * tau) ** (Q / 2.0) for g, f in zip(diag_gamma, horizon_fractions)
+        g * (f * tau) ** (Q / 2.0) for g, f in zip(diag_gamma, _DIAGONAL_FRACTIONS)
     )
     return BoundReport(
         y_grid=y_grid,
@@ -445,7 +441,7 @@ def verify_bounds(
         exact=exact_kernel is not None,
         zero_hit_indices=zero_hits,
         psd_margins=psd_margins,
-        diagonal_horizons=tuple(f * tau for f in horizon_fractions),
+        diagonal_horizons=tuple(f * tau for f in _DIAGONAL_FRACTIONS),
         diagonal_c=diagonal_c,
         diagonal_c_fit=float(min(diagonal_c)),
         seed=seed,

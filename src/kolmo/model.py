@@ -28,6 +28,7 @@ __all__ = [
     "kalman_rank",
     "homogeneous_dimension",
     "dilation_matrix",
+    "dilation_scales",
     "dilation_exponents",
     "group_compose",
     "group_inverse",
@@ -89,10 +90,25 @@ class BlockStructure:
         """Block index of each of the ``d`` coordinates."""
         return np.repeat(np.arange(len(self.m)), self.m)
 
+    @cached_property
+    def _exponents(self):  # built once: the dilation helpers run per chain step
+        exps = 2 * self.coordinate_blocks() + 1
+        exps.setflags(write=False)
+        return exps
+
 
 def dilation_exponents(structure):
-    """Per-coordinate dilation exponents ``2j+1`` (block ``j`` scales as ``r**(2j+1)``)."""
-    return 2 * structure.coordinate_blocks() + 1
+    """Per-coordinate dilation exponents ``2j+1``, read-only and built once per structure."""
+    return structure._exponents
+
+
+def dilation_scales(structure, r):
+    """The diagonal of the dilation ``delta_r``: ``r**(2j+1)`` on block ``j``.
+
+    ``r`` must be positive.  For an array ``r`` the scales run along a new
+    last axis, so ``dilation_scales(s, r)[..., i]`` scales coordinate ``i``.
+    """
+    return np.asarray(r, dtype=float)[..., None] ** dilation_exponents(structure)
 
 
 @dataclass(frozen=True)
@@ -131,10 +147,8 @@ class SystemMatrix:
     @cached_property
     def propagator(self):
         """The system's `kolmo.gramian.Propagator`: flow and Gramian, built on first use."""
-        from .gramian import Propagator  # gramian imports this module
-
         sig = sigma_matrix(self.structure)
-        return Propagator(self.B, sig @ sig.T)
+        return gramian.Propagator(self.B, sig @ sig.T)
 
 
 @dataclass(frozen=True)
@@ -229,14 +243,14 @@ def kalman_rank(system):
 
 def homogeneous_dimension(structure):
     """``Q = m0 + 3 m1 + ... + (2 nu + 1) m_nu``, the dilation Jacobian exponent."""
-    return int(sum((2 * j + 1) * mj for j, mj in enumerate(structure.m)))
+    return int(dilation_exponents(structure).sum())
 
 
 def dilation_matrix(structure, r):
     """Diagonal anisotropic dilation ``diag(r I_{m0}, r^3 I_{m1}, ...)``."""
     if r <= 0:
         raise ValueError(f"dilation parameter must be positive, got {r}")
-    return np.diag(float(r) ** dilation_exponents(structure).astype(float))
+    return np.diag(dilation_scales(structure, r))
 
 
 def group_compose(zeta, z, system):
@@ -469,3 +483,7 @@ def spec_to_config(spec):
         "mu": spec.mu,
         "M": spec.M_bound,
     }
+
+
+# Last, so that gramian, which imports names from here, may be imported first.
+from . import gramian  # noqa: E402

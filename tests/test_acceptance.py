@@ -264,9 +264,6 @@ def test_criterion_11_diagonal_estimate():
         for system in (HEAT1D, LANGEVIN):
             spec = sinusoid_spec(system)
             x = np.zeros(system.d)
-            rep = verify_bounds(
-                spec, 0.0, x, 1.0, x[None, :], 0.5, 2.0,
-                horizon_fractions=(0.25, 0.5, 1.0),
-            )
+            rep = verify_bounds(spec, 0.0, x, 1.0, x[None, :], 0.5, 2.0)
             assert max(rep.diagonal_c) / min(rep.diagonal_c) <= 2.0
             assert rep.diagonal_c_fit > 0

@@ -3,6 +3,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from kolmo.cli import (
     EXIT_NUMERIC,
@@ -70,6 +71,29 @@ class TestLoadModel:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--model", str(tmp_path / "none.json")]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "cfg, named",
+        [
+            ({k: v for k, v in heat_cfg().items() if k != "mu"}, "'mu'"),
+            (
+                {**sinusoid_cfg(), "coefficients": {"a": {"kind": "time-sinusoid", "amplitude": 0.3}}},
+                "'base'",
+            ),
+            ([heat_cfg()], "JSON object, got list"),
+            ({**heat_cfg(), "coefficients": []}, "wrong type"),
+            ({**heat_cfg(), "coefficients": {"a": "0.5"}}, "wrong type"),
+        ],
+        ids=[
+            "missing-mu", "time-sinusoid-missing-base", "top-level-list",
+            "coefficients-list", "field-string",
+        ],
+    )
+    def test_malformed_model_is_parse_error(self, tmp_path, capsys, cfg, named):
+        path = write_model(tmp_path, cfg)
+        assert main(["validate", "--model", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and named in err
 
     def test_undeclared_ellipticity_rejected(self, tmp_path, capsys):
         cfg = langevin_config()
@@ -314,3 +338,31 @@ class TestOutputs:
                 )
                 runs.append({name: (cwd / name).read_bytes() for name in os.listdir(cwd)})
             assert runs[0] == runs[1], sub
+
+
+class TestNegativeTimes:
+    """A point with a negative time parses as a separate value, as after ``=``."""
+
+    RUNS = {
+        "kernel": ["--to", "-0.1,0.1,0", "--grid", "radius=2,n=3"],
+        "control": ["--to", "-0.1,0.1,0", "--n", "9"],
+        "chain": ["--to", "-0.1,0.1,0"],
+        "simulate": ["--horizon", "0.5", "--paths", "2000", "--seed", "4"],
+        "verify-bounds": ["--horizon", "0.5", "--lambda-minus", "1", "--lambda-plus", "1",
+                          "--grid", "radius=2,n=3", "--seed", "4"],
+    }
+
+    @pytest.mark.parametrize("sub", list(RUNS))
+    def test_spaced_and_joined_forms_agree(self, sub, langevin_model_path, tmp_path, monkeypatch):
+        spaced = ["--from", "-0.2,0,0", *self.RUNS[sub]]
+        joined = ["--from=-0.2,0,0"]
+        for opt, value in zip(self.RUNS[sub][::2], self.RUNS[sub][1::2]):
+            joined.append(f"{opt}={value}")
+        runs = []
+        for form, extra in (("spaced", spaced), ("joined", joined)):
+            cwd = tmp_path / form
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert main([sub, "--model", langevin_model_path, *extra, "--out", "o"]) == EXIT_OK
+            runs.append({name: (cwd / name).read_bytes() for name in os.listdir(cwd)})
+        assert runs[0] == runs[1]

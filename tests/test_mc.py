@@ -242,10 +242,7 @@ class TestVerifyBounds:
         for system in (heat1d, langevin):
             spec = sinusoid_spec(system)
             x = np.zeros(system.d)
-            report = verify_bounds(
-                spec, 0.0, x, 1.0, x[None, :], 0.25, 4.0,
-                horizon_fractions=(0.25, 0.5, 1.0),
-            )
+            report = verify_bounds(spec, 0.0, x, 1.0, x[None, :], 0.25, 4.0)
             cs = report.diagonal_c
             assert max(cs) / min(cs) <= 2.0
 

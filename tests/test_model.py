@@ -386,6 +386,15 @@ class TestConfigRoundTrip:
         for t in (0.0, 0.25, 0.8):
             np.testing.assert_allclose(spec.a(t, np.zeros(2)), spec2.a(t, np.zeros(2)))
 
+    def test_tabulated_axis_normalized(self):
+        for axis in (1, 1.0, "1"):
+            cfg = {"kind": "tabulated", "points": [0, 1], "values": [1, 2], "axis": axis}
+            field = fields.scalar_field_from_config(cfg)
+            assert field.axis == 1 and type(field.axis) is int
+            assert fields.scalar_field_to_config(field)["axis"] == 1
+        cfg = {"kind": "tabulated", "points": [0, 1], "values": [1, 2]}
+        assert fields.scalar_field_from_config(cfg).axis == "time"
+
     def test_invalid_structure_rejected(self):
         cfg = langevin_config()
         cfg["blocks"] = [1, 2]

@@ -46,3 +46,39 @@ def test_only_main_writes_cli_files():
         and getattr(node.func, "id", None) in ("_write_csv", "_write_json")
     }
     assert writers == {"main"}
+
+
+def test_dilation_exponents_called_only_in_model():
+    # Everything else scales through dilation_scales or dilation_matrix.
+    callers = {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "dilation_exponents"
+    }
+    assert callers == {"model.py"}
+
+
+def test_solve_triangular_imported_only_in_gramian():
+    # Quadratic forms go through gramian.quadratic_form.
+    importers = {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(a.name.split(".")[-1] == "solve_triangular" for a in node.names)
+    }
+    assert importers == {"gramian.py"}
+
+
+def test_no_function_local_imports():
+    local = [
+        (name, node.lineno)
+        for name, tree in _trees().items()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert local == []
