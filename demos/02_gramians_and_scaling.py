@@ -16,6 +16,7 @@ from kolmo import (
     quadratic_form,
     validate_structure,
 )
+from kolmo.fields import TimeSinusoidField
 from kolmo.gramian import dilation_scaling_defect
 
 langevin = validate_structure([[0.0, 0.0], [1.0, 0.0]], m=[1, 1])
@@ -29,8 +30,8 @@ for z in ([1.0, 0.0], [0.0, 1.0]):
     print(f"  z = {z}: {quadratic_form(g, z):.12f}")
 
 # Time-weighted covariance: the exact kernel covariance for a
-# time-dependent diffusion strength.
-lam = lambda s: 1.25 + 0.75 * np.sin(2 * np.pi * s)
+# time-dependent diffusion strength, in closed form.
+lam = TimeSinusoidField(base=1.25, amplitude=0.75)  # 1.25 + 0.75 sin(2 pi s)
 heat = validate_structure([[0.0]], m=[1])
 gw = gramian_weighted(heat, lam, 0.0, 1.0)
 print("\nweighted variance over one period:", gw.C[0, 0], "(the sinusoid averages out)")

@@ -27,7 +27,7 @@ def comparison_spec(system, strength_field, mu):
     zero = fields.VectorField(tuple(fields.ConstantField(0.0) for _ in range(m0)))
     half = (
         fields.IsotropicMatrixField(strength_field, m0)
-        if hasattr(strength_field, "time_dependent")
+        if hasattr(strength_field, "space_dependent")
         else fields.ConstantMatrixField(strength_field / 2.0 * np.eye(m0))
     )
     return OperatorSpec(system=system, a=half, a_low=zero, b_low=zero,

@@ -25,6 +25,7 @@ __all__ = [
     "batch_scalar",
     "sample_scalar",
     "batch_gradient",
+    "json_value",
     "scalar_field_from_config",
     "scalar_field_to_config",
     "matrix_field_from_config",
@@ -38,7 +39,6 @@ __all__ = [
 class ConstantField:
     value: float
 
-    time_dependent = False
     space_dependent = False
 
     def __call__(self, t, x):
@@ -54,7 +54,6 @@ class TimeSinusoidField:
     frequency: float = 1.0
     phase: float = 0.0
 
-    time_dependent = True
     space_dependent = False
 
     def __call__(self, t, x):
@@ -72,7 +71,6 @@ class SpaceSinusoidField:
     wave: tuple
     phase: float = 0.0
 
-    time_dependent = False
     space_dependent = True
 
     def __call__(self, t, x):
@@ -100,10 +98,6 @@ class TabulatedField:
             object.__setattr__(self, "axis", int(self.axis))
 
     @property
-    def time_dependent(self):
-        return self.axis == "time"
-
-    @property
     def space_dependent(self):
         return self.axis != "time"
 
@@ -121,10 +115,6 @@ class IsotropicMatrixField:
     dim: int
 
     @property
-    def time_dependent(self):
-        return self.scalar.time_dependent
-
-    @property
     def space_dependent(self):
         return self.scalar.space_dependent
 
@@ -136,7 +126,6 @@ class IsotropicMatrixField:
 class ConstantMatrixField:
     matrix: np.ndarray
 
-    time_dependent = False
     space_dependent = False
 
     def __post_init__(self):
@@ -153,10 +142,6 @@ class VectorField:
     """A vector of scalar fields, evaluated componentwise."""
 
     components: tuple
-
-    @property
-    def time_dependent(self):
-        return any(c.time_dependent for c in self.components)
 
     @property
     def space_dependent(self):
@@ -239,12 +224,24 @@ _FROM_JSON = {
 }
 
 
+def json_value(convert, value, key):
+    """``convert(value)`` for the JSON value under ``key``.
+
+    A value of the wrong type raises `TypeError` naming the key.
+    """
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise TypeError(f"{key!r}: {exc}") from exc
+
+
 def scalar_field_from_config(cfg):
     """Build a scalar field from its JSON dict form.
 
     ``kind`` names an entry of `_SCALAR_KINDS`; the other keys are that
     class's dataclass fields, and a field left out takes its default.  A
-    missing field with no default raises `KeyError` naming it.
+    missing field with no default raises `KeyError` naming it, and a value
+    of the wrong type a `TypeError` naming it.
     """
     if cfg is None:
         return ConstantField(0.0)
@@ -255,7 +252,7 @@ def scalar_field_from_config(cfg):
         raise CoefficientError(f"unknown scalar field kind: {kind!r}")
     cls = _SCALAR_KINDS[kind]
     params = [f for f in fields(cls) if f.name in cfg or f.default is MISSING]
-    return cls(**{f.name: _FROM_JSON[f.type](cfg[f.name]) for f in params})
+    return cls(**{f.name: json_value(_FROM_JSON[f.type], cfg[f.name], f.name) for f in params})
 
 
 def scalar_field_to_config(f):
@@ -276,7 +273,7 @@ def matrix_field_from_config(cfg, dim):
     if cfg is None:
         raise CoefficientError("diffusion coefficient 'a' is required")
     if isinstance(cfg, dict) and cfg.get("kind") == "constant" and np.ndim(cfg["value"]) == 2:
-        m = np.array(cfg["value"], dtype=float)
+        m = json_value(lambda v: np.array(v, dtype=float), cfg["value"], "value")
         if m.shape != (dim, dim):
             raise CoefficientError(f"'a' must be {dim}x{dim}, got {m.shape}")
         return ConstantMatrixField(m)
@@ -297,7 +294,7 @@ def vector_field_from_config(cfg, dim):
     if isinstance(cfg, dict) and "components" in cfg:
         comps = tuple(scalar_field_from_config(c) for c in cfg["components"])
     elif isinstance(cfg, dict) and cfg.get("kind") == "constant" and np.ndim(cfg["value"]) == 1:
-        comps = tuple(ConstantField(float(v)) for v in cfg["value"])
+        comps = tuple(ConstantField(json_value(float, v, "value")) for v in cfg["value"])
     else:
         comps = tuple(scalar_field_from_config(cfg) for _ in range(dim))
     if len(comps) != dim:

@@ -13,16 +13,16 @@ horizons in a small bounded cache; a grid of horizons costs one exponential
 per distinct step through the semigroup identity
 ``C(s + h) = C(h) + e(hB) C(s) e(hB^T)``.
 
-`gramian_weighted` integrates the time-weighted covariance by adaptive
-Simpson quadrature, with the strength read by `strength_at`; the checked
-`gramian` cross-checks ``C(t)`` against the same quadrature at unit weight.
-Quadratic forms go through the Cholesky factor; the inverse is never formed
-explicitly, since the conditioning of ``C(t)`` degrades like ``t**-(2 nu)``
-as ``t -> 0``.
+`gramian_weighted` reads the time-weighted covariance off propagators in
+closed form; adaptive Simpson quadrature is only the checked `gramian`'s
+independent cross-check.  Quadratic forms go through the Cholesky factor;
+the inverse is never formed explicitly, since the conditioning of ``C(t)``
+degrades like ``t**-(2 nu)`` as ``t -> 0``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +30,7 @@ import numpy as np
 from scipy.linalg import expm, solve_triangular
 
 from .exceptions import CoefficientError, GramianError, QuadratureError
+from .fields import ConstantField, TabulatedField, TimeSinusoidField
 from .model import (
     dilation_matrix,
     homogeneous_dimension,
@@ -122,7 +123,7 @@ class Propagator:
 
     def __init__(self, B, Q):
         d = B.shape[0]
-        M = np.zeros((2 * d, 2 * d))
+        M = np.zeros((2 * d, 2 * d), dtype=B.dtype)
         M[:d, :d] = -B
         M[:d, d:] = Q
         M[d:, d:] = B.T
@@ -242,7 +243,13 @@ def gramian(system, t, cross_check=True):
         raise ValueError(f"horizon must be positive, got {t}")
     C = gramian_matrix(system, t)
     if cross_check:
-        C_quad = _weighted_simpson(system, 1.0, 0.0, t)
+        sig = sigma_matrix(system.structure)
+
+        def integrand(s):
+            Es = expm((t - s) * system.B) @ sig
+            return Es @ Es.T
+
+        C_quad = adaptive_simpson(integrand, 0.0, float(t))
         denom = max(np.abs(C).max(), 1e-300)
         if np.abs(C - C_quad).max() > 1e-9 * denom:
             raise GramianError(
@@ -255,8 +262,8 @@ def is_time_field(lam):
     """Whether a diffusion strength is a scalar coefficient field of ``(t, x)``.
 
     Such a field is read at ``x = None``, so it must not depend on space: a
-    field that does raises `CoefficientError` naming it.  A number or a
-    callable of ``s`` alone gives False.
+    field that does raises `CoefficientError` naming it.  A number gives
+    False.
     """
     if not hasattr(lam, "space_dependent"):
         return False
@@ -268,52 +275,77 @@ def is_time_field(lam):
 def strength_at(lam, s):
     """A diffusion strength at time ``s``.
 
-    ``lam`` is a number, a scalar coefficient field of ``(t, x)`` that
-    depends on time only (see `is_time_field`) or a callable of ``s`` alone.
+    ``lam`` is a number or a scalar coefficient field of ``(t, x)`` that
+    depends on time only (see `is_time_field`); anything else raises
+    `CoefficientError` naming its type.
     """
     if is_time_field(lam):
         return float(lam(s, None))
-    if callable(lam):
-        return float(lam(s))
-    return float(lam)
+    if isinstance(lam, numbers.Real):
+        return float(lam)
+    raise CoefficientError(f"unsupported diffusion strength of type {type(lam).__name__}")
 
 
-def _weighted_simpson(system, lam, t, T):
-    """``int_t^T lam(s) (e^((T-s)B) sigma)(...)^T ds`` by adaptive Simpson."""
-    sig = sigma_matrix(system.structure)
+def _stretches(lam, t, T):
+    """Edges of the stretches of ``[t, T]`` where a step strength is constant, and its values.
 
-    def integrand(s):
-        w = strength_at(lam, s)
-        if not (w > 0 and np.isfinite(w)):
-            raise GramianError(f"weight must be positive at quadrature nodes, got {w} at s={s}")
-        Es = expm((T - s) * system.B) @ sig
-        return w * (Es @ Es.T)
+    A time table splits where its nearest point changes; each value is read
+    at its stretch's midpoint.
+    """
+    if isinstance(lam, TabulatedField) and is_time_field(lam):
+        pts = np.unique(np.asarray(lam.points, dtype=float))
+        mids = 0.5 * (pts[1:] + pts[:-1])
+        edges = np.concatenate(([t], mids[(mids > t) & (mids < T)], [T]))
+    elif isinstance(lam, (ConstantField, numbers.Real)):
+        edges = np.array([t, T], dtype=float)
+    else:
+        is_time_field(lam)  # a field that depends on space is named as such
+        raise CoefficientError(f"no closed form for a strength of type {type(lam).__name__}")
+    return edges, [strength_at(lam, s) for s in 0.5 * (edges[1:] + edges[:-1])]
 
-    return adaptive_simpson(integrand, float(t), float(T))
 
-
-def gramian_weighted(system, lambda_field, t, T):
-    """Time-weighted covariance ``int_t^T lambda(s) (e^((T-s)B) sigma)(...)^T ds``.
+def gramian_weighted(system, lam, t, T):
+    """Time-weighted covariance ``int_t^T lam(s) (e^((T-s)B) sigma)(...)^T ds``.
 
     Exact covariance of the linear diffusion whose squared diffusion
-    coefficient is ``lambda(s) I`` on the diffusion block; reduces to
-    ``gramian(system, T - t)`` when ``lambda == 1``.  ``lambda_field`` is any
-    strength `strength_at` reads: a number, a scalar field or a callable of
-    ``s`` alone.
+    coefficient is ``lam(s) I`` on the diffusion block, in closed form with
+    no quadrature; ``C`` is the system's Gramian.  A `TimeSinusoidField`
+    ``b + a sin(omega s + phi)`` gives ``b C(T-t) + a Im(e^(i(omega T + phi)) G)``,
+    ``G`` the Gramian of the drift ``B - (i omega / 2) I`` at ``T - t``.  A
+    number, a `ConstantField` or a time-axis `TabulatedField` takes values
+    ``v_k`` on stretches ``[e_k, e_(k+1)]`` and gives
+    ``sum_k v_k [C(T - e_k) - C(T - e_(k+1))]``.
 
     Raises
     ------
     ValueError
         If ``T <= t``.
     CoefficientError
-        If ``lambda_field`` is a coefficient field that depends on space.
+        If ``lam`` is a field that depends on space, or of any other type.
     GramianError
-        If the weight is not positive and finite at a quadrature node.
+        If the weight is not positive and finite everywhere on ``[t, T]``.
     """
     if T <= t:
         raise ValueError(f"need T > t, got t={t}, T={T}")
-    is_time_field(lambda_field)  # a space-dependent field raises before any quadrature
-    return Gramian.from_matrix(_weighted_simpson(system, lambda_field, t, T), T - t, system)
+    if isinstance(lam, TimeSinusoidField):
+        omega = 2.0 * np.pi * lam.frequency
+        sig = sigma_matrix(system.structure)
+        G = Propagator(system.B - 0.5j * omega * np.eye(system.d), sig @ sig.T).gramian(T - t)
+        rotated = np.exp(1j * (omega * T + lam.phase)) * G
+        C = lam.base * system.propagator.gramian(T - t) + lam.amplitude * rotated.imag
+        # The weight is least at an end, or at a trough of the sine between.
+        lo, hi = sorted((omega * t + lam.phase, omega * T + lam.phase))
+        trough = -np.copysign(0.5 * np.pi, lam.amplitude)
+        passes = trough + 2.0 * np.pi * np.ceil((lo - trough) / (2.0 * np.pi)) <= hi
+        weights = [lam(t, None), lam(T, None)] + [lam.base - abs(lam.amplitude)] * bool(passes)
+    else:
+        edges, weights = _stretches(lam, t, T)
+        Cs = system.propagator.gramians(T - edges[:-1])
+        C = np.einsum("k,kij->ij", weights, Cs - np.concatenate((Cs[1:], np.zeros_like(Cs[:1]))))
+    if not all(w > 0 and np.isfinite(w) for w in weights):
+        low = np.min(weights)
+        raise GramianError(f"weight must be positive and finite on [{t}, {T}], least {low}")
+    return Gramian.from_matrix(C, T - t, system)
 
 
 def gramian_homogeneous(system, t):
@@ -392,10 +424,9 @@ def equivalence_constants(system, tau_grid):
         g = gramian(system, tau, cross_check=False)
         g0 = gramian(h_system, tau, cross_check=False)
         det_ratio.append(float(np.exp(g.logdet - g0.logdet)))
-        for z in direction_samples:
-            ratio = quadratic_form(g, z) / quadratic_form(g0, z)
-            k5 = min(k5, ratio)
-            k6 = max(k6, ratio)
+        ratios = quadratic_form(g, direction_samples) / quadratic_form(g0, direction_samples)
+        k5 = min(k5, ratios.min())
+        k6 = max(k6, ratios.max())
     eigs = np.linalg.eigvalsh(gramian(h_system, 1.0, cross_check=False).C)
     k_dilation = (1.0 / eigs[-1], 1.0 / eigs[0])
     return EquivalenceReport(

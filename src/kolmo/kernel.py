@@ -1,10 +1,10 @@
 """Explicit Gaussian fundamental solutions and the two-sided bound envelopes.
 
 For a comparison operator with diffusion strength ``lambda``, the
-fundamental solution is the Gaussian with mean ``e^((T-t)B) x`` and
-covariance ``lambda * C(T-t)`` for a constant strength, or the time-weighted
-covariance `kolmo.gramian.gramian_weighted` for a strength that varies in
-time.  All density work happens in log space; ratios of kernels are exponent
+fundamental solution is the Gaussian with mean ``e^((T-t)B) x`` and the
+time-weighted covariance `kolmo.gramian.gramian_weighted`: ``lambda C(T-t)``
+for a constant strength, a closed form for one that varies in time.  All
+density work happens in log space; ratios of kernels are exponent
 differences, so tails never overflow.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from .gramian import (
     Gramian,
-    gramian_matrix,
     gramian_weighted,
     is_time_field,
     quadratic_form,
@@ -67,13 +66,13 @@ class GaussianKernel:
     system : SystemMatrix
         Drift system; must satisfy the full-rank coupling condition, else
         covariance construction raises `GramianError`.
-    lam : float, scalar field or callable
-        Diffusion strength, in one of three forms: a positive number, which
-        gives covariance ``lam * C(T-t)``; a scalar coefficient field of
-        ``(t, x)`` that depends on time only; or a callable of ``s`` alone.
-        The last two give the exact time-weighted covariance, and a strength
-        that is not positive at a quadrature node raises `GramianError`; a
-        field that depends on space raises `CoefficientError` here.
+    lam : float or scalar field
+        Diffusion strength: a positive number, which gives covariance
+        ``lam * C(T-t)``, or a constant, time-sinusoid or time-tabulated
+        scalar field, which gives the exact time-weighted covariance.  A
+        strength that is not positive somewhere on ``[t, T]`` raises
+        `GramianError` there; a field that depends on space, or a strength
+        of any other type, raises `CoefficientError` here.
 
     Flows come from the system's propagator.  The covariances of the last
     32 ``(t, T)`` pairs are cached with their Cholesky factors; the cache is
@@ -83,7 +82,7 @@ class GaussianKernel:
     def __init__(self, system, lam=1.0):
         self.system = system
         self.lam = lam
-        if not (is_time_field(lam) or callable(lam)) and lam <= 0:
+        if not is_time_field(lam) and strength_at(lam, 0.0) <= 0:
             raise ValueError(f"diffusion strength must be positive, got {lam}")
         self._covariance = lru_cache(maxsize=32)(self._build_covariance)
 
@@ -105,10 +104,7 @@ class GaussianKernel:
         return self._covariance(float(t), float(T))
 
     def _build_covariance(self, t, T):
-        if callable(self.lam):
-            return gramian_weighted(self.system, self.lam, t, T)
-        C = float(self.lam) * gramian_matrix(self.system, T - t)
-        return Gramian.from_matrix(C, T - t, self.system)
+        return gramian_weighted(self.system, self.lam, t, T)
 
     def log_batch(self, t, x, T, Y):
         """Log density at targets ``Y`` (n, d) from a single source ``(t, x)``."""

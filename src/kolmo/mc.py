@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -315,9 +315,17 @@ def _exact_comparison_kernel(spec):
             return GaussianKernel(spec.system, 2.0 * float(m[0, 0]))
         return None
     if isinstance(a, fields.IsotropicMatrixField) and not a.space_dependent:
-        scalar = a.scalar
-        return GaussianKernel(spec.system, lam=lambda s: 2.0 * float(scalar(s, None)))
+        return GaussianKernel(spec.system, lam=_doubled(a.scalar))
     return None
+
+
+def _doubled(f):
+    """The time-only scalar field ``2 f``, of the same kind."""
+    if isinstance(f, fields.TabulatedField):
+        return replace(f, values=tuple(2.0 * v for v in f.values))
+    if isinstance(f, fields.TimeSinusoidField):
+        return replace(f, base=2.0 * f.base, amplitude=2.0 * f.amplitude)
+    return replace(f, value=2.0 * f.value)
 
 
 def verify_bounds(

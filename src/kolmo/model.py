@@ -454,9 +454,13 @@ def spec_from_config(cfg):
 
     The document carries ``blocks``, the row-major drift matrix ``B``, the
     enumerated ``coefficients`` (``a`` required; ``a_low``, ``b_low``, ``c``
-    optional), and the declared constants ``mu`` and ``M``.
+    optional), and the declared constants ``mu`` and ``M``.  A missing key
+    raises `KeyError` and a value of the wrong type `TypeError`, both naming
+    the key.
     """
-    system = validate_structure(np.asarray(cfg["B"], dtype=float), cfg["blocks"])
+    B = fields.json_value(lambda v: np.asarray(v, dtype=float), cfg["B"], "B")
+    blocks = fields.json_value(lambda v: [int(u) for u in v], cfg["blocks"], "blocks")
+    system = validate_structure(B, blocks)
     m0 = system.m0
     coeffs = cfg.get("coefficients", {})
     return OperatorSpec(
@@ -465,8 +469,8 @@ def spec_from_config(cfg):
         a_low=fields.vector_field_from_config(coeffs.get("a_low"), m0),
         b_low=fields.vector_field_from_config(coeffs.get("b_low"), m0),
         c=fields.scalar_field_from_config(coeffs.get("c")),
-        mu=float(cfg["mu"]),
-        M_bound=float(cfg.get("M", 0.0)),
+        mu=fields.json_value(float, cfg["mu"], "mu"),
+        M_bound=fields.json_value(float, cfg.get("M", 0.0), "M"),
     )
 
 

@@ -83,10 +83,34 @@ class TestLoadModel:
             ([heat_cfg()], "JSON object, got list"),
             ({**heat_cfg(), "coefficients": []}, "wrong type"),
             ({**heat_cfg(), "coefficients": {"a": "0.5"}}, "wrong type"),
+            ({**heat_cfg(), "mu": "x"}, "'mu'"),
+            ({**heat_cfg(), "blocks": "ab"}, "'blocks'"),
+            ({**heat_cfg(), "B": [["q"]]}, "'B'"),
+            (
+                {
+                    **sinusoid_cfg(),
+                    "coefficients": {
+                        "a": {"kind": "time-sinusoid", "base": "z", "amplitude": 0.3}
+                    },
+                },
+                "'base'",
+            ),
+            (
+                {**heat_cfg(), "coefficients": {"a": {"kind": "constant", "value": [["q"]]}}},
+                "'value'",
+            ),
+            (
+                {
+                    **heat_cfg(),
+                    "coefficients": {"a": 0.5, "b_low": {"kind": "constant", "value": ["q"]}},
+                },
+                "'value'",
+            ),
         ],
         ids=[
             "missing-mu", "time-sinusoid-missing-base", "top-level-list",
-            "coefficients-list", "field-string",
+            "coefficients-list", "field-string", "mu-string", "blocks-string",
+            "B-string-entry", "base-string", "matrix-string-entry", "vector-string-entry",
         ],
     )
     def test_malformed_model_is_parse_error(self, tmp_path, capsys, cfg, named):
@@ -224,6 +248,33 @@ class TestSubcommands:
         assert rows[0][-2:] == ["ratio_minus", "ratio_plus"]
         for row in rows[1:]:
             assert all(np.isfinite(float(v)) for v in row)
+
+    def test_verify_bounds_exact_route_fast_sinusoid(self, tmp_path):
+        # a = 0.525 + 0.5 sin(8 pi s + pi/2): the strength 2a averages 1.05
+        # over [0, 1], while equally spaced nodes all read its peak 2.05.
+        cfg = {
+            **heat_cfg(),
+            "coefficients": {
+                "a": {
+                    "kind": "time-sinusoid", "base": 0.525, "amplitude": 0.5,
+                    "frequency": 4.0, "phase": np.pi / 2,
+                }
+            },
+            "mu": 40.0,
+        }
+        model = write_model(tmp_path, cfg)
+        out = str(tmp_path / "vb")
+        code = main(
+            [
+                "verify-bounds", "--model", model, "--from", "0,0",
+                "--horizon", "1.0", "--grid", "radius=3,n=5",
+                "--lambda-minus", "0.05", "--lambda-plus", "2.05",
+                "--seed", "1", "--out", out,
+            ]
+        )
+        assert code == EXIT_OK
+        peak = [row for row in read_csv(out + ".csv")[1:] if float(row[0]) == 0.0]
+        assert abs(float(peak[0][1]) - 1.0 / np.sqrt(2.0 * np.pi * 1.05)) <= 1e-12
 
     def test_verify_bounds_mc_route_with_zero_hits(self, tmp_path):
         cfg = {

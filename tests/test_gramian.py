@@ -175,12 +175,12 @@ class TestCheckedGramianCost:
 
 class TestWeightedGramian:
     def test_unit_weight_reduces_to_gramian(self, langevin):
-        g = gramian_weighted(langevin, lambda s: 1.0, 0.25, 1.0)
+        g = gramian_weighted(langevin, fields.ConstantField(1.0), 0.25, 1.0)
         ref = gramian(langevin, 0.75)
         np.testing.assert_allclose(g.C, ref.C, rtol=1e-10)
 
     def test_constant_scaling(self, heat1d):
-        g = gramian_weighted(heat1d, lambda s: 2.0, 0.0, 1.0)
+        g = gramian_weighted(heat1d, 2.0, 0.0, 1.0)
         np.testing.assert_allclose(g.C, [[2.0]], rtol=1e-10)
 
     def test_sinusoid_integrates_to_mean(self, heat1d):
@@ -190,11 +190,11 @@ class TestWeightedGramian:
 
     def test_empty_horizon_rejected(self, heat1d):
         with pytest.raises(ValueError):
-            gramian_weighted(heat1d, lambda s: 1.0, 1.0, 1.0)
+            gramian_weighted(heat1d, 1.0, 1.0, 1.0)
 
     def test_nonpositive_weight_rejected(self, heat1d):
         with pytest.raises(GramianError):
-            gramian_weighted(heat1d, lambda s: -1.0, 0.0, 1.0)
+            gramian_weighted(heat1d, -1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize(
         "field",
@@ -207,6 +207,100 @@ class TestWeightedGramian:
     def test_space_field_rejected_before_quadrature(self, field, heat1d, expm_calls):
         with pytest.raises(CoefficientError, match=type(field).__name__):
             gramian_weighted(heat1d, field, 0.0, 1.0)
+        assert expm_calls[0] == 0
+
+
+def gauss_legendre_weighted(system, lam, t, T, cuts=()):
+    """``int_t^T lam(s) (e^((T-s)B) sigma)(...)^T ds`` by 64-point Gauss-Legendre.
+
+    One rule per piece between ``t``, the ``cuts`` inside ``(t, T)`` and
+    ``T``, so a piecewise-constant weight is integrated exactly.
+    """
+    sig = sigma_matrix(system.structure)
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    edges = [t, *sorted(c for c in cuts if t < c < T), T]
+    out = np.zeros((system.d, system.d))
+    for a, b in zip(edges[:-1], edges[1:]):
+        for u, w in zip(nodes, wts):
+            s = 0.5 * (b - a) * u + 0.5 * (a + b)
+            Es = expm((T - s) * system.B) @ sig
+            out += 0.5 * (b - a) * w * lam(s, None) * (Es @ Es.T)
+    return out
+
+
+# Unsorted, with a duplicate point (the first of the two values wins).
+TABLE = fields.TabulatedField((0.9, 0.1, 0.5, -0.2, 0.5), (1.0, 2.0, 0.5, 1.5, 3.0))
+TABLE_CUTS = (-0.05, 0.3, 0.7)  # midpoints between the distinct sorted points
+SINUSOIDS = {
+    f"sin-f{f}": fields.TimeSinusoidField(0.625, 0.375, frequency=f, phase=p)
+    for f, p in ((0.0, 0.7), (1.0, 0.3), (2.5, -1.1))
+}
+INTERVALS = [(0.0, 1.0), (0.2, 0.21), (-0.43, 0.0067), (0.3, 0.7), (-0.5, 1.5)]
+
+
+class TestClosedFormWeightedGramian:
+    @pytest.mark.parametrize("t, T", INTERVALS)
+    @pytest.mark.parametrize("form", [*SINUSOIDS, "table"])
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
+    def test_matches_gauss_legendre(self, name, form, t, T, request):
+        system = request.getfixturevalue(name)
+        lam, cuts = (TABLE, TABLE_CUTS) if form == "table" else (SINUSOIDS[form], ())
+        C = gramian_weighted(system, lam, t, T).C
+        ref = gauss_legendre_weighted(system, lam, t, T, cuts)
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(C - ref) <= 1e-12 * scale)
+
+    def test_sinusoid_sampled_at_its_own_period(self, heat1d):
+        # 1.05 + sin(8 pi s + pi/2) averages to 1.05 over [0, 1]; five
+        # equally spaced nodes all read its peak 2.05.
+        lam = fields.TimeSinusoidField(1.05, 1.0, 4.0, np.pi / 2)
+        C = gramian_weighted(heat1d, lam, 0.0, 1.0).C
+        assert abs(C[0, 0] - 1.05) <= 1e-14
+
+    def test_sinusoid_negative_between_nodes_rejected(self, heat1d):
+        lam = fields.TimeSinusoidField(0.05, 1.0, 4.0, np.pi / 2)
+        with pytest.raises(GramianError):
+            gramian_weighted(heat1d, lam, 0.0, 1.0)
+
+    def test_sinusoid_minimum_is_exact(self, heat1d):
+        # 1 + sin(2 pi s) has its trough 0 at s = 0.75, inside [0.7, 0.8] only.
+        lam = fields.TimeSinusoidField(1.0, 1.0)
+        gramian_weighted(heat1d, lam, 0.0, 0.7)
+        gramian_weighted(heat1d, lam, 0.8, 1.0)
+        with pytest.raises(GramianError):
+            gramian_weighted(heat1d, lam, 0.7, 0.8)
+
+    def test_nonpositive_table_stretch_rejected(self, heat1d):
+        table = fields.TabulatedField((0.0, 0.5, 1.0), (1.0, 0.0, 1.0))
+        gramian_weighted(heat1d, table, 0.0, 0.2)
+        with pytest.raises(GramianError):
+            gramian_weighted(heat1d, table, 0.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
+    def test_constant_is_the_scaled_gramian(self, name, request):
+        # A number, a constant field and a one-point table, bit for bit.
+        system = request.getfixturevalue(name)
+        ref = 1.7 * system.propagator.gramian(0.9 - 0.1)
+        for lam in (1.7, fields.ConstantField(1.7), fields.TabulatedField((0.5,), (1.7,))):
+            np.testing.assert_array_equal(gramian_weighted(system, lam, 0.1, 0.9).C, ref)
+
+    @pytest.mark.parametrize("form", SINUSOIDS)
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "deep221"])
+    def test_sinusoid_expm_count(self, name, form, request, expm_calls):
+        system = request.getfixturevalue(name)
+        gramian_weighted(system, SINUSOIDS[form], 0.1, 0.9)
+        assert expm_calls[0] <= 2
+
+    @pytest.mark.parametrize("t, T, stretches", [(0.0, 1.0, 3), (-0.5, 1.5, 4), (0.2, 0.21, 1)])
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "deep221"])
+    def test_table_expm_count(self, name, t, T, stretches, request, expm_calls):
+        system = request.getfixturevalue(name)
+        gramian_weighted(system, TABLE, t, T)
+        assert expm_calls[0] <= stretches + 1
+
+    def test_callable_strength_rejected(self, heat1d, expm_calls):
+        with pytest.raises(CoefficientError, match="function"):
+            gramian_weighted(heat1d, lambda s: 1.0, 0.0, 1.0)
         assert expm_calls[0] == 0
 
 

@@ -60,19 +60,16 @@ class TestEvalKernel:
             eval_kernel(GaussianKernel(broken, 1.0), 0.0, [0, 0], 1.0, [0, 0])
 
 
-def sinusoid_strength(s):
-    return 1.25 + 0.75 * np.sin(2.0 * np.pi * s)
-
-
 class TestTimeFieldStrength:
-    """A strength that varies in time: a scalar field, or a plain callable of ``s``."""
+    """A strength that varies in time: a sinusoid or a table of times."""
 
     STRENGTHS = {
         "field": fields.TimeSinusoidField(base=1.25, amplitude=0.75),
-        "callable": sinusoid_strength,
+        # 2.0 on [0, 0.5] and 0.5 on [0.5, 1]: mean 1.25 over [0, 1].
+        "table": fields.TabulatedField((0.75, 0.25), (0.5, 2.0)),
     }
 
-    @pytest.mark.parametrize("form", ["field", "callable"])
+    @pytest.mark.parametrize("form", ["field", "table"])
     @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
     def test_covariance_is_the_weighted_gramian(self, form, name, request):
         system = request.getfixturevalue(name)
@@ -82,27 +79,33 @@ class TestTimeFieldStrength:
         np.testing.assert_array_equal(cov.C, ref.C)
         np.testing.assert_array_equal(cov.chol, ref.chol)
 
-    @pytest.mark.parametrize("form", ["field", "callable"])
+    @pytest.mark.parametrize("form", ["field", "table"])
     def test_heat_covariance_is_the_mean_strength(self, form, heat1d):
-        # int_0^1 (1.25 + 0.75 sin(2 pi s)) ds = 1.25.
+        # int_0^1 (1.25 + 0.75 sin(2 pi s)) ds = 1.25, as for the table.
         cov = GaussianKernel(heat1d, self.STRENGTHS[form]).covariance(0.0, 1.0)
         assert abs(cov.C[0, 0] - 1.25) <= 1e-10
 
     def test_lambda_at_reads_every_form(self, heat1d):
         for s in (0.0, 0.1, 0.37, 1.0):
-            ref = sinusoid_strength(s)
-            assert GaussianKernel(heat1d, ref).lambda_at(s) == ref
+            assert GaussianKernel(heat1d, 1.5).lambda_at(s) == 1.5
             for lam in self.STRENGTHS.values():
-                assert GaussianKernel(heat1d, lam).lambda_at(s) == ref
+                assert GaussianKernel(heat1d, lam).lambda_at(s) == lam(s, None)
 
     @pytest.mark.parametrize(
         "lam",
-        [fields.TimeSinusoidField(base=0.5, amplitude=1.0), lambda s: 0.5 - s],
-        ids=["field", "callable"],
+        [
+            fields.TimeSinusoidField(base=0.5, amplitude=1.0),
+            fields.TabulatedField((0.0, 1.0), (1.0, -0.5)),
+        ],
+        ids=["field", "table"],
     )
     def test_nonpositive_strength_raises(self, lam, langevin):
         with pytest.raises(GramianError):
             GaussianKernel(langevin, lam).covariance(0.0, 1.0)
+
+    def test_callable_strength_rejected(self, heat1d):
+        with pytest.raises(CoefficientError, match="function"):
+            GaussianKernel(heat1d, lambda s: 1.0)
 
     @pytest.mark.parametrize(
         "field",

@@ -13,8 +13,9 @@ def _trees():
 
 
 def test_expm_imported_only_where_needed():
-    # gramian: the Van Loan exponential and the Simpson integrand; control:
-    # the discrete least-norm oracle; mc: the step flow, kept bit for bit.
+    # gramian: the Van Loan exponential and the integrand of the checked
+    # gramian's Simpson cross-check; control: the discrete least-norm oracle;
+    # mc: the step flow, kept bit for bit.
     importers = {
         name
         for name, tree in _trees().items()
@@ -24,15 +25,27 @@ def test_expm_imported_only_where_needed():
     assert importers == {"gramian.py", "control.py", "mc.py"}
 
 
-def test_one_adaptive_simpson_call():
-    calls = [
-        (name, node.lineno)
-        for name, tree in _trees().items()
+def _simpson_calls(tree):
+    return [
+        node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "adaptive_simpson"
     ]
-    assert len(calls) == 1, calls
+
+
+def test_one_adaptive_simpson_call():
+    # Quadrature is only the checked gramian's independent cross-check; every
+    # covariance the library uses is read off propagators.
+    trees = _trees()
+    calls = {name: _simpson_calls(tree) for name, tree in trees.items()}
+    assert sum(len(lines) for lines in calls.values()) == 1, calls
+    checked = next(
+        node
+        for node in trees["gramian.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "gramian"
+    )
+    assert len(_simpson_calls(checked)) == 1
 
 
 def test_only_main_writes_cli_files():
