@@ -43,7 +43,8 @@ print("exact C(1):\n", np.array([[1.0, 0.5], [0.5, 1 / 3]]))
 
 est = estimate_density(X, [0.0, 0.0], h=0.25, structure=langevin.structure, horizon=1.0)
 print("\ndensity at the flow image:", round(est.value, 4),
-      "+-", round(est.stderr, 4), " exact:", round(np.sqrt(12) / (2 * np.pi), 4))
+      "+-", round(est.stderr, 4), " exact point density:", round(np.sqrt(12) / (2 * np.pi), 4),
+      "(the box averages it down by about 4%)")
 
 frac = mass_concentration(X, [0.0, 0.0], R=3.0, structure=langevin.structure, horizon=1.0)
 print("mass within dilated radius 3 of the flow image:", frac)

@@ -94,8 +94,12 @@ class TabulatedField:
     def __post_init__(self):
         if len(self.points) != len(self.values) or len(self.points) == 0:
             raise CoefficientError("tabulated field needs matching, nonempty grids")
+        # A NaN point would win every nearest-point lookup.
+        grids = (np.asarray(self.points, dtype=float), np.asarray(self.values, dtype=float))
+        if not all(np.all(np.isfinite(g)) for g in grids):
+            raise CoefficientError("tabulated field needs finite points and values")
         if self.axis != "time":
-            object.__setattr__(self, "axis", int(self.axis))
+            object.__setattr__(self, "axis", json_value(int, self.axis, "axis"))
 
     @property
     def space_dependent(self):

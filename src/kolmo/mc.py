@@ -4,16 +4,24 @@ The simulated diffusion matches the operator written in divergence form: the
 squared diffusion coefficient on the first ``m0`` coordinates is ``2 a`` (for
 a comparison operator with strength ``lambda``, ``a = (lambda/2) I`` gives the
 factor ``sqrt(lambda)``), and the drift picks up the divergence correction
-``sum_j d_j a_ij`` plus the first-order coefficients.  Linear drift and
-additive noise are integrated exactly within each step with coefficients
-frozen at the step start: for constant coefficients the sampled endpoints
-follow the exact Gaussian transition at any step count, and for variable
-coefficients the scheme coincides with Euler-Maruyama at weak order one.
+``sum_j d_j a_ij`` plus the first-order coefficients.  Paths take one of
+two routes:
+
+- *One shot.*  Where the diffusion depends on time only and every
+  lower-order coefficient is a constant, the endpoint law is exactly
+  Gaussian, ``N(e^(tau B) x + J(tau) b, C_w)`` with ``C_w`` the time-weighted
+  covariance in closed form; each path draws its endpoint from ``d``
+  normals, and the step count is not used.
+- *Stepped.*  Elsewhere (space-dependent diffusion, lower-order
+  coefficients that vary), linear drift and additive noise are integrated
+  exactly within each step with coefficients frozen at the step start; the
+  scheme coincides with Euler-Maruyama at weak order one.
 
 Randomness is counter-partitioned: paths are processed in fixed blocks of
 ``2**14`` and block ``i`` draws from its own region of a Philox stream keyed
 by the seed, so endpoints are bit-identical for a given seed regardless of
-worker count or path count.
+worker count or path count.  One-shot blocks draw only the rows they keep;
+stepped blocks simulate all ``2**14`` paths.
 """
 
 from __future__ import annotations
@@ -27,8 +35,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import fields
-from .exceptions import CoefficientError
-from .gramian import Propagator, gramian_matrix, quadratic_form
+from .exceptions import CoefficientError, GramianError
+from .gramian import (
+    Gramian,
+    Propagator,
+    gramian_matrix,
+    gramian_weighted,
+    quadratic_form,
+)
 from .kernel import GaussianKernel
 from .model import (
     dilation_scales,
@@ -79,6 +93,10 @@ def _chunk_generator(seed, chunk_index):
 def simulate_paths(spec, t, x, T, config):
     """Sample endpoint states of the operator's diffusion at time ``T``.
 
+    Where the endpoint law is exactly Gaussian (see `_gaussian_endpoint`)
+    each path draws its endpoint in one shot and ``config.n_steps`` is not
+    used; elsewhere paths take ``config.n_steps`` frozen-coefficient steps.
+
     Parameters
     ----------
     spec : OperatorSpec
@@ -98,14 +116,86 @@ def simulate_paths(spec, t, x, T, config):
         raise ValueError(f"need T > t, got t={t}, T={T}")
     if not _is_zero_scalar(spec.c):
         raise ValueError("simulation requires a vanishing zeroth-order coefficient")
-    system = spec.system
-    d, m0 = system.d, system.m0
+    d = spec.system.d
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"initial state must have shape ({d},), got {x.shape}")
 
+    law = _gaussian_endpoint(spec, t, x, T)
+    if law is None:
+        run_chunk = _stepped_chunk_runner(spec, t, x, T, config)
+    else:
+        mean, L = law
+
+        def run_chunk(chunk_index, rows):
+            Z = _chunk_generator(config.seed, chunk_index).standard_normal((len(rows), d))
+            np.matmul(Z, L.T, out=rows)
+            rows += mean
+
+    n = config.n_paths
+    out = np.empty((n, d))
+    chunks = [(c, out[c * _CHUNK : (c + 1) * _CHUNK]) for c in range(-(-n // _CHUNK))]
+    workers = int(os.environ.get("KOLMO_THREADS", "1"))
+    if workers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda job: run_chunk(*job), chunks))
+    else:
+        for c, rows in chunks:
+            run_chunk(c, rows)
+    return out
+
+
+def _input_response(system, s):
+    """``int_0^s e^(uB) sigma du``, the state's response to a unit constant input."""
+    d, m0 = system.d, system.m0
+    aug = np.zeros((d + m0, d + m0))
+    aug[:d, :d] = system.B
+    aug[:d, d:] = sigma_matrix(system.structure)
+    return expm(aug * s)[:d, d:]
+
+
+def _gaussian_endpoint(spec, t, x, T):
+    """Mean and covariance factor of the endpoint law where it is exactly Gaussian.
+
+    It is where the diffusion does not depend on space and every lower-order
+    coefficient is a constant, summing to ``b``: the endpoint is then
+    ``N(e^(tau B) x + J(tau) b, C_w)`` with ``J`` from `_input_response` and
+    ``C_w`` the covariance of the linear diffusion with squared coefficient
+    ``2 a`` on the leading block.  Elsewhere returns None.
+    """
+    a = spec.a
+    low = spec.a_low.components + spec.b_low.components
+    if a.space_dependent or not all(isinstance(c, fields.ConstantField) for c in low):
+        return None
+    system = spec.system
+    tau = T - t
+    if isinstance(a, fields.ConstantMatrixField):
+        sig = sigma_matrix(system.structure)
+        C = Propagator(system.B, sig @ (2.0 * a.matrix) @ sig.T).gramian(tau)
+        cov = Gramian.from_matrix(C, tau, system)
+    else:
+        try:
+            cov = gramian_weighted(system, _doubled(a.scalar), t, T)
+        except GramianError as exc:  # a strength not positive on [t, T]
+            raise CoefficientError(f"diffusion strength: {exc}") from exc
+    mean = system.propagator.flow(tau) @ x
+    b = np.add([c.value for c in spec.a_low.components], [c.value for c in spec.b_low.components])
+    if np.any(b):
+        mean = mean + _input_response(system, tau) @ b
+    return mean, cov.chol
+
+
+def _stepped_chunk_runner(spec, t, x, T, config):
+    """Chunk simulation by ``config.n_steps`` steps with coefficients frozen at each start.
+
+    Returns ``run_chunk(chunk_index, rows)``, which fills the ``rows`` view
+    with that chunk's endpoints.  Every chunk simulates ``2**14`` paths.
+    """
+    system = spec.system
+    d, m0 = system.d, system.m0
     a_field = spec.a
-    if a_field.space_dependent:
+    space_dep = a_field.space_dependent
+    if space_dep:
         if isinstance(getattr(a_field, "scalar", None), fields.TabulatedField):
             raise CoefficientError(
                 "tabulated space-dependent diffusion is piecewise constant; "
@@ -119,14 +209,9 @@ def simulate_paths(spec, t, x, T, config):
     dt = (T - t) / config.n_steps
     step_times = t + dt * np.arange(config.n_steps)
     sig = sigma_matrix(system.structure)
-
     A = expm(dt * system.B)
-    aug = np.zeros((d + m0, d + m0))
-    aug[:d, :d] = system.B
-    aug[:d, d:] = sig
-    J_dt = expm(aug * dt)[:d, d:]  # int_0^dt e^(uB) sigma du
+    J_dt = _input_response(system, dt)
 
-    space_dep = a_field.space_dependent
     L_base = None
     L_const = None
     if not space_dep:
@@ -136,8 +221,6 @@ def simulate_paths(spec, t, x, T, config):
         else:
             # Isotropic: per-step covariance is 2*alpha(s_k) * C(dt).
             L_base = np.linalg.cholesky(gramian_matrix(system, dt))
-
-    low_zero = spec.a_low.is_zero() and spec.b_low.is_zero() and not space_dep
 
     def low_drift_batch(s, X):
         """Divergence correction plus first-order coefficients, (n, m0)."""
@@ -151,7 +234,7 @@ def simulate_paths(spec, t, x, T, config):
             out += fields.batch_gradient(a_field.scalar, X)[:, :m0]
         return out
 
-    def run_chunk(chunk_index, n_rows):
+    def run_chunk(chunk_index, rows):
         rng = _chunk_generator(config.seed, chunk_index)
         X = np.tile(x, (_CHUNK, 1))
         for s_k in step_times:
@@ -170,23 +253,10 @@ def simulate_paths(spec, t, x, T, config):
                     if lam_k <= 0:
                         raise CoefficientError(f"diffusion strength not positive at s={s_k}")
                     noise = math.sqrt(lam_k) * (Z @ L_base.T)
-            shift = 0.0 if low_zero else low_drift_batch(s_k, X) @ J_dt.T
-            X = X @ A.T + shift + noise
-        return X[:n_rows]
+            X = X @ A.T + low_drift_batch(s_k, X) @ J_dt.T + noise
+        rows[:] = X[: len(rows)]
 
-    n = config.n_paths
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    out = np.empty((n, d))
-    jobs = [(c, min(n, (c + 1) * _CHUNK) - c * _CHUNK) for c in range(n_chunks)]
-    workers = int(os.environ.get("KOLMO_THREADS", "1"))
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for (c, rows), res in zip(jobs, pool.map(lambda j: run_chunk(*j), jobs)):
-                out[c * _CHUNK : c * _CHUNK + rows] = res
-    else:
-        for c, rows in jobs:
-            out[c * _CHUNK : c * _CHUNK + rows] = run_chunk(c, rows)
-    return out
+    return run_chunk
 
 
 @dataclass(frozen=True)
@@ -213,8 +283,11 @@ def estimate_density(endpoints, y, h, structure, horizon):
         raise ValueError(f"bandwidth must be positive, got {h}")
     n, d = endpoints.shape
     scale = dilation_scales(structure, horizon**-0.5)
-    scaled = (endpoints - np.asarray(y, float)[None, :]) * scale
-    hits = int(np.sum(np.all(np.abs(scaled) <= h / 2.0, axis=1)))
+    # In place after the one subtraction: no further (n, d) temporaries.
+    scaled = endpoints - np.asarray(y, float)[None, :]
+    scaled *= scale
+    np.abs(scaled, out=scaled)
+    hits = int(np.sum(np.all(scaled <= h / 2.0, axis=1)))
     Q = homogeneous_dimension(structure)
     volume = h**d * horizon ** (Q / 2.0)
     p = hits / n

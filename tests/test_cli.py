@@ -106,11 +106,21 @@ class TestLoadModel:
                 },
                 "'value'",
             ),
+            (
+                {
+                    **heat_cfg(),
+                    "coefficients": {
+                        "a": {"kind": "tabulated", "points": [0.0], "values": [0.5], "axis": "x"}
+                    },
+                },
+                "'axis'",
+            ),
         ],
         ids=[
             "missing-mu", "time-sinusoid-missing-base", "top-level-list",
             "coefficients-list", "field-string", "mu-string", "blocks-string",
             "B-string-entry", "base-string", "matrix-string-entry", "vector-string-entry",
+            "table-axis-string",
         ],
     )
     def test_malformed_model_is_parse_error(self, tmp_path, capsys, cfg, named):
@@ -118,6 +128,14 @@ class TestLoadModel:
         assert main(["validate", "--model", path]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and named in err
+
+    @pytest.mark.parametrize("grid", ["points", "values"])
+    def test_non_finite_table_rejected(self, tmp_path, capsys, grid):
+        table = {"kind": "tabulated", "points": [0.0, 1.0], "values": [0.5, 0.6]}
+        table[grid][1] = float("nan")  # written as a bare NaN, which JSON readers accept
+        path = write_model(tmp_path, {**heat_cfg(), "coefficients": {"a": table}})
+        assert main(["validate", "--model", path]) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
 
     def test_undeclared_ellipticity_rejected(self, tmp_path, capsys):
         cfg = langevin_config()

@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from kolmo import fields
 from kolmo.exceptions import CoefficientError
@@ -83,6 +84,20 @@ class TestSimulatePaths:
         X2 = simulate_paths(spec, 0.0, [0.0, 0.0], 1.0, config)
         assert np.array_equal(X1, X2)
 
+    def test_stepped_route_prefix_and_worker_count(self, langevin, monkeypatch):
+        # Space-dependent diffusion takes the stepped route.
+        a = fields.IsotropicMatrixField(
+            fields.SpaceSinusoidField(base=0.5, amplitude=0.1, wave=(0.5, 0.25)), 1
+        )
+        spec = make_spec(langevin, a=a, mu=2.5)
+        X1 = simulate_paths(spec, 0.0, [0.0, 0.0], 1.0, SimConfig(40_000, 2, seed=44))
+        assert np.array_equal(
+            X1[:50], simulate_paths(spec, 0.0, [0.0, 0.0], 1.0, SimConfig(50, 2, seed=44))
+        )
+        monkeypatch.setenv("KOLMO_THREADS", "4")
+        X2 = simulate_paths(spec, 0.0, [0.0, 0.0], 1.0, SimConfig(40_000, 2, seed=44))
+        assert np.array_equal(X1, X2)
+
     def test_lower_order_drift_shifts_mean(self, heat1d):
         shift = fields.VectorField((fields.ConstantField(0.7),))
         spec = make_spec(heat1d, lam=1.0, a_low=shift, M_bound=1.0)
@@ -94,8 +109,64 @@ class TestSimulatePaths:
         X = simulate_paths(spec, 0.0, [0.0], 1.0, SimConfig(100_000, 256, seed=66))
         lam = fields.TimeSinusoidField(base=1.25, amplitude=0.75)
         target = gramian_weighted(heat1d, lam, 0.0, 1.0).C[0, 0]
-        # Left-endpoint freezing adds O(dt) bias on top of the MC error.
-        assert abs(X.var() - target) <= 3 * np.sqrt(2.0 / len(X)) * target + 0.01
+        assert abs(X.var() - target) <= 3 * np.sqrt(2.0 / len(X)) * target
+
+    @pytest.mark.parametrize("make", [make_spec, sinusoid_spec], ids=["constant", "sinusoid"])
+    def test_one_shot_ignores_step_count(self, langevin, make):
+        spec = make(langevin)
+        X1 = simulate_paths(spec, 0.0, [0.1, 0.2], 1.0, SimConfig(20_000, 1, seed=9))
+        X64 = simulate_paths(spec, 0.0, [0.1, 0.2], 1.0, SimConfig(20_000, 64, seed=9))
+        assert np.array_equal(X1, X64)
+
+    def test_one_shot_time_sinusoid_deep_cascade(self, deep221):
+        # One step draws from the exact law, not the strength frozen at t.
+        spec = sinusoid_spec(deep221)
+        X = simulate_paths(spec, 0.0, np.zeros(5), 1.0, SimConfig(200_000, 1, seed=31))
+        lam = fields.TimeSinusoidField(base=1.25, amplitude=0.75)
+        C = gramian_weighted(deep221, lam, 0.0, 1.0).C
+        np.testing.assert_array_less(np.abs(np.cov(X.T) - C), 6 * cov_stderr(C, len(X)))
+
+    def test_one_shot_constant_matrix_covariance(self, kinetic21):
+        a = np.array([[0.6, 0.2], [0.2, 0.4]])
+        spec = make_spec(kinetic21, a=fields.ConstantMatrixField(a), mu=5.0)
+        X = simulate_paths(spec, 0.3, np.zeros(3), 1.1, SimConfig(200_000, 16, seed=32))
+        # B is nilpotent: e^(sB) = I + sB, so C(tau) is a cubic in tau.
+        B, Q, tau = kinetic21.B, np.zeros((3, 3)), 0.8
+        Q[:2, :2] = 2.0 * a
+        C = tau * Q + tau**2 / 2 * (B @ Q + Q @ B.T) + tau**3 / 3 * (B @ Q @ B.T)
+        np.testing.assert_array_less(np.abs(np.cov(X.T) - C), 4 * cov_stderr(C, len(X)))
+
+    def test_one_shot_constant_drift_mean(self, langevin):
+        low = fields.VectorField((fields.ConstantField(0.2),))
+        high = fields.VectorField((fields.ConstantField(0.3),))
+        spec = make_spec(langevin, a_low=low, b_low=high, M_bound=1.0)
+        x, tau, b = np.array([0.4, -0.1]), 0.7, 0.5
+        X = simulate_paths(spec, 0.2, x, 0.2 + tau, SimConfig(200_000, 16, seed=33))
+        # e^(tau B) x + int_0^tau e^(uB) sigma du b for B = [[0, 0], [1, 0]].
+        mean = np.array([x[0] + tau * b, x[1] + tau * x[0] + tau**2 / 2 * b])
+        se = np.sqrt(np.diag(gramian_matrix(langevin, tau)) / len(X))
+        assert np.all(np.abs(X.mean(axis=0) - mean) <= 4 * se)
+
+    def test_one_shot_strength_negative_between_steps(self, heat1d):
+        # 0.05 + sin(2 pi s + pi/2) is positive at s = 0 and negative at s = 0.5.
+        a = fields.IsotropicMatrixField(
+            fields.TimeSinusoidField(base=0.05, amplitude=1.0, phase=np.pi / 2), 1
+        )
+        spec = make_spec(heat1d, a=a, mu=40.0)
+        with pytest.raises(CoefficientError):
+            simulate_paths(spec, 0.0, [0.0], 1.0, SimConfig(10, 1, seed=1))
+
+    def test_stepped_and_one_shot_routes_agree(self, heat1d):
+        # A zero-amplitude space sinusoid is a constant the stepped route runs.
+        stepped = fields.IsotropicMatrixField(
+            fields.SpaceSinusoidField(base=0.5, amplitude=0.0, wave=(1.0,)), 1
+        )
+        one_shot = fields.IsotropicMatrixField(fields.ConstantField(0.5), 1)
+        n = 100_000
+        Xs = simulate_paths(make_spec(heat1d, a=stepped), 0.0, [0.2], 1.0, SimConfig(n, 16, seed=34))
+        Xo = simulate_paths(make_spec(heat1d, a=one_shot), 0.0, [0.2], 1.0, SimConfig(n, 16, seed=35))
+        assert abs(Xs.mean() - Xo.mean()) <= 4 * np.sqrt(2.0 / n)
+        assert abs(Xs.var() - Xo.var()) <= 4 * np.sqrt(4.0 / n)
 
     def test_space_sinusoid_runs_with_analytic_divergence(self, heat1d):
         a = fields.IsotropicMatrixField(
@@ -148,9 +219,20 @@ class TestEstimateDensity:
     def test_anisotropic_box_langevin(self, langevin):
         spec = make_spec(langevin, lam=1.0)
         X = simulate_paths(spec, 0.0, [0.0, 0.0], 1.0, SimConfig(400_000, 2, seed=14))
-        est = estimate_density(X, [0.0, 0.0], 0.25, langevin.structure, 1.0)
-        exact = np.sqrt(12.0) / (2 * np.pi)
-        assert abs(est.value - exact) <= 3 * est.stderr + 0.02 * exact
+        h = 0.25
+        est = estimate_density(X, [0.0, 0.0], h, langevin.structure, 1.0)
+        # The box's exact Gaussian mass over its volume: the box averages the
+        # point density sqrt(12)/(2 pi) down by 4%.  The mass integrates the
+        # conditional normal CDF of x1 given x0 over x0 by Gauss-Legendre.
+        C = gramian_matrix(langevin, 1.0)
+        slope = C[1, 0] / C[0, 0]
+        cond_sd = np.sqrt(C[1, 1] - C[1, 0] * slope)
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        x0 = 0.5 * h * nodes
+        inner = ndtr((0.5 * h - slope * x0) / cond_sd) - ndtr((-0.5 * h - slope * x0) / cond_sd)
+        outer = np.exp(-0.5 * x0**2 / C[0, 0]) / np.sqrt(2 * np.pi * C[0, 0])
+        exact = 0.5 * h * np.sum(weights * outer * inner) / h**2
+        assert abs(est.value - exact) <= 3 * est.stderr
 
     def test_input_validation(self, heat1d):
         with pytest.raises(ValueError):

@@ -337,8 +337,11 @@ class TestBatchedValidation:
 
     def test_first_offending_sample_named(self, kinetic21):
         # Sample 1 is not positive definite and sample 2 not finite; either
-        # order must report the earlier one, as the loop does.
-        field = fields.TabulatedField((-1.0, 0.0, 1.0), (float("nan"), -1.0, 1.0), axis=0)
+        # order must report the earlier one, as the loop does.  A table
+        # rejects a NaN value when built, so it is set afterwards: the
+        # sampled checks must catch a non-finite value from any source.
+        field = fields.TabulatedField((-1.0, 0.0, 1.0), (1.0, -1.0, 1.0), axis=0)
+        object.__setattr__(field, "values", (float("nan"), -1.0, 1.0))
         spec = make_spec(kinetic21, a=fields.IsotropicMatrixField(field, 2), c=field)
         samples = [(0.0, np.array([0.9, 0.0, 0.0])), (0.5, np.array([0.1, 0.2, 0.0])),
                    (0.25, np.array([-0.9, 0.0, 0.0]))]
