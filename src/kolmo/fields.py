@@ -24,7 +24,7 @@ __all__ = [
     "VectorField",
     "batch_scalar",
     "sample_scalar",
-    "batch_gradient",
+    "batch_value_and_gradient",
     "json_value",
     "scalar_field_from_config",
     "scalar_field_to_config",
@@ -203,14 +203,19 @@ def sample_scalar(field, ts, X):
     return out
 
 
-def batch_gradient(field, X):
-    """Space gradients of a space-sinusoid field at many states."""
+def batch_value_and_gradient(field, X):
+    """A space-sinusoid field and its space gradient at many states.
+
+    The phase ``2 pi <wave, x> + phase`` is computed once for both; the
+    values are `batch_scalar`'s float expression.
+    """
     if not isinstance(field, SpaceSinusoidField):
         raise CoefficientError(f"no space gradient for {type(field).__name__}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     k = np.asarray(field.wave, dtype=float)
     arg = 2.0 * np.pi * (X @ k) + field.phase
-    return field.amplitude * 2.0 * np.pi * np.cos(arg)[:, None] * k[None, :]
+    value = field.base + field.amplitude * np.sin(arg)
+    return value, field.amplitude * 2.0 * np.pi * np.cos(arg)[:, None] * k[None, :]
 
 
 _SCALAR_KINDS = {

@@ -14,8 +14,16 @@ two routes:
   normals, and the step count is not used.
 - *Stepped.*  Elsewhere (space-dependent diffusion, lower-order
   coefficients that vary), linear drift and additive noise are integrated
-  exactly within each step with coefficients frozen at the step start; the
+  exactly within each step with coefficients frozen at the step start: the
+  noise of a step of length ``dt`` has covariance ``2 alpha C(dt)`` for an
+  isotropic coefficient ``a = alpha I``, from ``d`` normals per path.  The
   scheme coincides with Euler-Maruyama at weak order one.
+
+One run serves several end times: one-shot paths reuse their normal draws
+at each, and stepped paths are copied out as they pass each, which the step
+grid makes a step boundary.  The Monte Carlo route of `verify_bounds` thus
+takes its three on-diagonal horizons from the run it estimates the density
+with.
 
 Randomness is counter-partitioned: paths are processed in fixed blocks of
 ``2**14`` and block ``i`` draws from its own region of a Philox stream keyed
@@ -95,25 +103,39 @@ def simulate_paths(spec, t, x, T, config):
 
     Where the endpoint law is exactly Gaussian (see `_gaussian_endpoint`)
     each path draws its endpoint in one shot and ``config.n_steps`` is not
-    used; elsewhere paths take ``config.n_steps`` frozen-coefficient steps.
+    used; elsewhere paths take ``config.n_steps`` frozen-coefficient steps
+    (see `_step_grid`).
 
     Parameters
     ----------
     spec : OperatorSpec
         Operator with vanishing zeroth-order coefficient (a potential term
         breaks the transition-density interpretation of the samples).
-    t, T : float
-        Start and end times, ``T > t``.
+    t : float
+        Start time.
     x : (d,) array_like
         Common initial state.
+    T : float or sequence of float
+        End time ``T > t``, or increasing end times, all after ``t``.  Every
+        end time is a snapshot of the same paths: one-shot paths reuse their
+        normal draws at each, and stepped paths are copied out as they pass
+        it.
     config : SimConfig
 
     Returns
     -------
-    (n_paths, d) ndarray
+    ndarray
+        ``(n_paths, d)`` for a scalar ``T``; ``(len(T), n_paths, d)`` for a
+        sequence, row ``i`` of each slice being the same path.  Each one-shot
+        slice is bit for bit a scalar call at its end time, and so is the
+        last stepped slice when every end time lies on the uniform grid of
+        ``n_steps`` steps to ``T[-1]``.
     """
-    if T <= t:
-        raise ValueError(f"need T > t, got t={t}, T={T}")
+    horizons = np.atleast_1d(np.asarray(T, dtype=float)).tolist()
+    if np.ndim(T) > 1 or not horizons or not all(
+        a < b for a, b in zip([t, *horizons], horizons)
+    ):
+        raise ValueError(f"need increasing end times T > t, got t={t}, T={T}")
     if not _is_zero_scalar(spec.c):
         raise ValueError("simulation requires a vanishing zeroth-order coefficient")
     d = spec.system.d
@@ -121,20 +143,20 @@ def simulate_paths(spec, t, x, T, config):
     if x.shape != (d,):
         raise ValueError(f"initial state must have shape ({d},), got {x.shape}")
 
-    law = _gaussian_endpoint(spec, t, x, T)
-    if law is None:
-        run_chunk = _stepped_chunk_runner(spec, t, x, T, config)
+    laws = [_gaussian_endpoint(spec, t, x, h) for h in horizons]
+    if laws[0] is None:
+        run_chunk = _stepped_chunk_runner(spec, t, x, horizons, config)
     else:
-        mean, L = law
 
         def run_chunk(chunk_index, rows):
-            Z = _chunk_generator(config.seed, chunk_index).standard_normal((len(rows), d))
-            np.matmul(Z, L.T, out=rows)
-            rows += mean
+            Z = _chunk_generator(config.seed, chunk_index).standard_normal((rows.shape[1], d))
+            for (mean, L), slab in zip(laws, rows):
+                np.matmul(Z, L.T, out=slab)
+                slab += mean
 
     n = config.n_paths
-    out = np.empty((n, d))
-    chunks = [(c, out[c * _CHUNK : (c + 1) * _CHUNK]) for c in range(-(-n // _CHUNK))]
+    out = np.empty((len(horizons), n, d))
+    chunks = [(c, out[:, c * _CHUNK : (c + 1) * _CHUNK]) for c in range(-(-n // _CHUNK))]
     workers = int(os.environ.get("KOLMO_THREADS", "1"))
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -142,7 +164,7 @@ def simulate_paths(spec, t, x, T, config):
     else:
         for c, rows in chunks:
             run_chunk(c, rows)
-    return out
+    return out if np.ndim(T) else out[0]
 
 
 def _input_response(system, s):
@@ -185,11 +207,42 @@ def _gaussian_endpoint(spec, t, x, T):
     return mean, cov.chol
 
 
-def _stepped_chunk_runner(spec, t, x, T, config):
-    """Chunk simulation by ``config.n_steps`` steps with coefficients frozen at each start.
+def _step_grid(t, horizons, n_steps):
+    """Steps from ``t`` to the last horizon, each horizon ending one of them.
 
-    Returns ``run_chunk(chunk_index, rows)``, which fills the ``rows`` view
-    with that chunk's endpoints.  Every chunk simulates ``2**14`` paths.
+    Returns the step start times, the step lengths and, per horizon, the
+    number of steps that reach it.  Where every horizon lies on the uniform
+    grid of ``n_steps`` steps (to within 1e-9 of a step) that grid is used;
+    otherwise each stretch between consecutive horizons gets its rounded
+    share of ``n_steps``, at least one step, evenly spaced.
+    """
+    dt = (horizons[-1] - t) / n_steps
+    ends, done = [], 0
+    for h in horizons[:-1]:
+        done = max(done + 1, round((h - t) / dt))
+        ends.append(done)
+    ends.append(max(n_steps, done + 1))
+    if ends[-1] == n_steps and all(abs((h - t) / dt - e) <= 1e-9 for h, e in zip(horizons, ends)):
+        return t + dt * np.arange(n_steps), [dt] * n_steps, ends
+    starts, lengths = [], []
+    for a, b, start, end in zip([t, *horizons], horizons, [0, *ends], ends):
+        steps = end - start
+        step = (b - a) / steps
+        starts.append(a + step * np.arange(steps))
+        lengths += [step] * steps
+    return np.concatenate(starts), lengths, ends
+
+
+def _stepped_chunk_runner(spec, t, x, horizons, config):
+    """Chunk simulation by frozen-coefficient steps, with a snapshot at each horizon.
+
+    Each step applies the exact linear flow, the lower-order drift through
+    `_input_response`, and noise ``sqrt(2 alpha) L Z`` with ``L`` the
+    Cholesky factor of the step's covariance ``C(dt)`` and ``a = alpha I``
+    at the step start (a constant matrix ``a`` folds ``2 a`` into ``L``
+    instead).  Returns ``run_chunk(chunk_index, rows)``, which fills the
+    ``rows[i]`` view with that chunk's states at ``horizons[i]``.  Every
+    chunk simulates ``2**14`` paths.
     """
     system = spec.system
     d, m0 = system.d, system.m0
@@ -206,55 +259,49 @@ def _stepped_chunk_runner(spec, t, x, T, config):
                 "space-dependent diffusion must be an isotropic scalar field"
             )
 
-    dt = (T - t) / config.n_steps
-    step_times = t + dt * np.arange(config.n_steps)
-    sig = sigma_matrix(system.structure)
-    A = expm(dt * system.B)
-    J_dt = _input_response(system, dt)
-
-    L_base = None
-    L_const = None
-    if not space_dep:
-        if isinstance(a_field, fields.ConstantMatrixField):
-            Q = sig @ (2.0 * a_field.matrix) @ sig.T
-            L_const = np.linalg.cholesky(Propagator(system.B, Q).gramian(dt))
-        else:
-            # Isotropic: per-step covariance is 2*alpha(s_k) * C(dt).
-            L_base = np.linalg.cholesky(gramian_matrix(system, dt))
-
-    def low_drift_batch(s, X):
-        """Divergence correction plus first-order coefficients, (n, m0)."""
-        out = np.stack(
-            [fields.batch_scalar(c, s, X) for c in spec.a_low.components], axis=1
+    if isinstance(a_field, fields.ConstantMatrixField):
+        sig = sigma_matrix(system.structure)
+        propagator = Propagator(system.B, sig @ (2.0 * a_field.matrix) @ sig.T)
+        strength = None
+    else:
+        propagator = system.propagator
+        strength = a_field.scalar
+    step_times, step_lengths, ends = _step_grid(t, horizons, config.n_steps)
+    step_ops = {
+        dt: (
+            expm(dt * system.B),
+            _input_response(system, dt),
+            np.linalg.cholesky(propagator.gramian(dt)),
         )
-        out += np.stack(
-            [fields.batch_scalar(c, s, X) for c in spec.b_low.components], axis=1
-        )
-        if space_dep:
-            out += fields.batch_gradient(a_field.scalar, X)[:, :m0]
-        return out
+        for dt in set(step_lengths)
+    }
+    snapshot_of = {end: i for i, end in enumerate(ends)}
 
     def run_chunk(chunk_index, rows):
         rng = _chunk_generator(config.seed, chunk_index)
         X = np.tile(x, (_CHUNK, 1))
-        for s_k in step_times:
-            if space_dep:
-                Z = rng.standard_normal((_CHUNK, m0))
-                alpha = fields.batch_scalar(a_field.scalar, s_k, X)
+        for k, (s_k, dt) in enumerate(zip(step_times, step_lengths), start=1):
+            A, J, L = step_ops[dt]
+            noise = rng.standard_normal((_CHUNK, d)) @ L.T
+            # Divergence correction plus first-order coefficients, (n, m0).
+            drift = np.stack(
+                [fields.batch_scalar(c, s_k, X) for c in spec.a_low.components], axis=1
+            )
+            drift += np.stack(
+                [fields.batch_scalar(c, s_k, X) for c in spec.b_low.components], axis=1
+            )
+            if strength is not None:
+                if space_dep:
+                    alpha, grad = fields.batch_value_and_gradient(strength, X)
+                    drift += grad[:, :m0]
+                else:
+                    alpha = fields.batch_scalar(strength, s_k, X)
                 if np.any(alpha <= 0):
                     raise CoefficientError(f"diffusion strength not positive at s={s_k}")
-                noise = (np.sqrt(2.0 * alpha * dt)[:, None] * Z) @ sig.T
-            else:
-                Z = rng.standard_normal((_CHUNK, d))
-                if L_const is not None:
-                    noise = Z @ L_const.T
-                else:
-                    lam_k = 2.0 * float(a_field.scalar(s_k, None))
-                    if lam_k <= 0:
-                        raise CoefficientError(f"diffusion strength not positive at s={s_k}")
-                    noise = math.sqrt(lam_k) * (Z @ L_base.T)
-            X = X @ A.T + low_drift_batch(s_k, X) @ J_dt.T + noise
-        rows[:] = X[: len(rows)]
+                noise *= np.sqrt(2.0 * alpha)[:, None]
+            X = X @ A.T + drift @ J.T + noise
+            if k in snapshot_of:
+                rows[snapshot_of[k]] = X[: rows.shape[1]]
 
     return run_chunk
 
@@ -274,7 +321,10 @@ def estimate_density(endpoints, y, h, structure, horizon):
 
     The box is ``|D(horizon^(-1/2)) (X - y)|_inf <= h/2``, whose volume in
     original coordinates is ``h**d * horizon**(Q/2)``; the estimate is the
-    hit fraction over that volume and the stderr is binomial.
+    hit fraction over that volume and the stderr is binomial.  The first
+    coordinate's test picks the candidate rows and only they take the full
+    test; both evaluate ``|(X_j - y_j) s_j| <= h/2``, so the count is that of
+    a scan of every row.
     """
     endpoints = np.asarray(endpoints, dtype=float)
     if endpoints.ndim != 2 or endpoints.shape[0] == 0:
@@ -283,8 +333,11 @@ def estimate_density(endpoints, y, h, structure, horizon):
         raise ValueError(f"bandwidth must be positive, got {h}")
     n, d = endpoints.shape
     scale = dilation_scales(structure, horizon**-0.5)
-    # In place after the one subtraction: no further (n, d) temporaries.
-    scaled = endpoints - np.asarray(y, float)[None, :]
+    y = np.asarray(y, dtype=float)
+    first = endpoints[:, 0] - y[0]
+    first *= scale[0]
+    np.abs(first, out=first)
+    scaled = endpoints[first <= h / 2.0] - y[None, :]
     scaled *= scale
     np.abs(scaled, out=scaled)
     hits = int(np.sum(np.all(scaled <= h / 2.0, axis=1)))
@@ -421,7 +474,9 @@ def verify_bounds(
     Also fits the on-diagonal constant ``c`` in
     ``G(t, x; t+h, x) >= c * h**(-Q/2)`` at ``h`` a quarter, a half and all
     of ``T - t``, and, on the exact route, checks the positive-semidefinite
-    covariance sandwich ``lambda- C <= C_w <= lambda+ C``.
+    covariance sandwich ``lambda- C <= C_w <= lambda+ C``.  The Monte Carlo
+    route simulates once: the paths behind the grid's estimates are
+    snapshotted at the two shorter horizons (see `simulate_paths`).
 
     The comparison range must cover the operator's sampled diffusion
     strength: ``lambda- <= 2 min_eig(a)`` and ``2 max_eig(a) <= lambda+``
@@ -473,7 +528,10 @@ def verify_bounds(
         if sim_config is None:
             raise ValueError("sim_config is required when no exact kernel is available")
         seed = sim_config.seed
-        endpoints = simulate_paths(spec, t, x, T, sim_config)
+        # One run, snapshotted at each diagonal horizon; the last is T itself.
+        horizons = [t + f * tau for f in _DIAGONAL_FRACTIONS[:-1]] + [T]
+        runs = simulate_paths(spec, t, x, horizons, sim_config)
+        endpoints = runs[-1]
         ests = [
             estimate_density(endpoints, y, bandwidth, system.structure, tau)
             for y in y_grid
@@ -483,13 +541,10 @@ def verify_bounds(
         zero_hits = tuple(int(i) for i, e in enumerate(ests) if e.n_hits == 0)
         gamma_lo_conf = np.maximum(gamma - 3.0 * stderr, 0.0)
         gamma_hi_conf = gamma + 3.0 * stderr
-        diag_gamma = []
-        for f in _DIAGONAL_FRACTIONS:
-            # The full horizon is the main run's: reuse its endpoints.
-            ep = endpoints if f == 1.0 else simulate_paths(spec, t, x, t + f * tau, sim_config)
-            diag_gamma.append(
-                estimate_density(ep, x, bandwidth, system.structure, f * tau).value
-            )
+        diag_gamma = [
+            estimate_density(ep, x, bandwidth, system.structure, f * tau).value
+            for ep, f in zip(runs, _DIAGONAL_FRACTIONS)
+        ]
 
     live = [i for i in range(len(y_grid)) if i not in zero_hits]
     # Ratios through log space: comparison kernels never underflow there,

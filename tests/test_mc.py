@@ -8,8 +8,10 @@ from kolmo import fields
 from kolmo.exceptions import CoefficientError
 from kolmo.gramian import gramian_matrix, gramian_weighted
 from kolmo.kernel import GaussianKernel
+from kolmo.model import dilation_scales
 from kolmo.mc import (
     SimConfig,
+    _step_grid,
     estimate_density,
     mass_concentration,
     mass_concentration_dual,
@@ -18,6 +20,11 @@ from kolmo.mc import (
 )
 
 from conftest import make_spec, sinusoid_spec
+from test_random_structures import SEEDS, random_system
+
+FIXTURES = ["heat1d", "langevin", "kinetic21", "deep221", "starful"]
+# Not a multiple of the 2**14-path chunk: the last chunk is partly kept.
+N_ODD = 2 * 2**14 + 123
 
 
 def cov_stderr(C, n):
@@ -28,6 +35,15 @@ def cov_stderr(C, n):
         for j in range(d):
             out[i, j] = np.sqrt((C[i, i] * C[j, j] + C[i, j] ** 2) / n)
     return out
+
+
+def space_spec(system, amplitude=0.1):
+    """Isotropic strength ``1 + 2 amplitude sin(2 pi <wave, x>)``: the stepped route."""
+    wave = tuple(0.5 / (i + 1) for i in range(system.d))
+    a = fields.IsotropicMatrixField(
+        fields.SpaceSinusoidField(base=0.5, amplitude=amplitude, wave=wave), system.m0
+    )
+    return make_spec(system, a=a, mu=2.5)
 
 
 class TestSimulatePaths:
@@ -168,6 +184,19 @@ class TestSimulatePaths:
         assert abs(Xs.mean() - Xo.mean()) <= 4 * np.sqrt(2.0 / n)
         assert abs(Xs.var() - Xo.var()) <= 4 * np.sqrt(4.0 / n)
 
+    @pytest.mark.parametrize("n_steps", [4, 16])
+    @pytest.mark.parametrize("name", ["langevin", "kinetic21"])
+    def test_space_dependent_step_is_unbiased(self, request, name, n_steps):
+        # A zero-amplitude space sinusoid is the constant strength 1 in
+        # disguise, so every frozen step is exact and the endpoint
+        # covariance is C(tau) at any step count.
+        system = request.getfixturevalue(name)
+        spec = space_spec(system, amplitude=0.0)
+        n = 100_000
+        X = simulate_paths(spec, 0.2, np.zeros(system.d), 1.0, SimConfig(n, n_steps, seed=36))
+        C = 2.0 * 0.5 * gramian_matrix(system, 0.8)
+        np.testing.assert_array_less(np.abs(np.cov(X.T) - C), 6 * cov_stderr(C, n))
+
     def test_space_sinusoid_runs_with_analytic_divergence(self, heat1d):
         a = fields.IsotropicMatrixField(
             fields.SpaceSinusoidField(base=0.5, amplitude=0.1, wave=(1.0,)), 1
@@ -193,6 +222,108 @@ class TestSimulatePaths:
     def test_rejects_bad_horizon(self, heat1d):
         with pytest.raises(ValueError):
             simulate_paths(make_spec(heat1d), 1.0, [0.0], 1.0, SimConfig(10, 1, seed=1))
+
+
+class TestSnapshots:
+    """One run, many end times: each slice is the run stopped at its horizon."""
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    @pytest.mark.parametrize("name", ["langevin", "kinetic21"])
+    def test_stepped_slices_equal_shorter_runs(self, request, monkeypatch, name, threads):
+        monkeypatch.setenv("KOLMO_THREADS", threads)
+        system = request.getfixturevalue(name)
+        spec = space_spec(system)
+        t, T, x = -0.3, 0.5, np.linspace(0.1, -0.2, system.d)
+        tau = T - t
+        horizons = [t + 0.25 * tau, t + 0.5 * tau, T]
+        runs = simulate_paths(spec, t, x, horizons, SimConfig(N_ODD, 16, seed=41))
+        assert runs.shape == (3, N_ODD, system.d)
+        # The 16-step grid puts the horizons after 4, 8 and 16 steps.
+        for k, h, run in zip((4, 8), horizons, runs):
+            alone = simulate_paths(spec, t, x, h, SimConfig(N_ODD, k, seed=41))
+            np.testing.assert_allclose(run, alone, rtol=1e-12, atol=1e-14)
+        whole = simulate_paths(spec, t, x, T, SimConfig(N_ODD, 16, seed=41))
+        assert np.array_equal(runs[-1], whole)
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    @pytest.mark.parametrize(
+        "spec_of",
+        [
+            make_spec,
+            sinusoid_spec,
+            lambda s: make_spec(
+                s, b_low=fields.VectorField(tuple(fields.ConstantField(0.3) for _ in range(s.m0))),
+                M_bound=1.0,
+            ),
+        ],
+        ids=["constant", "sinusoid", "drift"],
+    )
+    def test_one_shot_slices_equal_separate_calls(self, kinetic21, monkeypatch, spec_of, threads):
+        monkeypatch.setenv("KOLMO_THREADS", threads)
+        spec = spec_of(kinetic21)
+        t, x, config = 0.1, np.array([0.2, -0.1, 0.3]), SimConfig(N_ODD, 16, seed=42)
+        horizons = (0.2, 0.35, 0.9)
+        runs = simulate_paths(spec, t, x, horizons, config)
+        for h, run in zip(horizons, runs):
+            assert np.array_equal(run, simulate_paths(spec, t, x, h, config))
+
+    @pytest.mark.parametrize("n_steps", [1, 10])
+    def test_uneven_step_counts_end_a_step_at_each_horizon(self, langevin, n_steps):
+        t, T = -0.3, 0.5
+        horizons = [t + 0.2, t + 0.4, T]
+        starts, lengths, ends = _step_grid(t, horizons, n_steps)
+        assert len(starts) == len(lengths) == ends[-1] >= n_steps
+        assert all(a < b for a, b in zip([0, *ends], ends))  # no stretch without a step
+        step_ends = starts + np.array(lengths)
+        np.testing.assert_allclose(step_ends[np.array(ends) - 1], horizons, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(starts[1:], step_ends[:-1], rtol=0, atol=1e-15)
+        # The first horizon's slice is a run of its own steps.
+        spec = space_spec(langevin)
+        x = np.array([0.1, -0.2])
+        runs = simulate_paths(spec, t, x, horizons, SimConfig(N_ODD, n_steps, seed=43))
+        alone = simulate_paths(spec, t, x, horizons[0], SimConfig(N_ODD, ends[0], seed=43))
+        np.testing.assert_allclose(runs[0], alone, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n_steps", [1, 10])
+    def test_uneven_step_counts_sample_each_horizon(self, langevin, n_steps):
+        # Exact frozen steps (zero amplitude): every slice has the law at its horizon.
+        spec = space_spec(langevin, amplitude=0.0)
+        horizons = [0.2, 0.4, 1.0]
+        n = 100_000
+        runs = simulate_paths(spec, 0.0, np.zeros(2), horizons, SimConfig(n, n_steps, seed=44))
+        for h, run in zip(horizons, runs):
+            C = gramian_matrix(langevin, h)
+            np.testing.assert_array_less(np.abs(np.cov(run.T) - C), 6 * cov_stderr(C, n))
+
+    def test_uniform_grid_when_horizons_lie_on_it(self):
+        t, T = -0.4, 0.6
+        starts, lengths, ends = _step_grid(t, [t + 0.25, t + 0.5, T], 16)
+        dt = (T - t) / 16
+        assert np.array_equal(starts, t + dt * np.arange(16))
+        assert lengths == [dt] * 16 and ends == [4, 8, 16]
+
+    @pytest.mark.parametrize("T", [[0.5, 0.5], [0.7, 0.5], [0.0, 0.5], [], [[0.5]]])
+    def test_rejects_bad_horizons(self, heat1d, T):
+        with pytest.raises(ValueError):
+            simulate_paths(make_spec(heat1d), 0.0, [0.0], T, SimConfig(10, 4, seed=1))
+
+
+def full_scan_hits(endpoints, y, h, structure, horizon):
+    """Rows inside the box, by testing every coordinate of every row."""
+    scale = dilation_scales(structure, horizon**-0.5)
+    return sum(
+        all(abs((row[j] - y[j]) * scale[j]) <= h / 2.0 for j in range(len(row)))
+        for row in endpoints
+    )
+
+
+def box_endpoints(structure, y, h, horizon, rng, n=600):
+    """Rows in and around the box at ``y``, a third of their coordinates on a face."""
+    half = (h / 2.0) / dilation_scales(structure, horizon**-0.5)
+    X = y + rng.uniform(-1.5, 1.5, size=(n, len(y))) * half
+    faces = rng.random(X.shape) < 1 / 3
+    X[faces] = (y + rng.choice([-1.0, 1.0], size=X.shape) * half)[faces]
+    return X
 
 
 class TestEstimateDensity:
@@ -239,6 +370,40 @@ class TestEstimateDensity:
             estimate_density(np.empty((0, 1)), [0.0], 0.1, heat1d.structure, 1.0)
         with pytest.raises(ValueError):
             estimate_density(np.zeros((5, 1)), [0.0], 0.0, heat1d.structure, 1.0)
+
+    @pytest.mark.parametrize("horizon", [1.0, 0.25, 0.37])
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_prefilter_counts_equal_full_scan_fixtures(self, request, name, horizon):
+        structure = request.getfixturevalue(name).structure
+        self._check_counts(structure, horizon, np.random.default_rng(len(name)))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_prefilter_counts_equal_full_scan_random(self, seed):
+        system, rng = random_system(seed)
+        for horizon in (1.0, 0.25, 0.37):
+            self._check_counts(system.structure, horizon, rng)
+
+    @staticmethod
+    def _check_counts(structure, horizon, rng):
+        d = structure.d
+        # Dyadic targets and bandwidths: at horizons 1 and 1/4 the scales are
+        # powers of two, so face rows sit exactly on the box faces.
+        y = rng.integers(-8, 9, size=d) / 8.0
+        for h in (0.5, 0.125):
+            X = box_endpoints(structure, y, h, horizon, rng)
+            est = estimate_density(X, y, h, structure, horizon)
+            assert est.n_hits == full_scan_hits(X, y, h, structure, horizon)
+        assert est.n_hits > 0
+        # A box around every row.
+        assert estimate_density(X, y, 1e9, structure, horizon).n_hits == len(X)
+
+    def test_face_rows_are_hits(self, langevin):
+        y, h = np.array([0.25, -0.5]), 0.5
+        half = (h / 2.0) / dilation_scales(langevin.structure, 2.0)
+        X = y + np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]) * half
+        outside = np.nextafter(X[0], X[0] + 1.0)
+        X = np.vstack([X, outside])
+        assert estimate_density(X, y, h, langevin.structure, 0.25).n_hits == 4
 
 
 class TestMassConcentration:
@@ -361,8 +526,8 @@ class TestVerifyBounds:
         report = verify_bounds(
             spec, -0.4, [0.0], 0.6, np.zeros((1, 1)), 1 / 2.5, 2.5, sim_config=config
         )
-        # One main run plus one per diagonal horizon short of the full one.
-        assert calls == [0.6, -0.4 + 0.25, -0.4 + 0.5]
+        # One run, snapshotted at the three diagonal horizons.
+        assert calls == [[-0.4 + 0.25, -0.4 + 0.5, 0.6]]
         full = estimate_density(
             simulate_paths(spec, -0.4, [0.0], 0.6, config), [0.0], 0.2, heat1d.structure, 1.0
         )
