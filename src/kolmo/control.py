@@ -19,7 +19,6 @@ import numpy as np
 from scipy.linalg import cho_solve, expm
 
 from .exceptions import GramianError
-from .gramian import Gramian
 from .model import SpaceTimePoint, dilation_scales, sigma_matrix
 
 __all__ = [
@@ -81,9 +80,9 @@ def optimal_control(problem):
     deficient), in which case not every target is reachable.
     """
     tau = problem.horizon
-    _, flow, C = problem.system.propagator.at(tau)
-    offset = problem.y - flow @ problem.x
-    g = Gramian.from_matrix(C, tau, problem.system)
+    propagator = problem.system.propagator
+    offset = problem.y - propagator.flow(tau) @ problem.x
+    g = propagator.factor(tau)
     # w = C^-1 offset via the Cholesky factor, cost = <C^-1 offset, offset>.
     w = cho_solve((g.chol, True), offset)
     cost = float(offset @ w)

@@ -13,11 +13,16 @@ horizons in a small bounded cache; a grid of horizons costs one exponential
 per distinct step through the semigroup identity
 ``C(s + h) = C(h) + e(hB) C(s) e(hB^T)``.
 
-`gramian_weighted` reads the time-weighted covariance off propagators in
-closed form; adaptive Simpson quadrature is only the checked `gramian`'s
-independent cross-check.  Quadratic forms go through the Cholesky factor;
-the inverse is never formed explicitly, since the conditioning of ``C(t)``
-degrades like ``t**-(2 nu)`` as ``t -> 0``.
+The propagator also keeps the factored `Gramian` of each cached horizon
+(``propagator.factor(s)``), the one unchecked route to ``C(t)`` with its
+Cholesky factor: the steering cost, the bound forms and the equivalence
+constants all read it, so a horizon is factored once however often it is
+revisited.  `gramian_weighted` reads the time-weighted covariance off
+propagators in closed form; adaptive Simpson quadrature is only the checked
+`gramian`'s independent cross-check.  Quadratic forms and Gaussian log
+densities go through the Cholesky factor; the inverse is never formed
+explicitly, since the conditioning of ``C(t)`` degrades like
+``t**-(2 nu)`` as ``t -> 0``.
 """
 
 from __future__ import annotations
@@ -44,12 +49,12 @@ __all__ = [
     "EquivalenceReport",
     "matrix_exponential",
     "gramian",
-    "gramian_matrix",
     "gramian_weighted",
     "gramian_homogeneous",
     "is_time_field",
     "strength_at",
     "quadratic_form",
+    "log_density",
     "equivalence_constants",
 ]
 
@@ -72,19 +77,17 @@ def matrix_exponential(B, t):
 class Gramian:
     """A positive-definite covariance matrix with its Cholesky factor.
 
-    Fields: the horizon ``t``, the matrix ``C``, the lower-triangular factor
-    ``chol`` with ``chol @ chol.T == C``, the log-determinant, and the system
-    it came from.
+    Fields: the matrix ``C``, the lower-triangular factor ``chol`` with
+    ``chol @ chol.T == C``, and the log-determinant; both arrays are
+    read-only.
     """
 
-    t: float
     C: np.ndarray
     chol: np.ndarray
     logdet: float
-    system: object
 
     @classmethod
-    def from_matrix(cls, C, t, system):
+    def from_matrix(cls, C):
         C = np.asarray(C, dtype=float)
         asym = np.abs(C - C.T).max()
         if asym > 1e-12 * max(1.0, np.abs(C).max()):
@@ -99,7 +102,7 @@ class Gramian:
         C.setflags(write=False)
         chol.setflags(write=False)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return cls(t=float(t), C=C, chol=chol, logdet=logdet, system=system)
+        return cls(C=C, chol=chol, logdet=logdet)
 
     @property
     def d(self):
@@ -117,8 +120,9 @@ class Propagator:
     One Van Loan exponential at ``s`` gives all three of ``e^(-sB)`` (its
     top-left block), ``e^(sB)`` (its bottom-right block, transposed) and the
     covariance.  The last 64 horizons are cached and their arrays returned
-    read-only; the cache is safe to share between threads.  A system's own
-    propagator, with ``Q = sigma sigma^T``, is ``system.propagator``.
+    read-only, and so are the last 64 factored covariances; both caches are
+    safe to share between threads.  A system's own propagator, with
+    ``Q = sigma sigma^T``, is ``system.propagator``.
     """
 
     def __init__(self, B, Q):
@@ -129,6 +133,7 @@ class Propagator:
         M[d:, d:] = B.T
         self._M = M
         self._at = lru_cache(maxsize=_CACHE_SIZE)(self._exponentiate)
+        self._factor = lru_cache(maxsize=_CACHE_SIZE)(self._factorize)
 
     def _exponentiate(self, s):
         d = self._M.shape[0] // 2
@@ -152,6 +157,19 @@ class Propagator:
     def gramian(self, s):
         """The covariance ``C(s)``, symmetrized."""
         return self.at(s)[2]
+
+    def _factorize(self, s):
+        if not s > 0:
+            raise ValueError(f"horizon must be positive, got {s}")
+        return Gramian.from_matrix(self.gramian(s))
+
+    def factor(self, s):
+        """The `Gramian` of ``C(s)``, factored once per cached horizon.
+
+        Raises `GramianError` where ``C(s)`` is not positive definite (a
+        rank-deficient coupling), and ``ValueError`` for ``s <= 0``.
+        """
+        return self._factor(float(s))
 
     def gramians(self, s_grid):
         """``C(s)`` at every horizon of a grid, as an ``(n, d, d)`` array.
@@ -183,11 +201,6 @@ class Propagator:
             C = C_h + E @ C @ E.T
             out[k] = C
         return out[where]
-
-
-def gramian_matrix(system, t):
-    """Raw covariance matrix at horizon ``t`` (no factorization, no cross-check)."""
-    return system.propagator.gramian(t)
 
 
 def _simpson_panel(f, a, fa, b, fb, m, fm, whole, depth, tol):
@@ -224,12 +237,12 @@ def adaptive_simpson(f, a, b):
     return _simpson_panel(f, a, fa, b, fb, m, fm, whole, 0, tol)
 
 
-def gramian(system, t, cross_check=True):
-    """Covariance Gramian ``C(t)`` at horizon ``t > 0``.
+def gramian(system, t):
+    """Covariance Gramian ``C(t)`` at horizon ``t > 0``, checked.
 
-    Computed by the augmented block-exponential identity and, unless
-    ``cross_check`` is disabled, verified against adaptive Simpson quadrature
-    at relative tolerance 1e-10; disagreement beyond 1e-9 raises.
+    The propagator's factored ``C(t)`` (see `Propagator.factor`), verified
+    against adaptive Simpson quadrature at relative tolerance 1e-10;
+    disagreement beyond 1e-9 raises.
 
     Raises
     ------
@@ -239,23 +252,18 @@ def gramian(system, t, cross_check=True):
         If the covariance is singular (rank-deficient system) or the two
         computation routes disagree.
     """
-    if t <= 0:
-        raise ValueError(f"horizon must be positive, got {t}")
-    C = gramian_matrix(system, t)
-    if cross_check:
-        sig = sigma_matrix(system.structure)
+    g = system.propagator.factor(t)
+    sig = sigma_matrix(system.structure)
 
-        def integrand(s):
-            Es = expm((t - s) * system.B) @ sig
-            return Es @ Es.T
+    def integrand(s):
+        Es = expm((t - s) * system.B) @ sig
+        return Es @ Es.T
 
-        C_quad = adaptive_simpson(integrand, 0.0, float(t))
-        denom = max(np.abs(C).max(), 1e-300)
-        if np.abs(C - C_quad).max() > 1e-9 * denom:
-            raise GramianError(
-                "block-exponential and quadrature Gramians disagree beyond 1e-9"
-            )
-    return Gramian.from_matrix(C, t, system)
+    C_quad = adaptive_simpson(integrand, 0.0, float(t))
+    denom = max(np.abs(g.C).max(), 1e-300)
+    if np.abs(g.C - C_quad).max() > 1e-9 * denom:
+        raise GramianError("block-exponential and quadrature Gramians disagree beyond 1e-9")
+    return g
 
 
 def is_time_field(lam):
@@ -345,7 +353,7 @@ def gramian_weighted(system, lam, t, T):
     if not all(w > 0 and np.isfinite(w) for w in weights):
         low = np.min(weights)
         raise GramianError(f"weight must be positive and finite on [{t}, {T}], least {low}")
-    return Gramian.from_matrix(C, T - t, system)
+    return Gramian.from_matrix(C)
 
 
 def gramian_homogeneous(system, t):
@@ -354,7 +362,7 @@ def gramian_homogeneous(system, t):
     Satisfies the exact scaling law
     ``C0(tau) = D(sqrt(tau)) C0(1) D(sqrt(tau))``.
     """
-    return gramian(homogeneous_system(system), t, cross_check=False)
+    return homogeneous_system(system).propagator.factor(t)
 
 
 def quadratic_form(g, z):
@@ -370,6 +378,11 @@ def quadratic_form(g, z):
     if z.ndim == 1:
         return float(W @ W)
     return np.einsum("ij,ij->j", W, W)
+
+
+def log_density(g, delta):
+    """Log density of ``N(0, g.C)`` at the rows of ``delta`` (n, d)."""
+    return -0.5 * (g.d * np.log(2.0 * np.pi) + g.logdet) - 0.5 * quadratic_form(g, delta)
 
 
 @dataclass(frozen=True)
@@ -417,17 +430,17 @@ def equivalence_constants(system, tau_grid):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     direction_samples = np.vstack([np.eye(d), dirs])
 
-    h_system = homogeneous_system(system)
+    h_prop = homogeneous_system(system).propagator
     det_ratio = []
     k5, k6 = np.inf, -np.inf
     for tau in tau_grid:
-        g = gramian(system, tau, cross_check=False)
-        g0 = gramian(h_system, tau, cross_check=False)
+        g = system.propagator.factor(tau)
+        g0 = h_prop.factor(tau)
         det_ratio.append(float(np.exp(g.logdet - g0.logdet)))
         ratios = quadratic_form(g, direction_samples) / quadratic_form(g0, direction_samples)
         k5 = min(k5, ratios.min())
         k6 = max(k6, ratios.max())
-    eigs = np.linalg.eigvalsh(gramian(h_system, 1.0, cross_check=False).C)
+    eigs = np.linalg.eigvalsh(h_prop.factor(1.0).C)
     k_dilation = (1.0 / eigs[-1], 1.0 / eigs[0])
     return EquivalenceReport(
         tau_grid=tau_grid,
@@ -444,9 +457,9 @@ def dilation_scaling_defect(system, tau):
     against ``C0(1)`` so that all entries are O(1) and the defect is a
     meaningful relative quantity for tiny ``tau``.
     """
-    h_system = homogeneous_system(system)
-    C_tau = gramian_matrix(h_system, tau)
-    C_1 = gramian_matrix(h_system, 1.0)
+    h_prop = homogeneous_system(system).propagator
+    C_tau = h_prop.gramian(tau)
+    C_1 = h_prop.gramian(1.0)
     D_inv = dilation_matrix(system.structure, tau ** -0.5)
     lhs = D_inv @ C_tau @ D_inv
     return float(np.abs(lhs - C_1).max() / np.abs(C_1).max())
@@ -454,8 +467,8 @@ def dilation_scaling_defect(system, tau):
 
 def homogeneous_det_law_defect(system, tau):
     """Relative defect of ``det C0(tau) = tau**Q det C0(1)``, in log space."""
-    h_system = homogeneous_system(system)
+    h_prop = homogeneous_system(system).propagator
     Q = homogeneous_dimension(system.structure)
-    ld_tau = gramian(h_system, tau, cross_check=False).logdet
-    ld_1 = gramian(h_system, 1.0, cross_check=False).logdet
+    ld_tau = h_prop.factor(tau).logdet
+    ld_1 = h_prop.factor(1.0).logdet
     return float(abs(ld_tau - (Q * np.log(tau) + ld_1)))

@@ -16,9 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from .gramian import (
-    Gramian,
     gramian_weighted,
     is_time_field,
+    log_density,
     quadratic_form,
     strength_at,
 )
@@ -108,18 +108,13 @@ class GaussianKernel:
 
     def log_batch(self, t, x, T, Y):
         """Log density at targets ``Y`` (n, d) from a single source ``(t, x)``."""
-        cov = self.covariance(t, T)
         mean = self.flow(T - t) @ np.asarray(x, dtype=float)
-        delta = np.atleast_2d(Y) - mean[None, :]
-        qf = quadratic_form(cov, delta)
-        return -0.5 * (self.d * np.log(2.0 * np.pi) + cov.logdet) - 0.5 * qf
+        return log_density(self.covariance(t, T), np.atleast_2d(Y) - mean[None, :])
 
     def log_batch_sources(self, t, X, T, y):
         """Log density at a single target ``y`` from sources ``X`` (n, d)."""
-        cov = self.covariance(t, T)
         delta = np.asarray(y, dtype=float)[None, :] - np.atleast_2d(X) @ self.flow(T - t).T
-        qf = quadratic_form(cov, delta)
-        return -0.5 * (self.d * np.log(2.0 * np.pi) + cov.logdet) - 0.5 * qf
+        return log_density(self.covariance(t, T), delta)
 
 
 def eval_log_kernel(kernel, t, x, T, y):
@@ -316,9 +311,8 @@ def lower_bound_form(c_D, system, t, x, T, y):
     _check_unit_horizon(t, T)
     tau = T - t
     Q = homogeneous_dimension(system.structure)
-    _, flow, C = system.propagator.at(tau)
-    g = Gramian.from_matrix(C, tau, system)
-    offset = np.asarray(y, float) - flow @ np.asarray(x, float)
+    g = system.propagator.factor(tau)
+    offset = np.asarray(y, float) - system.propagator.flow(tau) @ np.asarray(x, float)
     return float(c_D * tau ** (-Q / 2.0) * np.exp(-quadratic_form(g, offset) / c_D))
 
 
@@ -326,9 +320,8 @@ def covariance_upper_form(c_L, system, t, x, T, y):
     """Covariance-form upper envelope with ``det C`` normalization."""
     _check_unit_horizon(t, T)
     tau = T - t
-    _, flow, C = system.propagator.at(tau)
-    g = Gramian.from_matrix(C, tau, system)
-    offset = np.asarray(y, float) - flow @ np.asarray(x, float)
+    g = system.propagator.factor(tau)
+    offset = np.asarray(y, float) - system.propagator.flow(tau) @ np.asarray(x, float)
     return float(
         c_L * np.exp(-0.5 * g.logdet) * np.exp(-quadratic_form(g, offset) / c_L)
     )

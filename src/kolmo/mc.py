@@ -44,13 +44,7 @@ from scipy.linalg import expm
 
 from . import fields
 from .exceptions import CoefficientError, GramianError
-from .gramian import (
-    Gramian,
-    Propagator,
-    gramian_matrix,
-    gramian_weighted,
-    quadratic_form,
-)
+from .gramian import Propagator, gramian_weighted, log_density
 from .kernel import GaussianKernel
 from .model import (
     dilation_scales,
@@ -150,8 +144,8 @@ def simulate_paths(spec, t, x, T, config):
 
         def run_chunk(chunk_index, rows):
             Z = _chunk_generator(config.seed, chunk_index).standard_normal((rows.shape[1], d))
-            for (mean, L), slab in zip(laws, rows):
-                np.matmul(Z, L.T, out=slab)
+            for (mean, cov), slab in zip(laws, rows):
+                np.matmul(Z, cov.chol.T, out=slab)
                 slab += mean
 
     n = config.n_paths
@@ -177,13 +171,15 @@ def _input_response(system, s):
 
 
 def _gaussian_endpoint(spec, t, x, T):
-    """Mean and covariance factor of the endpoint law where it is exactly Gaussian.
+    """Mean and covariance `Gramian` of the endpoint law where it is exactly Gaussian.
 
     It is where the diffusion does not depend on space and every lower-order
     coefficient is a constant, summing to ``b``: the endpoint is then
     ``N(e^(tau B) x + J(tau) b, C_w)`` with ``J`` from `_input_response` and
     ``C_w`` the covariance of the linear diffusion with squared coefficient
-    ``2 a`` on the leading block.  Elsewhere returns None.
+    ``2 a`` on the leading block.  Elsewhere returns None.  `simulate_paths`
+    samples this law and the exact route of `verify_bounds` reads its
+    density.
     """
     a = spec.a
     low = spec.a_low.components + spec.b_low.components
@@ -193,8 +189,7 @@ def _gaussian_endpoint(spec, t, x, T):
     tau = T - t
     if isinstance(a, fields.ConstantMatrixField):
         sig = sigma_matrix(system.structure)
-        C = Propagator(system.B, sig @ (2.0 * a.matrix) @ sig.T).gramian(tau)
-        cov = Gramian.from_matrix(C, tau, system)
+        cov = Propagator(system.B, sig @ (2.0 * a.matrix) @ sig.T).factor(tau)
     else:
         try:
             cov = gramian_weighted(system, _doubled(a.scalar), t, T)
@@ -204,7 +199,7 @@ def _gaussian_endpoint(spec, t, x, T):
     b = np.add([c.value for c in spec.a_low.components], [c.value for c in spec.b_low.components])
     if np.any(b):
         mean = mean + _input_response(system, tau) @ b
-    return mean, cov.chol
+    return mean, cov
 
 
 def _step_grid(t, horizons, n_steps):
@@ -271,7 +266,7 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
         dt: (
             expm(dt * system.B),
             _input_response(system, dt),
-            np.linalg.cholesky(propagator.gramian(dt)),
+            propagator.factor(dt).chol,
         )
         for dt in set(step_lengths)
     }
@@ -378,10 +373,9 @@ def mass_concentration_dual(kernel, t, T, y, R):
     scales = dilation_scales(system.structure, tau**0.5)
     # dx = e^(-tau tr B) det D(sqrt(tau)) dz
     jac = math.exp(-tau * float(np.trace(system.B))) * float(np.prod(scales))
-    norm = (2.0 * math.pi) ** (-d / 2.0) * math.exp(-0.5 * cov.logdet)
 
     def density_of_z(Z):
-        return norm * np.exp(-0.5 * quadratic_form(cov, Z * scales))
+        return np.exp(log_density(cov, Z * scales))
 
     if d == 1:
         nodes, wts = np.polynomial.legendre.leggauss(n_radial)
@@ -408,6 +402,11 @@ class BoundReport:
     ``C_plus`` the largest against the fast one, so the two-sided sandwich
     holds on the grid by construction whenever both are positive and finite.
     Monte Carlo estimates widen the ratios by three standard errors.
+    ``exact`` is true where the density is the exact Gaussian law of
+    `_gaussian_endpoint` (diffusion that does not depend on space, no
+    lower-order terms).  ``diagonal_c`` holds ``G(t, x; t+h, e^(hB) x)
+    h**(Q/2)`` at ``diagonal_horizons``, the density at the flow image, and
+    ``diagonal_c_fit`` its least value.
     """
 
     y_grid: np.ndarray
@@ -428,21 +427,6 @@ class BoundReport:
     diagonal_c: tuple
     diagonal_c_fit: float
     seed: int
-
-
-def _exact_comparison_kernel(spec):
-    """The exact Gaussian kernel when the diffusion is time-only, no lower order."""
-    a = spec.a
-    if not (_is_zero_scalar(spec.c) and spec.a_low.is_zero() and spec.b_low.is_zero()):
-        return None
-    if isinstance(a, fields.ConstantMatrixField):
-        m = a.matrix
-        if np.allclose(m, m[0, 0] * np.eye(m.shape[0]), rtol=0, atol=1e-14):
-            return GaussianKernel(spec.system, 2.0 * float(m[0, 0]))
-        return None
-    if isinstance(a, fields.IsotropicMatrixField) and not a.space_dependent:
-        return GaussianKernel(spec.system, lam=_doubled(a.scalar))
-    return None
 
 
 def _doubled(f):
@@ -467,13 +451,15 @@ def verify_bounds(
 ):
     """Fit two-sided comparison constants on a target grid.
 
-    When the operator's diffusion is a time-only multiple of the identity
-    with no lower-order terms, the exact time-weighted Gaussian kernel is
-    used; otherwise the density is estimated by simulation (``sim_config``
-    required) and the fitted constants are widened by three standard errors.
-    Also fits the on-diagonal constant ``c`` in
-    ``G(t, x; t+h, x) >= c * h**(-Q/2)`` at ``h`` a quarter, a half and all
-    of ``T - t``, and, on the exact route, checks the positive-semidefinite
+    When the operator's diffusion does not depend on space (a constant
+    matrix, or a time-only multiple of the identity) and it has no
+    lower-order terms, the density is the exact Gaussian endpoint law that
+    `simulate_paths` samples (`_gaussian_endpoint`); otherwise it is
+    estimated by simulation (``sim_config`` required) and the fitted
+    constants are widened by three standard errors.  Also fits the
+    on-diagonal constant ``c`` in ``G(t, x; t+h, e^(hB) x) >= c * h**(-Q/2)``,
+    the density at the flow image of ``x``, at ``h`` a quarter, a half and
+    all of ``T - t``, and, on the exact route, checks the positive-semidefinite
     covariance sandwich ``lambda- C <= C_w <= lambda+ C``.  The Monte Carlo
     route simulates once: the paths behind the grid's estimates are
     snapshotted at the two shorter horizons (see `simulate_paths`).
@@ -506,31 +492,37 @@ def verify_bounds(
     g_minus = np.exp(log_g_minus)
     g_plus = np.exp(log_g_plus)
 
-    exact_kernel = _exact_comparison_kernel(spec)
+    law = None
+    if _is_zero_scalar(spec.c) and spec.a_low.is_zero() and spec.b_low.is_zero():
+        law = _gaussian_endpoint(spec, t, x, T)
+    # The on-diagonal fit reads G(t, x; s, .) at the flow image e^((s-t)B) x,
+    # for end times s a quarter, a half and all of the way to T.
+    diag_ends = [t + f * tau for f in _DIAGONAL_FRACTIONS[:-1]] + [T]
+    diag_points = [system.propagator.flow(s - t) @ x for s in diag_ends]
     psd_margins = ()
     zero_hits = ()
     seed = -1
-    if exact_kernel is not None:
-        gamma = np.exp(exact_kernel.log_batch(t, x, T, y_grid))
+    if law is not None:
+        mean, cov = law
+        gamma = np.exp(log_density(cov, y_grid - mean[None, :]))
         stderr = np.zeros_like(gamma)
         gamma_lo_conf, gamma_hi_conf = gamma, gamma
-        C_w = exact_kernel.covariance(t, T).C
-        C_base = gramian_matrix(system, tau)
+        C_base = system.propagator.gramian(tau)
         psd_margins = (
-            float(np.linalg.eigvalsh(C_w - lambda_minus * C_base).min()),
-            float(np.linalg.eigvalsh(lambda_plus * C_base - C_w).min()),
+            float(np.linalg.eigvalsh(cov.C - lambda_minus * C_base).min()),
+            float(np.linalg.eigvalsh(lambda_plus * C_base - cov.C).min()),
         )
+        laws = [_gaussian_endpoint(spec, t, x, s) for s in diag_ends[:-1]] + [law]
         diag_gamma = [
-            float(np.exp(exact_kernel.log_batch(t, x, t + f * tau, x[None, :])[0]))
-            for f in _DIAGONAL_FRACTIONS
+            float(np.exp(log_density(cov_h, (y - mean_h)[None, :])[0]))
+            for (mean_h, cov_h), y in zip(laws, diag_points)
         ]
     else:
         if sim_config is None:
             raise ValueError("sim_config is required when no exact kernel is available")
         seed = sim_config.seed
-        # One run, snapshotted at each diagonal horizon; the last is T itself.
-        horizons = [t + f * tau for f in _DIAGONAL_FRACTIONS[:-1]] + [T]
-        runs = simulate_paths(spec, t, x, horizons, sim_config)
+        # One run, snapshotted at each diagonal end time; the last is T itself.
+        runs = simulate_paths(spec, t, x, diag_ends, sim_config)
         endpoints = runs[-1]
         ests = [
             estimate_density(endpoints, y, bandwidth, system.structure, tau)
@@ -542,8 +534,8 @@ def verify_bounds(
         gamma_lo_conf = np.maximum(gamma - 3.0 * stderr, 0.0)
         gamma_hi_conf = gamma + 3.0 * stderr
         diag_gamma = [
-            estimate_density(ep, x, bandwidth, system.structure, f * tau).value
-            for ep, f in zip(runs, _DIAGONAL_FRACTIONS)
+            estimate_density(ep, y, bandwidth, system.structure, f * tau).value
+            for ep, y, f in zip(runs, diag_points, _DIAGONAL_FRACTIONS)
         ]
 
     live = [i for i in range(len(y_grid)) if i not in zero_hits]
@@ -574,7 +566,7 @@ def verify_bounds(
         C_plus=C_plus,
         lambda_minus=float(lambda_minus),
         lambda_plus=float(lambda_plus),
-        exact=exact_kernel is not None,
+        exact=law is not None,
         zero_hit_indices=zero_hits,
         psd_margins=psd_margins,
         diagonal_horizons=tuple(f * tau for f in _DIAGONAL_FRACTIONS),

@@ -26,7 +26,6 @@ from kolmo.gramian import (
     adaptive_simpson,
     dilation_scaling_defect,
     gramian,
-    gramian_matrix,
     homogeneous_det_law_defect,
     quadratic_form,
 )
@@ -112,10 +111,8 @@ def test_criterion_3_determinant_equivalence():
         gaps = []
         for k in range(10, 0, -1):
             tau = 2.0**-k
-            g = gramian(STARFUL, tau, cross_check=False)
-            g0 = gramian(
-                validate_structure([[0.0, 0.0], [1.0, 0.0]], [1, 1]), tau, cross_check=False
-            )
+            g = STARFUL.propagator.factor(tau)
+            g0 = validate_structure([[0.0, 0.0], [1.0, 0.0]], [1, 1]).propagator.factor(tau)
             ratio = math.exp(g.logdet - g0.logdet)
             assert abs(ratio - 1.0) <= 5.0 * tau
             gaps.append(abs(ratio - 1.0))
@@ -145,7 +142,7 @@ def test_criterion_5_optimal_control():
             ctrl = optimal_control(p)
             hit = np.linalg.norm(trajectory(ctrl, p.T) - p.y)
             assert hit <= 1e-8 * (1 + np.linalg.norm(p.y))
-            g = gramian(p.system, p.horizon, cross_check=False)
+            g = p.system.propagator.factor(p.horizon)
             offset = p.y - expm(p.horizon * p.system.B) @ p.x
             assert abs(ctrl.cost - quadratic_form(g, offset)) <= 1e-10 * max(ctrl.cost, 1.0)
             brute = discrete_least_norm_control(p, 1000)
@@ -233,7 +230,7 @@ def test_criterion_9_mc_consistency():
         config_lv = SimConfig(n_paths=1_000_000, n_steps=2, seed=90211)
         XL = simulate_paths(spec_lv, 0.0, [0.0, 0.0], 1.0, config_lv)
         C_hat = np.cov(XL.T)
-        C = gramian_matrix(LANGEVIN, 1.0)
+        C = LANGEVIN.propagator.gramian(1.0)
         n = len(XL)
         for i in range(2):
             for j in range(2):

@@ -15,7 +15,6 @@ from kolmo.chain import (
 )
 from kolmo.control import ControlProblem, kappa_estimate, optimal_control
 from kolmo.exceptions import ChainError
-from kolmo.gramian import gramian_matrix
 from kolmo.model import dilation_matrix
 
 # LANGEVIN steering problems whose chains once overshot the cost budget: a
@@ -225,7 +224,7 @@ def bisection_stop(ctrl, t_j, right, eps):
     p = ctrl.problem
 
     def left(s):
-        return 0.0 if s >= p.T else float(ctrl.w @ gramian_matrix(p.system, p.T - s) @ ctrl.w)
+        return 0.0 if s >= p.T else float(ctrl.w @ p.system.propagator.gramian(p.T - s) @ ctrl.w)
 
     left_j = left(t_j)
     lo, hi = t_j, right

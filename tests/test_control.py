@@ -16,7 +16,7 @@ from kolmo.control import (
     trajectory,
 )
 from kolmo.exceptions import GramianError
-from kolmo.gramian import adaptive_simpson, gramian, quadratic_form
+from kolmo.gramian import adaptive_simpson, quadratic_form
 from kolmo.model import (
     SpaceTimePoint,
     dilation_exponents,
@@ -66,7 +66,7 @@ class TestOptimalControl:
         for system in (langevin, kinetic21):
             for _ in range(10):
                 p = random_langevin_problem(rng, system)
-                g = gramian(p.system, p.horizon, cross_check=False)
+                g = p.system.propagator.factor(p.horizon)
                 offset = p.y - expm(p.horizon * p.system.B) @ p.x
                 assert np.isclose(
                     optimal_cost(p), quadratic_form(g, offset), rtol=1e-10

@@ -5,21 +5,29 @@ import pytest
 from scipy.linalg import expm
 
 from kolmo import fields
+from kolmo.control import ControlProblem, optimal_control
 from kolmo.exceptions import CoefficientError, GramianError
 from kolmo.gramian import (
+    Gramian,
     Propagator,
     adaptive_simpson,
     dilation_scaling_defect,
     equivalence_constants,
     gramian,
     gramian_homogeneous,
-    gramian_matrix,
     gramian_weighted,
     homogeneous_det_law_defect,
     matrix_exponential,
     quadratic_form,
 )
-from kolmo.model import dilation_matrix, sigma_matrix, validate_structure
+from kolmo.kernel import covariance_upper_form, lower_bound_form
+from kolmo.model import (
+    BlockStructure,
+    SystemMatrix,
+    dilation_matrix,
+    sigma_matrix,
+    validate_structure,
+)
 
 # Hand values for the velocity/position system: C(t) = [[t, t^2/2], [t^2/2, t^3/3]].
 LANGEVIN_C1 = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
@@ -86,7 +94,7 @@ class TestGramian:
             return Es @ Es.T
 
         C_quad = adaptive_simpson(integrand, 0.0, 0.8)
-        C_exp = gramian_matrix(kinetic21, 0.8)
+        C_exp = kinetic21.propagator.gramian(0.8)
         assert np.abs(C_quad - C_exp).max() <= 1e-9 * np.abs(C_exp).max()
 
     def test_cross_check_runs_by_default(self, starful):
@@ -118,7 +126,7 @@ class TestPropagator:
         sig = sigma_matrix(kinetic21.structure)
         doubled = Propagator(kinetic21.B, 2.0 * sig @ sig.T)
         np.testing.assert_allclose(
-            doubled.gramian(0.4), 2.0 * gramian_matrix(kinetic21, 0.4), rtol=1e-14
+            doubled.gramian(0.4), 2.0 * kinetic21.propagator.gramian(0.4), rtol=1e-14
         )
 
     @pytest.mark.parametrize("name", ["langevin", "kinetic21", "deep221", "starful"])
@@ -135,7 +143,7 @@ class TestPropagator:
         fresh = Propagator(system.B, sig @ sig.T)
         stacked = fresh.gramians(grid)
         for s, C in zip(grid, stacked):
-            ref = gramian_matrix(system, s)
+            ref = system.propagator.gramian(s)
             assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_grid_costs_one_exponential_per_distinct_step(self, langevin, expm_calls):
@@ -155,6 +163,47 @@ class TestPropagator:
         assert expm_calls[0] == 200
         prop.at(horizons[0])
         assert expm_calls[0] == 201
+
+
+class TestFactor:
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
+    @pytest.mark.parametrize("s", [0.05, 0.7, 1.0])
+    def test_factor_is_the_cholesky_of_the_gramian(self, name, s, request):
+        system = request.getfixturevalue(name)
+        g = system.propagator.factor(s)
+        np.testing.assert_array_equal(g.chol, np.linalg.cholesky(system.propagator.gramian(s)))
+        np.testing.assert_array_equal(g.C, system.propagator.gramian(s))
+        assert g.logdet == gramian(system, s).logdet
+
+    def test_repeated_horizon_is_cached_and_read_only(self, langevin):
+        g = langevin.propagator.factor(0.7)
+        assert langevin.propagator.factor(0.7) is g
+        assert not g.C.flags.writeable and not g.chol.flags.writeable
+
+    def test_rank_deficient_system_raises(self):
+        broken = SystemMatrix(np.zeros((2, 2)), BlockStructure((1, 1)))
+        with pytest.raises(GramianError):
+            broken.propagator.factor(1.0)
+
+    def test_nonpositive_horizon(self, langevin):
+        with pytest.raises(ValueError):
+            langevin.propagator.factor(0.0)
+
+    def test_grid_of_targets_factors_once(self, langevin, monkeypatch):
+        calls = []
+        original = Gramian.from_matrix.__func__
+
+        def counting(cls, C):
+            calls.append(1)
+            return original(cls, C)
+
+        monkeypatch.setattr(Gramian, "from_matrix", classmethod(counting))
+        x = np.array([0.2, -0.1])
+        for y in np.random.default_rng(3).normal(size=(20, 2)):
+            lower_bound_form(1.0, langevin, 0.0, x, 0.6, y)
+            covariance_upper_form(1.0, langevin, 0.0, x, 0.6, y)
+            optimal_control(ControlProblem(langevin, 0.0, 0.6, x, y))
+        assert len(calls) == 1
 
 
 class TestCheckedGramianCost:

@@ -6,9 +6,9 @@ from scipy.special import ndtr
 
 from kolmo import fields
 from kolmo.exceptions import CoefficientError
-from kolmo.gramian import gramian_matrix, gramian_weighted
+from kolmo.gramian import Propagator, gramian_weighted
 from kolmo.kernel import GaussianKernel
-from kolmo.model import dilation_scales
+from kolmo.model import dilation_scales, sigma_matrix
 from kolmo.mc import (
     SimConfig,
     _step_grid,
@@ -46,6 +46,21 @@ def space_spec(system, amplitude=0.1):
     return make_spec(system, a=a, mu=2.5)
 
 
+def box_mass(C, h):
+    """Mass of ``N(0, C)``, C 2x2, on the box ``|z|_inf <= h/2``.
+
+    Integrates the conditional normal CDF of ``z1`` given ``z0`` over ``z0``
+    by 32-point Gauss-Legendre.
+    """
+    slope = C[1, 0] / C[0, 0]
+    cond_sd = np.sqrt(C[1, 1] - C[1, 0] * slope)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    x0 = 0.5 * h * nodes
+    inner = ndtr((0.5 * h - slope * x0) / cond_sd) - ndtr((-0.5 * h - slope * x0) / cond_sd)
+    outer = np.exp(-0.5 * x0**2 / C[0, 0]) / np.sqrt(2 * np.pi * C[0, 0])
+    return 0.5 * h * np.sum(weights * outer * inner)
+
+
 class TestSimulatePaths:
     def test_brownian_moments(self, heat1d):
         spec = make_spec(heat1d, lam=1.0)
@@ -60,7 +75,7 @@ class TestSimulatePaths:
         config = SimConfig(n_paths=200_000, n_steps=3, seed=202)
         X = simulate_paths(spec, 0.0, [0.0, 0.0], 1.0, config)
         C_hat = np.cov(X.T)
-        C = gramian_matrix(langevin, 1.0)
+        C = langevin.propagator.gramian(1.0)
         np.testing.assert_array_less(np.abs(C_hat - C), 3 * cov_stderr(C, len(X)) + 1e-12)
         mean_se = np.sqrt(np.diag(C) / len(X))
         assert np.all(np.abs(X.mean(axis=0)) <= 3 * mean_se)
@@ -71,7 +86,7 @@ class TestSimulatePaths:
         spec = make_spec(langevin, lam=1.5)
         X1 = simulate_paths(spec, 0.0, [0.1, 0.2], 1.0, SimConfig(50_000, 1, seed=7))
         X2 = simulate_paths(spec, 0.0, [0.1, 0.2], 1.0, SimConfig(50_000, 64, seed=8))
-        C = 1.5 * gramian_matrix(langevin, 1.0)
+        C = 1.5 * langevin.propagator.gramian(1.0)
         se = cov_stderr(C, 50_000)
         np.testing.assert_array_less(np.abs(np.cov(X1.T) - np.cov(X2.T)), 6 * se)
         mean_se = np.sqrt(np.diag(C) / 50_000)
@@ -160,7 +175,7 @@ class TestSimulatePaths:
         X = simulate_paths(spec, 0.2, x, 0.2 + tau, SimConfig(200_000, 16, seed=33))
         # e^(tau B) x + int_0^tau e^(uB) sigma du b for B = [[0, 0], [1, 0]].
         mean = np.array([x[0] + tau * b, x[1] + tau * x[0] + tau**2 / 2 * b])
-        se = np.sqrt(np.diag(gramian_matrix(langevin, tau)) / len(X))
+        se = np.sqrt(np.diag(langevin.propagator.gramian(tau)) / len(X))
         assert np.all(np.abs(X.mean(axis=0) - mean) <= 4 * se)
 
     def test_one_shot_strength_negative_between_steps(self, heat1d):
@@ -194,7 +209,7 @@ class TestSimulatePaths:
         spec = space_spec(system, amplitude=0.0)
         n = 100_000
         X = simulate_paths(spec, 0.2, np.zeros(system.d), 1.0, SimConfig(n, n_steps, seed=36))
-        C = 2.0 * 0.5 * gramian_matrix(system, 0.8)
+        C = 2.0 * 0.5 * system.propagator.gramian(0.8)
         np.testing.assert_array_less(np.abs(np.cov(X.T) - C), 6 * cov_stderr(C, n))
 
     def test_space_sinusoid_runs_with_analytic_divergence(self, heat1d):
@@ -292,7 +307,7 @@ class TestSnapshots:
         n = 100_000
         runs = simulate_paths(spec, 0.0, np.zeros(2), horizons, SimConfig(n, n_steps, seed=44))
         for h, run in zip(horizons, runs):
-            C = gramian_matrix(langevin, h)
+            C = langevin.propagator.gramian(h)
             np.testing.assert_array_less(np.abs(np.cov(run.T) - C), 6 * cov_stderr(C, n))
 
     def test_uniform_grid_when_horizons_lie_on_it(self):
@@ -355,14 +370,7 @@ class TestEstimateDensity:
         # The box's exact Gaussian mass over its volume: the box averages the
         # point density sqrt(12)/(2 pi) down by 4%.  The mass integrates the
         # conditional normal CDF of x1 given x0 over x0 by Gauss-Legendre.
-        C = gramian_matrix(langevin, 1.0)
-        slope = C[1, 0] / C[0, 0]
-        cond_sd = np.sqrt(C[1, 1] - C[1, 0] * slope)
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-        x0 = 0.5 * h * nodes
-        inner = ndtr((0.5 * h - slope * x0) / cond_sd) - ndtr((-0.5 * h - slope * x0) / cond_sd)
-        outer = np.exp(-0.5 * x0**2 / C[0, 0]) / np.sqrt(2 * np.pi * C[0, 0])
-        exact = 0.5 * h * np.sum(weights * outer * inner) / h**2
+        exact = box_mass(langevin.propagator.gramian(1.0), h) / h**2
         assert abs(est.value - exact) <= 3 * est.stderr
 
     def test_input_validation(self, heat1d):
@@ -492,6 +500,64 @@ class TestVerifyBounds:
             report = verify_bounds(spec, 0.0, x, 1.0, x[None, :], 0.25, 4.0)
             cs = report.diagonal_c
             assert max(cs) / min(cs) <= 2.0
+
+    # LANGEVIN from a start off the origin: B x != 0, so the diagonal of
+    # G(t, x; t+h, .) sits at e^(hB) x, not at x.  There the dilated density is
+    # that of N(0, C(1)) at 0, sqrt(12) / (2 pi), at every horizon.
+    DIAGONAL_START = np.array([0.8, -0.3])
+
+    def test_diagonal_at_flow_image_exact(self, langevin):
+        spec = make_spec(langevin, lam=1.0)
+        x = self.DIAGONAL_START
+        report = verify_bounds(spec, 0.0, x, 0.7, x[None, :], 0.5, 2.0)
+        assert report.exact
+        np.testing.assert_allclose(report.diagonal_c, np.sqrt(12.0) / (2 * np.pi), rtol=1e-12)
+        assert report.diagonal_c_fit == min(report.diagonal_c)
+
+    def test_diagonal_at_flow_image_monte_carlo(self, langevin):
+        # A zero-amplitude space sinusoid is constant strength 1 on the
+        # stepped route, whose exact steps keep the law N(e^(hB) x, C(h)).
+        a = fields.IsotropicMatrixField(
+            fields.SpaceSinusoidField(base=0.5, amplitude=0.0, wave=(0.5, 0.25)), 1
+        )
+        spec = make_spec(langevin, a=a, mu=2.0)
+        x = self.DIAGONAL_START
+        n, bandwidth = 200_000, 0.2
+        report = verify_bounds(
+            spec, 0.0, x, 0.7, x[None, :], 0.5, 2.0,
+            sim_config=SimConfig(n, 8, seed=29), bandwidth=bandwidth,
+        )
+        assert not report.exact
+        for h, c in zip(report.diagonal_horizons, report.diagonal_c):
+            # The dilated box around the flow image holds the mass of
+            # N(0, D^-1 C(h) D^-1); c is that mass over the box's dilated volume.
+            scale = dilation_scales(langevin.structure, h**-0.5)
+            p = box_mass(scale[:, None] * langevin.propagator.gramian(h) * scale, bandwidth)
+            stderr = np.sqrt(p * (1 - p) / n) / bandwidth**2
+            assert abs(c - p / bandwidth**2) <= 6 * stderr
+
+    def test_exact_route_non_isotropic_constant_matrix(self, kinetic21):
+        # The endpoint law of a constant, non-isotropic diffusion matrix is
+        # Gaussian with covariance C of the drift and sigma 2A sigma^T.
+        A = np.array([[0.6, 0.2], [0.2, 0.4]])
+        spec = make_spec(kinetic21, a=fields.ConstantMatrixField(A), mu=4.0)
+        t, T = 0.1, 0.9
+        x = np.array([0.3, -0.2, 0.5])
+        rng = np.random.default_rng(31)
+        mean = kinetic21.propagator.flow(T - t) @ x
+        ys = mean + rng.normal(size=(12, 3)) * dilation_scales(kinetic21.structure, 0.6)
+        report = verify_bounds(spec, t, x, T, ys, 0.5, 2.0)
+        assert report.exact
+        sig = sigma_matrix(kinetic21.structure)
+        C = Propagator(kinetic21.B, sig @ (2.0 * A) @ sig.T).gramian(T - t)
+        delta = ys - mean
+        log_ref = -0.5 * (
+            3 * np.log(2 * np.pi)
+            + np.linalg.slogdet(C)[1]
+            + np.einsum("ij,ij->i", delta, np.linalg.solve(C, delta.T).T)
+        )
+        np.testing.assert_allclose(np.log(report.gamma), log_ref, rtol=1e-12, atol=1e-12)
+        assert all(m >= -1e-12 for m in report.psd_margins)
 
     def test_mc_route_flags_zero_hits(self, heat1d):
         spec = make_spec(heat1d, lam=1.0, mu=2.0)

@@ -3,7 +3,7 @@ import pytest
 
 from kolmo import fields
 from kolmo.exceptions import CoefficientError, GramianError, StructureError
-from kolmo.gramian import gramian, gramian_matrix
+from kolmo.gramian import gramian
 from kolmo.model import (
     BlockStructure,
     SpaceTimePoint,
@@ -79,10 +79,10 @@ class TestKalmanRank:
     def test_rank_iff_positive_definite(self, langevin, kinetic21, deep221):
         for system in (langevin, kinetic21, deep221):
             assert kalman_rank(system) == system.d
-            assert np.linalg.eigvalsh(gramian_matrix(system, 1.0)).min() > 1e-10
+            assert np.linalg.eigvalsh(system.propagator.gramian(1.0)).min() > 1e-10
         broken = SystemMatrix(np.zeros((2, 2)), BlockStructure((1, 1)))
         assert kalman_rank(broken) < broken.d
-        assert np.linalg.eigvalsh(gramian_matrix(broken, 1.0)).min() <= 1e-10
+        assert np.linalg.eigvalsh(broken.propagator.gramian(1.0)).min() <= 1e-10
         with pytest.raises(GramianError):
             gramian(broken, 1.0)
 

@@ -17,7 +17,6 @@ from kolmo.control import ControlProblem, optimal_control, trajectory
 from kolmo.exceptions import GramianError
 from kolmo.gramian import (
     dilation_scaling_defect,
-    gramian,
     homogeneous_det_law_defect,
     quadratic_form,
 )
@@ -109,7 +108,7 @@ def test_homogeneous_gramian_laws(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_row_quadratic_form_matches_vector_calls(seed):
     system, rng = random_system(seed)
-    g = gramian(system, rng.uniform(0.1, 1.0), cross_check=False)
+    g = system.propagator.factor(rng.uniform(0.1, 1.0))
     Z = rng.normal(size=(7, system.d))
     rows = quadratic_form(g, Z)
     assert rows.shape == (7,)
@@ -128,7 +127,7 @@ def test_steering_and_cost_identities(seed):
         p = ControlProblem(system, t, t + tau, x, y)
         ctrl = optimal_control(p)
         assert np.linalg.norm(trajectory(ctrl, p.T) - p.y) <= 1e-8 * (1 + np.linalg.norm(p.y))
-        g = gramian(system, tau, cross_check=False)
+        g = system.propagator.factor(tau)
         offset = p.y - expm(tau * system.B) @ p.x
         assert abs(ctrl.cost - quadratic_form(g, offset)) <= 1e-10 * max(ctrl.cost, 1.0)
 

@@ -85,6 +85,25 @@ def test_solve_triangular_imported_only_in_gramian():
     assert importers == {"gramian.py"}
 
 
+def _attribute_callers(attr, owner):
+    """Modules that call ``<owner>.<attr>(...)``, ``owner`` the name of the last link."""
+    return {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+        and ast.unparse(node.func.value).split(".")[-1] == owner
+    }
+
+
+def test_gramians_factored_only_in_gramian():
+    # Every factored C(s) comes from Propagator.factor or gramian_weighted.
+    assert _attribute_callers("from_matrix", "Gramian") == {"gramian.py"}
+    assert _attribute_callers("cholesky", "linalg") == {"gramian.py"}
+
+
 def test_no_function_local_imports():
     local = [
         (name, node.lineno)
