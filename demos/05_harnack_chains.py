@@ -28,7 +28,7 @@ chain = build_chain(ControlProblem(heat, 0.0, 1.0, [0.0], [1.0]), config)
 print("steps:", chain.J, " exponent:", chain.exponent)
 print("first stops:", np.round(chain.times[:5], 6), "...")
 print("clauses:", [s.clause for s in chain.steps[:3]], "...", chain.steps[-1].clause)
-print("geometry verifies:", verify_chain(chain, config, heat))
+print("geometry verifies:", verify_chain(chain))
 
 # Zero-energy chains only consume the time budget.
 free = build_chain(ControlProblem(heat, 0.0, 1.0, [0.0], [0.0]), config)
@@ -42,7 +42,7 @@ cfg2 = HarnackConfig(
 problem = ControlProblem(langevin, 0.0, 1.0, [0.0, 0.0], [0.8, 0.4])
 chain2 = build_chain(problem, cfg2)
 print("\ndegenerate-system chain: J =", chain2.J, " V =", round(chain2.V, 4),
-      " verified =", verify_chain(chain2, cfg2, langevin))
+      " verified =", verify_chain(chain2))
 
 factor = global_harnack_factor(problem, cfg2)
 print("constructive factor: exp(%.2f)" % factor.log_constructive,

@@ -7,13 +7,12 @@ equivalences, minimum-energy steering controls, Harnack-chain constructions,
 and Monte Carlo verification of two-sided Gaussian comparison bounds.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .chain import (
     HarnackChain,
     HarnackConfig,
     build_chain,
-    chain_bound_exponent,
     global_harnack_factor,
     verify_chain,
 )
@@ -26,7 +25,6 @@ from .control import (
     discrete_least_norm_control,
     kappa_estimate,
     optimal_control,
-    optimal_cost,
     trajectory,
 )
 from .exceptions import (
@@ -44,7 +42,6 @@ from .gramian import (
     gramian,
     gramian_homogeneous,
     gramian_weighted,
-    matrix_exponential,
     quadratic_form,
 )
 from .kernel import (

@@ -27,7 +27,6 @@ __all__ = [
     "HarnackFactor",
     "build_chain",
     "verify_chain",
-    "chain_bound_exponent",
     "global_harnack_factor",
 ]
 
@@ -264,16 +263,18 @@ def _check_chain_invariants(chain):
         )
 
 
-def verify_chain(chain, config, system):
+def verify_chain(chain):
     """Check the chaining geometry: every step lands in its predecessor's cone.
 
     Tests ``(t_{j+1}, gamma(t_{j+1}))`` against the cone with opening
-    ``beta``, radius ``r``, and scale cap ``sqrt(tau)`` based at
-    ``(t_j, gamma(t_j))``, plus the time-budget condition.  By construction
-    each step's energy is at most ``epsilon = (r/kappa)**2``, so the dilated
-    offset is below ``r`` with a 1/1.1 margin from the certified ``kappa``.
+    ``beta``, radius ``r``, and scale cap ``sqrt(tau)`` of ``chain.config``,
+    based at ``(t_j, gamma(t_j))`` over the chain's own system, plus the
+    time-budget condition.  By construction each step's energy is at most
+    ``epsilon = (r/kappa)**2``, so the dilated offset is below ``r`` with a
+    1/1.1 margin from the certified ``kappa``.
     """
-    cfg = config
+    cfg = chain.config
+    system = chain.problem.system
     R = np.sqrt(cfg.tau)
     base = SpaceTimePoint(chain.times[0], chain.points[0])
     for j in range(chain.J):
@@ -284,16 +285,6 @@ def verify_chain(chain, config, system):
             return False
         base = nxt
     return True
-
-
-def chain_bound_exponent(chain):
-    """The multiplicative bound exponent ``1/beta + V/epsilon``.
-
-    Also re-asserts the step-count bound ``J <= ceil(exponent) + 1``.
-    """
-    if chain.J > math.ceil(chain.exponent) + 1:
-        raise ChainError(f"J={chain.J} violates the exponent bound {chain.exponent}")
-    return chain.exponent
 
 
 class HarnackFactor(NamedTuple):

@@ -4,10 +4,10 @@ Subcommands: ``validate``, ``gramian``, ``kernel``, ``control``, ``chain``,
 ``simulate``, ``verify-bounds``, ``equivalence``.  Every run writes its
 results as CSV and/or JSON next to a run manifest; reruns with an identical
 manifest produce byte-identical outputs (floats are serialized with
-shortest-roundtrip ``repr``).
+shortest-roundtrip ``repr``; a NaN or an infinity is a computational failure).
 
 Exit codes: 0 success, 1 computational failure, 2 parse error,
-3 model validation failure, 64 usage error.
+3 model validation failure, 64 usage error (a malformed option value too).
 """
 
 from __future__ import annotations
@@ -138,9 +138,25 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
+    _check_finite(payload)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
+
+
+def _check_finite(obj, key=None):
+    """Raise `KolmoError` naming the key of the first NaN or infinity in ``obj``.
+
+    Strict JSON has no such values, so the check runs before a file is opened.
+    """
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _check_finite(v, k if key is None else f"{key}.{k}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        for v in obj:
+            _check_finite(v, key)
+    elif isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        raise KolmoError(f"non-finite value {obj} for key {key!r} in JSON output")
 
 
 def _json_default(obj):
@@ -167,10 +183,19 @@ def _manifest(args, outputs):
     }
 
 
-def _parse_point(text, d):
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != d + 1:
-        raise _UsageError(f"point must be 't,x1,...,x{d}', got {text!r}")
+def _parse_floats(text, option, count=None):
+    """The comma-separated numbers of ``option``; exactly ``count`` if given."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise _UsageError(f"{option} takes comma-separated numbers, got {text!r}") from None
+    if count is not None and len(vals) != count:
+        raise _UsageError(f"{option} takes {count} numbers, got {text!r}")
+    return vals
+
+
+def _parse_point(text, d, option):
+    vals = _parse_floats(text, option, d + 1)
     return vals[0], np.array(vals[1:])
 
 
@@ -178,8 +203,16 @@ def _parse_grid(text):
     out = {"radius": 3.0, "n": 25}
     if text:
         for part in text.split(","):
-            k, v = part.split("=")
-            out[k.strip()] = float(v) if k.strip() == "radius" else int(float(v))
+            k, sep, v = part.partition("=")
+            k = k.strip()
+            if not sep or k not in out:
+                raise _UsageError(f"--grid takes radius=<number>,n=<integer>, got {text!r}")
+            (val,) = _parse_floats(v, f"--grid {k}")
+            if k == "n":
+                if not (val.is_integer() and val >= 1):
+                    raise _UsageError(f"--grid n must be an integer >= 1, got {v.strip()!r}")
+                val = int(val)
+            out[k] = val
     return out
 
 
@@ -207,7 +240,7 @@ def _cmd_validate(args, spec, mu_sampled):
 
 def _cmd_gramian(args, spec, mu_sampled):
     rows = []
-    for tau in (float(v) for v in args.tau_grid.split(",")):
+    for tau in _parse_floats(args.tau_grid, "--tau-grid"):
         g = gramian(spec.system, tau)
         g0 = gramian_homogeneous(spec.system, tau)
         det_ratio = float(np.exp(g.logdet - g0.logdet))
@@ -223,8 +256,8 @@ def _cmd_gramian(args, spec, mu_sampled):
 def _cmd_kernel(args, spec, mu_sampled):
     system = spec.system
     d = system.d
-    t, x = _parse_point(args.frm, d)
-    T, y = _parse_point(args.to, d)
+    t, x = _parse_point(args.frm, d, "--from")
+    T, y = _parse_point(args.to, d, "--to")
     kernel = GaussianKernel(system, args.lam)
     if args.grid is not None:
         g = _parse_grid(args.grid)
@@ -249,8 +282,8 @@ def _cmd_kernel(args, spec, mu_sampled):
 
 def _cmd_control(args, spec, mu_sampled):
     d = spec.system.d
-    t, x = _parse_point(args.frm, d)
-    T, y = _parse_point(args.to, d)
+    t, x = _parse_point(args.frm, d, "--from")
+    T, y = _parse_point(args.to, d, "--to")
     problem = ControlProblem(spec.system, t, T, x, y)
     ctrl = optimal_control(problem)
     rows = []
@@ -268,15 +301,15 @@ def _cmd_control(args, spec, mu_sampled):
 
 def _cmd_chain(args, spec, mu_sampled):
     d = spec.system.d
-    t, x = _parse_point(args.frm, d)
-    T, y = _parse_point(args.to, d)
+    t, x = _parse_point(args.frm, d, "--from")
+    T, y = _parse_point(args.to, d, "--to")
     kappa = args.kappa if args.kappa is not None else kappa_estimate(spec.system)
     config = HarnackConfig(
         C_harnack=args.c_harnack, beta=args.beta, r=args.r, tau=args.tau, kappa=kappa
     )
     problem = ControlProblem(spec.system, t, T, x, y)
     chain = build_chain(problem, config)
-    verified = verify_chain(chain, config, spec.system)
+    verified = verify_chain(chain)
     rows = []
     for j, step in enumerate(chain.steps):
         rows.append([j, step.t_start, *chain.points[j].tolist(), step.cost, step.clause])
@@ -301,8 +334,10 @@ def _cmd_chain(args, spec, mu_sampled):
 
 def _cmd_simulate(args, spec, mu_sampled):
     d = spec.system.d
-    t, x = _parse_point(args.frm, d)
+    t, x = _parse_point(args.frm, d, "--from")
     T = args.horizon
+    if args.density_at is not None:
+        y = np.array(_parse_floats(args.density_at, "--density-at", d))
     config = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     endpoints = simulate_paths(spec, t, x, T, config)
     mean = endpoints.mean(axis=0)
@@ -313,7 +348,6 @@ def _cmd_simulate(args, spec, mu_sampled):
     header = ["stat"] + [f"x{i}" for i in range(d)]
     summary = {"n_paths": args.paths, "n_steps": args.steps, "seed": args.seed}
     if args.density_at is not None:
-        y = np.array([float(v) for v in args.density_at.split(",")])
         est = estimate_density(endpoints, y, args.bandwidth, spec.structure, T - t)
         summary["density"] = {
             "y": y.tolist(),
@@ -327,7 +361,7 @@ def _cmd_simulate(args, spec, mu_sampled):
 
 def _cmd_verify_bounds(args, spec, mu_sampled):
     d = spec.system.d
-    t, x = _parse_point(args.frm, d)
+    t, x = _parse_point(args.frm, d, "--from")
     T = args.horizon
     g = _parse_grid(args.grid)
     ys = _grid_points(spec.system, t, x, T, g["radius"], g["n"])
@@ -366,7 +400,9 @@ def _cmd_verify_bounds(args, spec, mu_sampled):
             "c_fit": report.diagonal_c_fit,
         },
     }
-    if not report.exact:  # the exact route simulates nothing
+    if report.exact:  # the covariance sandwich is checked on the exact route only
+        summary["psd_margins"] = list(report.psd_margins)
+    else:  # the exact route simulates nothing
         summary["seed"] = args.seed
         summary["config"] = {
             "n_paths": args.paths, "n_steps": args.steps, "bandwidth": args.bandwidth
@@ -375,7 +411,7 @@ def _cmd_verify_bounds(args, spec, mu_sampled):
 
 
 def _cmd_equivalence(args, spec, mu_sampled):
-    report = equivalence_constants(spec.system, [float(v) for v in args.tau_grid.split(",")])
+    report = equivalence_constants(spec.system, _parse_floats(args.tau_grid, "--tau-grid"))
     rows = [[tau, ratio] for tau, ratio in zip(report.tau_grid, report.det_ratio)]
     summary = {
         "k_dilation": list(report.k_dilation),

@@ -26,7 +26,6 @@ __all__ = [
     "OptimalControl",
     "ConeSpec",
     "optimal_control",
-    "optimal_cost",
     "trajectory",
     "control_value",
     "partial_cost",
@@ -87,11 +86,6 @@ def optimal_control(problem):
     w = cho_solve((g.chol, True), offset)
     cost = float(offset @ w)
     return OptimalControl(problem=problem, w=w, cost=max(cost, 0.0))
-
-
-def optimal_cost(problem):
-    """Minimal steering energy ``<C(T-t)^-1 offset, offset>``."""
-    return optimal_control(problem).cost
 
 
 def control_value(ctrl, s):
@@ -166,29 +160,22 @@ def discrete_least_norm_control(problem, n_steps):
     return float(v @ v) * dt
 
 
-def kappa_estimate(system, s_grid=None):
+def kappa_estimate(system):
     """Certified cone constant for controlled trajectories.
 
     For any control ``v`` on ``[t, t + s]``, the dilated reachable offset is
     bounded by ``kappa_raw(s) * ||v||_L2`` where ``kappa_raw(s)`` is the
     operator norm of the input-to-dilated-state map, i.e. the square root of
     the top eigenvalue of ``D(1/sqrt(s)) C(s) D(1/sqrt(s))``.  The returned
-    value is the grid maximum with a 1.1 safety factor, so sampled
-    trajectory points of any finite-energy control stay strictly inside the
-    cone of that radius.
+    value is the maximum over the grid ``s = k/1024``, ``k = 1..1024``, with a
+    1.1 safety factor, so sampled trajectory points of any finite-energy
+    control stay strictly inside the cone of that radius.
 
     The grid's Gramians come from the system's propagator, one exponential
-    per distinct step between sorted grid points (one for the default
-    uniform grid of 1024 points, for any drift), and the top eigenvalues
-    from one batched ``eigvalsh``.
+    for the uniform step, for any drift, and the top eigenvalues from one
+    batched ``eigvalsh``.
     """
-    if s_grid is None:
-        s_grid = np.arange(1, 1025) / 1024.0
-    s_grid = np.asarray(s_grid, dtype=float)
-    if s_grid.size == 0:
-        raise ValueError("s grid must be nonempty")
-    if np.any(s_grid <= 0) or np.any(s_grid > 1):
-        raise ValueError("s grid must lie in (0, 1]")
+    s_grid = np.arange(1, 1025) / 1024.0
     scale = dilation_scales(system.structure, s_grid**-0.5)
     dilated = scale[:, :, None] * system.propagator.gramians(s_grid) * scale[:, None, :]
     top = np.linalg.eigvalsh(dilated)[:, -1].max()

@@ -47,7 +47,6 @@ __all__ = [
     "Propagator",
     "Gramian",
     "EquivalenceReport",
-    "matrix_exponential",
     "gramian",
     "gramian_weighted",
     "gramian_homogeneous",
@@ -57,20 +56,6 @@ __all__ = [
     "log_density",
     "equivalence_constants",
 ]
-
-
-def matrix_exponential(B, t):
-    """``e^(tB)`` by scaling-and-squaring with a diagonal Pade approximant.
-
-    Thin validation shell over ``scipy.linalg.expm``, which implements the
-    Al-Mohy/Higham method with norm-based scaling.
-    """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {B.shape}")
-    if not (np.all(np.isfinite(B)) and np.isfinite(t)):
-        raise ValueError("non-finite entries in matrix exponential input")
-    return expm(float(t) * B)
 
 
 @dataclass(frozen=True)

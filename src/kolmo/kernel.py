@@ -27,7 +27,6 @@ from .model import dilation_scales, homogeneous_dimension
 __all__ = [
     "GaussianKernel",
     "BoundEnvelope",
-    "QuadratureSpec",
     "eval_kernel",
     "eval_log_kernel",
     "chapman_kolmogorov_residual",
@@ -44,18 +43,11 @@ __all__ = [
 ]
 
 
+# Tensor Gauss-Legendre on the dilation-adapted box
+# ``|D((T-t)^(-1/2)) (z - mean)|_inf <= 8``, with 160 nodes per axis; the
+# Gaussian mass outside is negligible for diffusion strengths up to about 1.
 _BOX_RADIUS = 8.0
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor Gauss-Legendre setup on a dilation-adapted box.
-
-    The box is ``|D((T-t)^(-1/2)) (z - mean)|_inf <= 8``; the Gaussian mass
-    outside is negligible for diffusion strengths up to about 1.
-    """
-
-    nodes: int = 160
+_QUAD_NODES = 160
 
 
 class GaussianKernel:
@@ -127,9 +119,9 @@ def eval_kernel(kernel, t, x, T, y):
     return float(np.exp(eval_log_kernel(kernel, t, x, T, y)))
 
 
-def _dilated_box(system, center, scale, spec):
+def _dilated_box(system, center, scale):
     """Gauss-Legendre nodes/weights on the dilation-adapted box around ``center``."""
-    nodes, wts = np.polynomial.legendre.leggauss(spec.nodes)
+    nodes, wts = np.polynomial.legendre.leggauss(_QUAD_NODES)
     half = _BOX_RADIUS * dilation_scales(system.structure, scale)
     axes = [center[i] + half[i] * nodes for i in range(system.d)]
     waxes = [half[i] * wts for i in range(system.d)]
@@ -142,7 +134,7 @@ def _dilated_box(system, center, scale, spec):
     raise ValueError(f"quadrature supported for d <= 2, got d={system.d}")
 
 
-def chapman_kolmogorov_residual(kernel, t, x, T, y, s, quad_spec=None):
+def chapman_kolmogorov_residual(kernel, t, x, T, y, s):
     """Relative defect of the semigroup identity at intermediate time ``s``.
 
     Computes ``|int G(t,x;s,z) G(s,z;T,y) dz - G(t,x;T,y)| / G(t,x;T,y)``
@@ -151,11 +143,10 @@ def chapman_kolmogorov_residual(kernel, t, x, T, y, s, quad_spec=None):
     """
     if not (t < s < T):
         raise ValueError(f"need t < s < T, got t={t}, s={s}, T={T}")
-    spec = quad_spec or QuadratureSpec()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mean = kernel.flow(s - t) @ x
-    Z, W = _dilated_box(kernel.system, mean, np.sqrt(s - t), spec)
+    Z, W = _dilated_box(kernel.system, mean, np.sqrt(s - t))
     f1 = np.exp(kernel.log_batch(t, x, s, Z))
     f2 = np.exp(kernel.log_batch_sources(s, Z, T, y))
     integral = float(np.sum(W * f1 * f2))
@@ -163,12 +154,11 @@ def chapman_kolmogorov_residual(kernel, t, x, T, y, s, quad_spec=None):
     return abs(integral - ref) / ref
 
 
-def normalization_residual(kernel, t, x, T, quad_spec=None):
+def normalization_residual(kernel, t, x, T):
     """``|int G(t,x;T,y) dy - 1|`` by quadrature (d <= 2)."""
-    spec = quad_spec or QuadratureSpec()
     x = np.asarray(x, dtype=float)
     mean = kernel.flow(T - t) @ x
-    Z, W = _dilated_box(kernel.system, mean, np.sqrt(T - t), spec)
+    Z, W = _dilated_box(kernel.system, mean, np.sqrt(T - t))
     return abs(float(np.sum(W * np.exp(kernel.log_batch(t, x, T, Z)))) - 1.0)
 
 
@@ -217,17 +207,16 @@ def pde_residual(kernel, t, x, T, y, h=None, drift_matrix=None):
     return abs(residual) / center
 
 
-def cauchy_solution(kernel, phi, t, x, T, quad_spec=None):
+def cauchy_solution(kernel, phi, t, x, T):
     """Terminal-value representation ``u(t,x) = int G(t,x;T,y) phi(y) dy``.
 
     ``phi`` must be bounded and continuous for the representation to solve
     the terminal-value problem; use the payoff factories in this module for
     serializable choices.  Quadrature supported for d <= 2.
     """
-    spec = quad_spec or QuadratureSpec()
     x = np.asarray(x, dtype=float)
     mean = kernel.flow(T - t) @ x
-    Z, W = _dilated_box(kernel.system, mean, np.sqrt(T - t), spec)
+    Z, W = _dilated_box(kernel.system, mean, np.sqrt(T - t))
     vals = np.array([phi(z) for z in Z], dtype=float)
     return float(np.sum(W * np.exp(kernel.log_batch(t, x, T, Z)) * vals))
 

@@ -426,7 +426,6 @@ class BoundReport:
     diagonal_horizons: tuple
     diagonal_c: tuple
     diagonal_c_fit: float
-    seed: int
 
 
 def _doubled(f):
@@ -501,7 +500,6 @@ def verify_bounds(
     diag_points = [system.propagator.flow(s - t) @ x for s in diag_ends]
     psd_margins = ()
     zero_hits = ()
-    seed = -1
     if law is not None:
         mean, cov = law
         gamma = np.exp(log_density(cov, y_grid - mean[None, :]))
@@ -520,7 +518,6 @@ def verify_bounds(
     else:
         if sim_config is None:
             raise ValueError("sim_config is required when no exact kernel is available")
-        seed = sim_config.seed
         # One run, snapshotted at each diagonal end time; the last is T itself.
         runs = simulate_paths(spec, t, x, diag_ends, sim_config)
         endpoints = runs[-1]
@@ -572,5 +569,4 @@ def verify_bounds(
         diagonal_horizons=tuple(f * tau for f in _DIAGONAL_FRACTIONS),
         diagonal_c=diagonal_c,
         diagonal_c_fit=float(min(diagonal_c)),
-        seed=seed,
     )

@@ -374,16 +374,14 @@ def _batch_matrix(a, ts, X):
     raise CoefficientError(f"no batch evaluation for {type(a).__name__}")
 
 
-def ellipticity_check(spec, sample_points=None, directions=None):
+def ellipticity_check(spec, sample_points=None):
     """Tightest sampled ellipticity constants of the diffusion coefficient.
 
     Returns ``(mu_low, mu_high)`` where ``mu_low`` is the smallest constant
     making the lower bound hold on the samples (``max 1/lambda_min``) and
-    ``mu_high`` the smallest for the upper bound (``max lambda_max``).  With
-    explicit ``directions`` the extremes are taken over those Rayleigh
-    quotients only; otherwise eigenvalues give the exact extremes over all
-    unit directions.  All samples are evaluated at once, with one batched
-    eigenvalue call.
+    ``mu_high`` the smallest for the upper bound (``max lambda_max``).
+    Eigenvalues give the exact extremes over all unit directions.  All
+    samples are evaluated at once, with one batched eigenvalue call.
 
     Raises
     ------
@@ -401,17 +399,8 @@ def ellipticity_check(spec, sample_points=None, directions=None):
     symmetric = np.abs(A - A.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12 * np.maximum(
         1.0, np.abs(A).max(axis=(1, 2))
     )
-    if directions is None:
-        eigs = np.linalg.eigvalsh(A)
-        emin, emax = eigs[:, 0], eigs[:, -1]
-    else:
-        # Stacked products take one inner product per sample and so round as
-        # ``v @ a @ v`` does for a single matrix.
-        vs = [np.asarray(v, dtype=float) for v in directions]
-        quots = np.stack(
-            [(v[None, None, :] @ A @ v[:, None])[:, 0, 0] / float(v @ v) for v in vs], axis=1
-        )
-        emin, emax = quots.min(axis=1), quots.max(axis=1)
+    eigs = np.linalg.eigvalsh(A)
+    emin, emax = eigs[:, 0], eigs[:, -1]
     bad = ~(finite & symmetric & (emin > 0))
     if bad.any():
         i = int(np.argmax(bad))

@@ -177,7 +177,7 @@ def test_criterion_7_harnack_chain():
         assert chain.J == 16
         assert abs(chain.exponent - 18.0) <= 1e-10
         np.testing.assert_allclose(chain.times, 0.0625 * np.arange(17), atol=1e-9)
-        assert verify_chain(chain, cfg_heat, HEAT1D)
+        assert verify_chain(chain)
 
         rng = np.random.default_rng(1007)
         configs = {
@@ -191,7 +191,7 @@ def test_criterion_7_harnack_chain():
             cfg = configs[id(system)]
             p = random_problem(rng, system, offset_range=(0.05, 0.8))
             chain = build_chain(p, cfg)
-            assert verify_chain(chain, cfg, system)
+            assert verify_chain(chain)
             assert chain.J <= math.ceil(chain.exponent) + 1
 
 

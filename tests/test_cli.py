@@ -324,6 +324,50 @@ class TestSubcommands:
         for row in read_csv(out + ".csv")[1:]:
             assert all(np.isfinite(float(v)) for v in row)
 
+    def test_verify_bounds_json_refuses_nan(self, tmp_path, capsys):
+        # Both targets sit six standard deviations out, so no path hits
+        # either and C- and C+ are undefined: NaN is not JSON.
+        cfg = {
+            "blocks": [1],
+            "B": [[0.0]],
+            "coefficients": {
+                "a": {"kind": "space-sinusoid", "base": 0.5, "amplitude": 0.05, "wave": [1.0]}
+            },
+            "mu": 2.5,
+            "M": 0.0,
+        }
+        model = write_model(tmp_path, cfg)
+        (tmp_path / "out").mkdir()
+        out = str(tmp_path / "out" / "vbnan")
+        code = main(
+            [
+                "verify-bounds", "--model", model, "--from", "0,0",
+                "--horizon", "1.0", "--grid", "radius=6,n=2",
+                "--lambda-minus", "0.8", "--lambda-plus", "1.2",
+                "--paths", "4000", "--steps", "8", "--seed", "3", "--out", out,
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        assert "C_minus" in capsys.readouterr().err
+        assert not any(name.endswith(".json") for name in os.listdir(tmp_path / "out"))
+
+    def test_verify_bounds_exact_route_writes_psd_margins(self, langevin_model_path, tmp_path):
+        # LANGEVIN's strength is 2a = 1, so lambda- C <= C_w <= lambda+ C
+        # holds with equality at lambda+- = 1.
+        out = str(tmp_path / "vbpsd")
+        code = main(
+            [
+                "verify-bounds", "--model", langevin_model_path, "--from", "0,0,0",
+                "--horizon", "1.0", "--grid", "radius=2,n=3",
+                "--lambda-minus", "1", "--lambda-plus", "1", "--seed", "4", "--out", out,
+            ]
+        )
+        assert code == EXIT_OK
+        summary = json.loads(open(out + ".json").read())
+        assert summary["exact"] is True
+        assert len(summary["psd_margins"]) == 2
+        assert min(summary["psd_margins"]) >= -1e-12
+
     def test_equivalence_constants(self, langevin_model_path, tmp_path):
         out = str(tmp_path / "eq")
         code = main(
@@ -435,3 +479,39 @@ class TestNegativeTimes:
             assert main([sub, "--model", langevin_model_path, *extra, "--out", "o"]) == EXIT_OK
             runs.append({name: (cwd / name).read_bytes() for name in os.listdir(cwd)})
         assert runs[0] == runs[1]
+
+
+class TestMalformedValues:
+    """A value that does not parse is a usage error naming its option, and writes nothing."""
+
+    CASES = [
+        ("kernel", ["--from", "0,x,0", "--to", "1,0,0"], "--from"),
+        ("control", ["--from", "0,0,0", "--to", "1,0.5"], "--to"),
+        ("gramian", ["--tau-grid", "0.5,x"], "--tau-grid"),
+        ("equivalence", ["--tau-grid", "0.1,,1"], "--tau-grid"),
+        ("simulate", ["--from", "0,0,0", "--horizon", "1", "--paths", "2000", "--seed", "4",
+                      "--density-at", "1,a"], "--density-at"),
+        ("simulate", ["--from", "0,0,0", "--horizon", "1", "--paths", "2000", "--seed", "4",
+                      "--density-at", "1,2,3"], "--density-at"),
+        ("kernel", ["--from", "0,0,0", "--to", "1,0,0", "--grid", "foo"], "--grid"),
+        ("kernel", ["--from", "0,0,0", "--to", "1,0,0", "--grid", "radius=3,m=5"], "--grid"),
+        ("kernel", ["--from", "0,0,0", "--to", "1,0,0", "--grid", "radius=x"], "--grid"),
+        ("verify-bounds", ["--from", "0,0,0", "--horizon", "1", "--lambda-minus", "1",
+                           "--lambda-plus", "1", "--seed", "4", "--grid", "radius=3,n=2.7"],
+         "--grid"),
+        ("verify-bounds", ["--from", "0,0,0", "--horizon", "1", "--lambda-minus", "1",
+                           "--lambda-plus", "1", "--seed", "4", "--grid", "radius=3,n=0"],
+         "--grid"),
+    ]
+
+    @pytest.mark.parametrize("sub, extra, option", CASES)
+    def test_usage_error_names_option(
+        self, sub, extra, option, langevin_model_path, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        before = set(os.listdir(tmp_path))
+        code = main([sub, "--model", langevin_model_path, *extra, "--out", "o"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and option in err
+        assert set(os.listdir(tmp_path)) == before

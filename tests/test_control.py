@@ -11,7 +11,6 @@ from kolmo.control import (
     discrete_least_norm_control,
     kappa_estimate,
     optimal_control,
-    optimal_cost,
     partial_cost,
     trajectory,
 )
@@ -58,8 +57,8 @@ class TestOptimalControl:
     def test_langevin_costs(self, langevin):
         p1 = ControlProblem(langevin, 0.0, 1.0, [0.0, 0.0], [1.0, 0.0])
         p2 = ControlProblem(langevin, 0.0, 1.0, [0.0, 0.0], [0.0, 1.0])
-        assert np.isclose(optimal_cost(p1), 4.0, rtol=1e-10)
-        assert np.isclose(optimal_cost(p2), 12.0, rtol=1e-10)
+        assert np.isclose(optimal_control(p1).cost, 4.0, rtol=1e-10)
+        assert np.isclose(optimal_control(p2).cost, 12.0, rtol=1e-10)
 
     def test_cost_equals_quadratic_form(self, langevin, kinetic21):
         rng = np.random.default_rng(21)
@@ -69,7 +68,7 @@ class TestOptimalControl:
                 g = p.system.propagator.factor(p.horizon)
                 offset = p.y - expm(p.horizon * p.system.B) @ p.x
                 assert np.isclose(
-                    optimal_cost(p), quadratic_form(g, offset), rtol=1e-10
+                    optimal_control(p).cost, quadratic_form(g, offset), rtol=1e-10
                 )
 
     def test_cost_matches_control_energy(self, langevin):
@@ -182,12 +181,6 @@ class TestKappaEstimate:
         expected = 1.1 * np.sqrt((7.0 + np.sqrt(37.0)) / 6.0)
         assert np.isclose(kappa_estimate(system), expected, rtol=1e-9)
 
-    def test_bad_grid_rejected(self, heat1d):
-        with pytest.raises(ValueError):
-            kappa_estimate(heat1d, s_grid=[])
-        with pytest.raises(ValueError):
-            kappa_estimate(heat1d, s_grid=[2.0])
-
     @staticmethod
     def per_point_reference(system, s_grid):
         # One Van Loan exponential per grid point, as the estimate was first built.
@@ -212,16 +205,6 @@ class TestKappaEstimate:
         grid = np.arange(1, 1025) / 1024.0
         ref = self.per_point_reference(system, grid)
         assert abs(kappa_estimate(system) - ref) <= 1e-12 * ref
-
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_unsorted_nonuniform_grid(self, name, request):
-        system = request.getfixturevalue(name)
-        rng = np.random.default_rng(29)
-        grid = rng.uniform(1e-3, 1.0, 200) ** 2
-        grid = np.concatenate([grid, grid[:7], [1.0]])
-        rng.shuffle(grid)
-        ref = self.per_point_reference(system, grid)
-        assert abs(kappa_estimate(system, s_grid=grid) - ref) <= 1e-12 * ref
 
     def test_certifies_trajectory_cone(self, langevin):
         # Every sampled optimal-trajectory point lies in the cone with radius
@@ -311,4 +294,4 @@ class TestCostScaling:
                 scaled = ControlProblem(
                     langevin, r**2 * p.t, r**2 * p.T, D @ p.x, D @ p.y
                 )
-                assert np.isclose(optimal_cost(scaled), optimal_cost(p), rtol=1e-9)
+                assert np.isclose(optimal_control(scaled).cost, optimal_control(p).cost, rtol=1e-9)

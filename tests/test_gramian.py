@@ -17,7 +17,6 @@ from kolmo.gramian import (
     gramian_homogeneous,
     gramian_weighted,
     homogeneous_det_law_defect,
-    matrix_exponential,
     quadratic_form,
 )
 from kolmo.kernel import covariance_upper_form, lower_bound_form
@@ -44,31 +43,6 @@ def expm_calls(monkeypatch):
 
     monkeypatch.setattr(sys.modules["kolmo.gramian"], "expm", counting)
     return calls
-
-
-class TestMatrixExponential:
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(matrix_exponential(np.zeros((3, 3)), 1.0), np.eye(3))
-
-    def test_langevin_nilpotent(self, langevin):
-        np.testing.assert_allclose(
-            matrix_exponential(langevin.B, 1.0), [[1.0, 0.0], [1.0, 1.0]], atol=1e-15
-        )
-
-    def test_inverse_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            B = rng.normal(size=(4, 4))
-            prod = matrix_exponential(B, 0.7) @ matrix_exponential(B, -0.7)
-            np.testing.assert_allclose(prod, np.eye(4), atol=1e-12)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_exponential([[np.nan, 0], [0, 0]], 1.0)
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.zeros((2, 3)), 1.0)
 
 
 class TestGramian:

@@ -8,7 +8,6 @@ from kolmo.gramian import gramian, gramian_weighted, strength_at
 from kolmo.kernel import (
     BoundEnvelope,
     GaussianKernel,
-    QuadratureSpec,
     aronson_upper_form,
     bound_envelope_eval,
     cauchy_solution,
@@ -199,9 +198,7 @@ class TestChapmanKolmogorov:
 
     def test_near_initial_time(self, langevin):
         k = GaussianKernel(langevin, 1.0)
-        res = chapman_kolmogorov_residual(
-            k, 0.0, [0.0, 0.0], 1.0, [0.3, 0.1], 0.01, QuadratureSpec(nodes=220)
-        )
+        res = chapman_kolmogorov_residual(k, 0.0, [0.0, 0.0], 1.0, [0.3, 0.1], 0.01)
         assert res <= 1e-4
 
     def test_bad_intermediate_time(self, heat1d):

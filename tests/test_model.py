@@ -243,17 +243,12 @@ class TestEllipticityCheck:
         with pytest.raises(CoefficientError):
             ellipticity_check(spec)
 
-    def test_explicit_directions(self, heat1d):
-        spec = make_spec(heat1d, lam=2.0)
-        mu_low, mu_high = ellipticity_check(spec, directions=[np.array([1.0])])
-        assert np.isclose(mu_low, 1.0) and np.isclose(mu_high, 1.0)
-
     def test_empty_samples_rejected(self, heat1d):
         with pytest.raises(ValueError):
             ellipticity_check(make_spec(heat1d), sample_points=[])
 
 
-def ellipticity_loop(spec, sample_points, directions=None):
+def ellipticity_loop(spec, sample_points):
     """Reference: the checks one sample at a time, in sample order."""
     lo = hi = -np.inf
     for t, x in sample_points:
@@ -262,12 +257,8 @@ def ellipticity_loop(spec, sample_points, directions=None):
             raise CoefficientError(f"non-finite diffusion coefficient at (t={t}, x={x})")
         if not np.allclose(a_val, a_val.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a_val).max())):
             raise CoefficientError(f"nonsymmetric diffusion coefficient at (t={t}, x={x})")
-        if directions is None:
-            eigs = np.linalg.eigvalsh(a_val)
-            emin, emax = eigs[0], eigs[-1]
-        else:
-            quots = [float(v @ a_val @ v) / float(v @ v) for v in directions]
-            emin, emax = min(quots), max(quots)
+        eigs = np.linalg.eigvalsh(a_val)
+        emin, emax = eigs[0], eigs[-1]
         if emin <= 0:
             raise CoefficientError(
                 f"diffusion coefficient not positive definite at (t={t}, x={x})"
@@ -323,15 +314,11 @@ class TestBatchedValidation:
         system = request.getfixturevalue(name)
         rng = np.random.default_rng(41)
         mixed = [(float(t), x) for t, x in zip(rng.uniform(-1, 1, 200), rng.normal(size=(200, system.d)))]
-        directions = [np.eye(system.m0)[0], np.ones(system.m0), rng.normal(size=system.m0)]
         for spec in self.specs(system):
             for samples in (default_sample_grid(system.structure), mixed):
                 ref = ellipticity_loop(spec, samples)
                 got = ellipticity_check(spec, samples)
                 assert got == ref and type(got[0]) is type(ref[0])
-                assert ellipticity_check(spec, samples, directions) == ellipticity_loop(
-                    spec, samples, directions
-                )
                 assert coefficient_bounds(spec, samples) == coefficient_bounds_loop(spec, samples)
             assert coefficient_bounds(spec, []) == coefficient_bounds_loop(spec, [])
 

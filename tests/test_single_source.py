@@ -1,6 +1,7 @@
 """Each quantity has one source: structural checks on the package's own code."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import kolmo
@@ -114,3 +115,25 @@ def test_no_function_local_imports():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert local == []
+
+
+def test_exports_resolve():
+    # Every name a module exports exists, and every name the package
+    # re-exports is exported by the module it comes from.
+    modules = {
+        path.stem: importlib.import_module(f"kolmo.{path.stem}")
+        for path in SOURCES
+        if path.stem != "__init__"
+    }
+    for stem, module in modules.items():
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], (stem, missing)
+    reexports = [
+        (node.module, alias.name)
+        for node in _trees()["__init__.py"].body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert reexports
+    unexported = [(m, n) for m, n in reexports if n not in modules[m].__all__]
+    assert unexported == []
