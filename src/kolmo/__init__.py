@@ -33,6 +33,7 @@ from .exceptions import (
     GramianError,
     KolmoError,
     QuadratureError,
+    SettingError,
     StructureError,
 )
 from .gramian import (

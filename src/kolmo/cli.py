@@ -31,7 +31,7 @@ from .control import (
     partial_cost,
     trajectory,
 )
-from .exceptions import CoefficientError, KolmoError, StructureError
+from .exceptions import CoefficientError, KolmoError, SettingError, StructureError
 from .gramian import equivalence_constants, gramian, gramian_homogeneous
 from .kernel import (
     GaussianKernel,
@@ -126,19 +126,18 @@ def _fmt(v):
 
 
 def _write_csv(path, header, rows):
+    # Every row is checked before the file is opened, so a failure leaves none.
+    for row in rows:
+        for v in row:
+            if isinstance(v, (float, np.floating)) and not np.isfinite(v):
+                raise KolmoError(f"non-finite value {v} in CSV output")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            vals = [_fmt(v) for v in row]
-            for v, raw in zip(vals, row):
-                if isinstance(raw, (float, np.floating)) and not np.isfinite(raw):
-                    raise KolmoError(f"non-finite value {raw} in CSV output")
-            writer.writerow(vals)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_json(path, payload):
-    _check_finite(payload)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
@@ -505,13 +504,21 @@ def main(argv=None):
         outputs = {}
         if table is not None:
             outputs["csv"] = args.out + ".csv"
-            _write_csv(outputs["csv"], *table)
         if summary is not None:
             outputs["json"] = args.out + ".json"
+        manifest = _manifest(args, outputs)
+        # Strict JSON has no NaN or infinity: both payloads are checked before
+        # any file is opened (the CSV rows before theirs), so a failure leaves
+        # no file.
+        _check_finite(summary)
+        _check_finite(manifest)
+        if table is not None:
+            _write_csv(outputs["csv"], *table)
+        if summary is not None:
             _write_json(outputs["json"], summary)
-        _write_json(args.out + ".manifest.json", _manifest(args, outputs))
+        _write_json(args.out + ".manifest.json", manifest)
         return EXIT_OK
-    except _UsageError as exc:
+    except (_UsageError, SettingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -7,6 +7,7 @@ __all__ = [
     "GramianError",
     "QuadratureError",
     "ChainError",
+    "SettingError",
 ]
 
 
@@ -47,3 +48,7 @@ class QuadratureError(KolmoError):
 
 class ChainError(KolmoError):
     """A Harnack chain violates its construction guarantees."""
+
+
+class SettingError(KolmoError):
+    """An environment setting, such as ``KOLMO_THREADS``, holds a malformed value."""

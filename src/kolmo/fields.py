@@ -203,8 +203,8 @@ def sample_scalar(field, ts, X):
     return out
 
 
-def batch_value_and_gradient(field, X):
-    """A space-sinusoid field and its space gradient at many states.
+def batch_value_and_gradient(field, X, m):
+    """A space-sinusoid field and its gradient in the leading ``m`` coordinates, at many states.
 
     The phase ``2 pi <wave, x> + phase`` is computed once for both; the
     values are `batch_scalar`'s float expression.
@@ -215,7 +215,7 @@ def batch_value_and_gradient(field, X):
     k = np.asarray(field.wave, dtype=float)
     arg = 2.0 * np.pi * (X @ k) + field.phase
     value = field.base + field.amplitude * np.sin(arg)
-    return value, field.amplitude * 2.0 * np.pi * np.cos(arg)[:, None] * k[None, :]
+    return value, field.amplitude * 2.0 * np.pi * np.cos(arg)[:, None] * k[None, :m]
 
 
 _SCALAR_KINDS = {

@@ -30,12 +30,18 @@ Randomness is counter-partitioned: paths are processed in fixed blocks of
 by the seed, so endpoints are bit-identical for a given seed regardless of
 worker count or path count.  One-shot blocks draw only the rows they keep;
 stepped blocks simulate all ``2**14`` paths.
+
+Blocks run on lanes: as many as the usable CPUs (``KOLMO_THREADS`` overrides
+the count), never more than there are blocks.  The calling thread is one of
+the lanes; each lane takes the next block from one ordered source, and an
+error in any lane stops the others and is raised to the caller.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -43,8 +49,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import fields
-from .exceptions import CoefficientError, GramianError
-from .gramian import Propagator, gramian_weighted, log_density
+from .exceptions import CoefficientError, GramianError, SettingError
+from .gramian import gramian_weighted, log_density
 from .kernel import GaussianKernel
 from .model import (
     dilation_scales,
@@ -151,14 +157,68 @@ def simulate_paths(spec, t, x, T, config):
     n = config.n_paths
     out = np.empty((len(horizons), n, d))
     chunks = [(c, out[:, c * _CHUNK : (c + 1) * _CHUNK]) for c in range(-(-n // _CHUNK))]
-    workers = int(os.environ.get("KOLMO_THREADS", "1"))
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda job: run_chunk(*job), chunks))
-    else:
-        for c, rows in chunks:
-            run_chunk(c, rows)
+    _run_lanes(run_chunk, chunks, _lane_count(len(chunks)))
     return out if np.ndim(T) else out[0]
+
+
+def _lane_count(n_chunks):
+    """The lane count: ``KOLMO_THREADS``, else the usable CPUs, at most ``n_chunks``."""
+    setting = os.environ.get("KOLMO_THREADS")
+    if setting is None:
+        try:
+            lanes = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity query on this platform
+            lanes = os.cpu_count() or 1
+    else:
+        try:
+            lanes = int(setting)
+        except ValueError:
+            lanes = 0
+        if lanes < 1:
+            raise SettingError(f"KOLMO_THREADS must be an integer >= 1, got {setting!r}")
+    return min(lanes, n_chunks)
+
+
+def _run_lanes(run_chunk, chunks, lanes):
+    """``run_chunk(*job)`` for every job, on ``lanes`` lanes, the calling thread one of them.
+
+    Lanes take jobs in order from one source, and the first error stops every
+    lane from taking another.  Of the errors raised, the one of the earliest
+    job is re-raised: every job before it was taken and ran, so it is the
+    error a run on one lane raises.
+    """
+    if lanes == 1:
+        for job in chunks:
+            run_chunk(*job)
+        return
+    source = enumerate(chunks)
+    take = threading.Lock()
+    stop = threading.Event()
+    errors = []
+
+    def lane():
+        while not stop.is_set():
+            with take:
+                position, job = next(source, (None, None))
+            if job is None:
+                return
+            try:
+                run_chunk(*job)
+            except Exception as exc:
+                with take:
+                    errors.append((position, exc))
+                stop.set()
+
+    with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+        helpers = [pool.submit(lane) for _ in range(lanes - 1)]
+        try:
+            lane()
+        finally:
+            stop.set()
+            for helper in helpers:
+                helper.result()
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
 
 
 def _input_response(system, s):
@@ -188,8 +248,7 @@ def _gaussian_endpoint(spec, t, x, T):
     system = spec.system
     tau = T - t
     if isinstance(a, fields.ConstantMatrixField):
-        sig = sigma_matrix(system.structure)
-        cov = Propagator(system.B, sig @ (2.0 * a.matrix) @ sig.T).factor(tau)
+        cov = system.diffusion_propagator(2.0 * a.matrix).factor(tau)
     else:
         try:
             cov = gramian_weighted(system, _doubled(a.scalar), t, T)
@@ -240,7 +299,7 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
     chunk simulates ``2**14`` paths.
     """
     system = spec.system
-    d, m0 = system.d, system.m0
+    m0 = system.m0
     a_field = spec.a
     space_dep = a_field.space_dependent
     if space_dep:
@@ -255,8 +314,7 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
             )
 
     if isinstance(a_field, fields.ConstantMatrixField):
-        sig = sigma_matrix(system.structure)
-        propagator = Propagator(system.B, sig @ (2.0 * a_field.matrix) @ sig.T)
+        propagator = system.diffusion_propagator(2.0 * a_field.matrix)
         strength = None
     else:
         propagator = system.propagator
@@ -274,27 +332,36 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
 
     def run_chunk(chunk_index, rows):
         rng = _chunk_generator(config.seed, chunk_index)
+        # One set of buffers per chunk; each step overwrites them in place.
         X = np.tile(x, (_CHUNK, 1))
+        X_next, Z, noise, pushed = (np.empty_like(X) for _ in range(4))
+        drift = np.empty((_CHUNK, len(spec.a_low.components)))
         for k, (s_k, dt) in enumerate(zip(step_times, step_lengths), start=1):
             A, J, L = step_ops[dt]
-            noise = rng.standard_normal((_CHUNK, d)) @ L.T
+            rng.standard_normal(out=Z)
+            np.matmul(Z, L.T, out=noise)
             # Divergence correction plus first-order coefficients, (n, m0).
-            drift = np.stack(
-                [fields.batch_scalar(c, s_k, X) for c in spec.a_low.components], axis=1
-            )
-            drift += np.stack(
-                [fields.batch_scalar(c, s_k, X) for c in spec.b_low.components], axis=1
-            )
+            for j, (c_a, c_b) in enumerate(
+                zip(spec.a_low.components, spec.b_low.components, strict=True)
+            ):
+                drift[:, j] = fields.batch_scalar(c_a, s_k, X)
+                drift[:, j] += fields.batch_scalar(c_b, s_k, X)
             if strength is not None:
                 if space_dep:
-                    alpha, grad = fields.batch_value_and_gradient(strength, X)
-                    drift += grad[:, :m0]
+                    alpha, grad = fields.batch_value_and_gradient(strength, X, m0)
+                    drift += grad
                 else:
                     alpha = fields.batch_scalar(strength, s_k, X)
                 if np.any(alpha <= 0):
                     raise CoefficientError(f"diffusion strength not positive at s={s_k}")
-                noise *= np.sqrt(2.0 * alpha)[:, None]
-            X = X @ A.T + drift @ J.T + noise
+                alpha *= 2.0
+                np.sqrt(alpha, out=alpha)
+                noise *= alpha[:, None]
+            np.matmul(X, A.T, out=X_next)
+            np.matmul(drift, J.T, out=pushed)
+            X_next += pushed
+            X_next += noise
+            X, X_next = X_next, X
             if k in snapshot_of:
                 rows[snapshot_of[k]] = X[: rows.shape[1]]
 
@@ -303,7 +370,11 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """Box-kernel density value with exact binomial error bars."""
+    """Box-kernel density value with exact binomial error bars.
+
+    ``value``, ``stderr`` and ``n_hits`` are numbers for one target and
+    arrays, one entry per target, for target rows.
+    """
 
     value: float
     stderr: float
@@ -316,10 +387,11 @@ def estimate_density(endpoints, y, h, structure, horizon):
 
     The box is ``|D(horizon^(-1/2)) (X - y)|_inf <= h/2``, whose volume in
     original coordinates is ``h**d * horizon**(Q/2)``; the estimate is the
-    hit fraction over that volume and the stderr is binomial.  The first
-    coordinate's test picks the candidate rows and only they take the full
-    test; both evaluate ``|(X_j - y_j) s_j| <= h/2``, so the count is that of
-    a scan of every row.
+    hit fraction over that volume and the stderr is binomial.  ``y`` is one
+    target ``(d,)`` or target rows ``(k, d)``.  One target scans every row;
+    rows sort the endpoints on their first coordinate once, and each target
+    scans only the window of rows its box can hold (see `_box_hits`), so
+    every count is that of a scan of every row.
     """
     endpoints = np.asarray(endpoints, dtype=float)
     if endpoints.ndim != 2 or endpoints.shape[0] == 0:
@@ -327,24 +399,53 @@ def estimate_density(endpoints, y, h, structure, horizon):
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     n, d = endpoints.shape
-    scale = dilation_scales(structure, horizon**-0.5)
     y = np.asarray(y, dtype=float)
-    first = endpoints[:, 0] - y[0]
-    first *= scale[0]
-    np.abs(first, out=first)
-    scaled = endpoints[first <= h / 2.0] - y[None, :]
-    scaled *= scale
-    np.abs(scaled, out=scaled)
-    hits = int(np.sum(np.all(scaled <= h / 2.0, axis=1)))
+    if y.ndim not in (1, 2) or y.shape[-1] != d:
+        raise ValueError(f"need a ({d},) target or (k, {d}) target rows, got {y.shape}")
+    scale = dilation_scales(structure, horizon**-0.5)
+    if y.ndim == 1:
+        hits = _box_hits(endpoints, y, scale, h)
+    else:
+        order = np.argsort(endpoints[:, 0])
+        keys = endpoints[order, 0]
+        ordered = endpoints[order]
+        # A row that passes the rounded first-coordinate test lies within
+        # ``reach`` of y0, whose slack covers the few roundings of the test and
+        # of ``reach``.  Rounding is monotone, so a row within ``reach`` also
+        # lies between the rounded ``y0 -+ reach``: no ulps of |y0| are needed.
+        reach = (h / 2.0) / scale[0] * (1.0 + 1e-9)
+        starts = np.searchsorted(keys, y[:, 0] - reach, side="left")
+        stops = np.searchsorted(keys, y[:, 0] + reach, side="right")
+        hits = np.array(
+            [_box_hits(ordered[a:b], row, scale, h) for a, b, row in zip(starts, stops, y)],
+            dtype=np.int64,
+        )
     Q = homogeneous_dimension(structure)
     volume = h**d * horizon ** (Q / 2.0)
     p = hits / n
+    stderr = np.sqrt(p * (1.0 - p) / n) / volume
     return DensityEstimate(
         value=p / volume,
-        stderr=math.sqrt(p * (1.0 - p) / n) / volume,
+        stderr=stderr if y.ndim == 2 else float(stderr),
         n_hits=hits,
         bandwidth=h,
     )
+
+
+def _box_hits(rows, y, scale, h):
+    """The number of ``rows`` with ``|(X_j - y_j) s_j| <= h/2`` in every coordinate.
+
+    The first coordinate's test picks the candidate rows and only they take
+    the full test; both evaluate the same expression, so the count is that
+    of a full test of every row.
+    """
+    first = rows[:, 0] - y[0]
+    first *= scale[0]
+    np.abs(first, out=first)
+    scaled = rows[first <= h / 2.0] - y[None, :]
+    scaled *= scale
+    np.abs(scaled, out=scaled)
+    return int(np.count_nonzero(np.all(scaled <= h / 2.0, axis=1)))
 
 
 def mass_concentration(endpoints, flow_point, R, structure, horizon):
@@ -520,14 +621,9 @@ def verify_bounds(
             raise ValueError("sim_config is required when no exact kernel is available")
         # One run, snapshotted at each diagonal end time; the last is T itself.
         runs = simulate_paths(spec, t, x, diag_ends, sim_config)
-        endpoints = runs[-1]
-        ests = [
-            estimate_density(endpoints, y, bandwidth, system.structure, tau)
-            for y in y_grid
-        ]
-        gamma = np.array([e.value for e in ests])
-        stderr = np.array([e.stderr for e in ests])
-        zero_hits = tuple(int(i) for i, e in enumerate(ests) if e.n_hits == 0)
+        est = estimate_density(runs[-1], y_grid, bandwidth, system.structure, tau)
+        gamma, stderr = est.value, est.stderr
+        zero_hits = tuple(int(i) for i in np.flatnonzero(est.n_hits == 0))
         gamma_lo_conf = np.maximum(gamma - 3.0 * stderr, 0.0)
         gamma_hi_conf = gamma + 3.0 * stderr
         diag_gamma = [

@@ -150,6 +150,19 @@ class SystemMatrix:
         sig = sigma_matrix(self.structure)
         return gramian.Propagator(self.B, sig @ sig.T)
 
+    @cached_property
+    def _diffusion_propagators(self):
+        return {}
+
+    def diffusion_propagator(self, a):
+        """The `Propagator` of this drift with noise ``sigma a sigma^T``, one per matrix ``a``."""
+        a = np.asarray(a, dtype=float)
+        key = a.tobytes()
+        if key not in self._diffusion_propagators:
+            sig = sigma_matrix(self.structure)
+            self._diffusion_propagators[key] = gramian.Propagator(self.B, sig @ a @ sig.T)
+        return self._diffusion_propagators[key]
+
 
 @dataclass(frozen=True)
 class SpaceTimePoint:

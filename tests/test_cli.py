@@ -349,7 +349,51 @@ class TestSubcommands:
         )
         assert code == EXIT_NUMERIC
         assert "C_minus" in capsys.readouterr().err
-        assert not any(name.endswith(".json") for name in os.listdir(tmp_path / "out"))
+        assert os.listdir(tmp_path / "out") == []  # not even the table, which is finite
+
+    def test_non_finite_row_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def inf_row(args, spec, mu_sampled):
+            return None, (["tau", "value"], [[0.1, 1.0], [0.5, float("inf")], [1.0, 2.0]])
+
+        monkeypatch.setattr("kolmo.cli._cmd_gramian", inf_row)
+        model = write_model(tmp_path, heat_cfg())
+        (tmp_path / "out").mkdir()
+        code = main(["gramian", "--model", model, "--out", str(tmp_path / "out" / "g")])
+        assert code == EXIT_NUMERIC
+        assert "non-finite value inf in CSV output" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_non_finite_option_leaves_no_file(self, tmp_path, capsys):
+        # The table and summary are finite; only the manifest's record of
+        # the unused bandwidth is not.
+        model = write_model(tmp_path, heat_cfg())
+        (tmp_path / "out").mkdir()
+        code = main(
+            [
+                "simulate", "--model", model, "--from", "0,0", "--horizon", "1.0",
+                "--paths", "100", "--seed", "1", "--bandwidth", "inf",
+                "--out", str(tmp_path / "out" / "s"),
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        assert "params.bandwidth" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "two", "1.5", ""])
+    def test_malformed_thread_count_is_usage_error(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("KOLMO_THREADS", threads)
+        model = write_model(tmp_path, heat_cfg())
+        out = str(tmp_path / "s")
+        code = main(
+            [
+                "simulate", "--model", model, "--from", "0,0", "--horizon", "1.0",
+                "--paths", "100", "--seed", "1", "--out", out,
+            ]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "KOLMO_THREADS" in err
+        assert not os.path.exists(out + ".manifest.json")
 
     def test_verify_bounds_exact_route_writes_psd_margins(self, langevin_model_path, tmp_path):
         # LANGEVIN's strength is 2a = 1, so lambda- C <= C_w <= lambda+ C

@@ -1,16 +1,20 @@
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from kolmo import fields
-from kolmo.exceptions import CoefficientError
+from kolmo.exceptions import CoefficientError, SettingError
 from kolmo.gramian import Propagator, gramian_weighted
 from kolmo.kernel import GaussianKernel
 from kolmo.model import dilation_scales, sigma_matrix
 from kolmo.mc import (
     SimConfig,
+    _lane_count,
+    _run_lanes,
     _step_grid,
     estimate_density,
     mass_concentration,
@@ -323,6 +327,91 @@ class TestSnapshots:
             simulate_paths(make_spec(heat1d), 0.0, [0.0], T, SimConfig(10, 4, seed=1))
 
 
+class TestLanes:
+    """Chunks run on lanes; nothing a lane computes depends on how many there are."""
+
+    @pytest.mark.parametrize("route", ["one-shot", "stepped"])
+    def test_endpoints_independent_of_lane_count(self, langevin, monkeypatch, route):
+        spec = make_spec(langevin) if route == "one-shot" else space_spec(langevin)
+        x, horizons, config = np.array([0.1, -0.2]), [0.25, 0.5, 1.0], SimConfig(N_ODD, 8, seed=45)
+        monkeypatch.delenv("KOLMO_THREADS", raising=False)
+        reference = simulate_paths(spec, 0.0, x, horizons, config)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("KOLMO_THREADS", threads)
+            assert np.array_equal(simulate_paths(spec, 0.0, x, horizons, config), reference)
+
+    def test_lane_count(self, monkeypatch):
+        monkeypatch.delenv("KOLMO_THREADS", raising=False)
+        assert _lane_count(10_000) == len(os.sched_getaffinity(0))
+        assert _lane_count(1) == 1
+        monkeypatch.setenv("KOLMO_THREADS", "1000")
+        assert _lane_count(3) == 3  # never more lanes than chunks
+        monkeypatch.setenv("KOLMO_THREADS", " 2 ")
+        assert _lane_count(3) == 2
+
+    def test_lane_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("KOLMO_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _lane_count(4) == 4 and _lane_count(9) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _lane_count(9) == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "2.5", "many", ""])
+    def test_malformed_thread_count_rejected(self, heat1d, monkeypatch, threads):
+        monkeypatch.setenv("KOLMO_THREADS", threads)
+        with pytest.raises(SettingError, match="KOLMO_THREADS"):
+            _lane_count(4)
+        with pytest.raises(SettingError, match="KOLMO_THREADS"):
+            simulate_paths(make_spec(heat1d), 0.0, [0.0], 1.0, SimConfig(10, 1, seed=1))
+
+    def test_error_in_a_helper_lane_propagates(self):
+        helper_failed = threading.Event()
+
+        def run_chunk(index, rows):
+            if threading.current_thread() is threading.main_thread():
+                helper_failed.wait(timeout=10)  # the helper lane takes the next chunk
+            else:
+                helper_failed.set()
+                raise CoefficientError(f"chunk {index}")
+
+        with pytest.raises(CoefficientError, match="chunk"):
+            _run_lanes(run_chunk, [(c, None) for c in range(50)], 2)
+        assert helper_failed.is_set()
+
+    def test_every_chunk_runs_once_under_contention(self):
+        # More lanes than cores and a short switch interval: a chunk taken
+        # twice or never would show in its count.
+        runs = np.zeros(2000, dtype=int)
+
+        def run_chunk(index, rows):
+            runs[index] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_lanes(run_chunk, [(c, None) for c in range(len(runs))], 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs.tolist() == [1] * len(runs)
+
+    def test_earliest_error_is_raised(self, langevin, monkeypatch):
+        # The strength turns negative in the tails, which every chunk reaches
+        # at some step; each lane count raises what one lane raises.
+        a = fields.IsotropicMatrixField(
+            fields.SpaceSinusoidField(base=0.5, amplitude=0.6, wave=(0.5, 0.25)), 1
+        )
+        spec = make_spec(langevin, a=a, mu=2.5)
+        config = SimConfig(4 * 2**14, 16, seed=46)
+        messages = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("KOLMO_THREADS", threads)
+            with pytest.raises(CoefficientError, match="not positive") as err:
+                simulate_paths(spec, 0.0, [0.0, 0.0], 4.0, config)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+
 def full_scan_hits(endpoints, y, h, structure, horizon):
     """Rows inside the box, by testing every coordinate of every row."""
     scale = dilation_scales(structure, horizon**-0.5)
@@ -397,21 +486,69 @@ class TestEstimateDensity:
         # Dyadic targets and bandwidths: at horizons 1 and 1/4 the scales are
         # powers of two, so face rows sit exactly on the box faces.
         y = rng.integers(-8, 9, size=d) / 8.0
-        for h in (0.5, 0.125):
-            X = box_endpoints(structure, y, h, horizon, rng)
+        # Far out on the first axis, the face rows' first coordinates round
+        # on ulps of |y0|: the sorted windows must still hold every hit.
+        far = y + np.eye(d)[0] * 1e6
+        for h, sign in ((0.5, 1.0), (0.125, -1.0)):
+            far[0] = sign * abs(far[0])
+            X = np.vstack([box_endpoints(structure, c, h, horizon, rng) for c in (y, far)])
             est = estimate_density(X, y, h, structure, horizon)
             assert est.n_hits == full_scan_hits(X, y, h, structure, horizon)
+            targets = np.array([y, far, y + 0.5 * h, far - 0.5 * h])
+            rows = estimate_density(X, targets, h, structure, horizon)
+            full = [full_scan_hits(X, target, h, structure, horizon) for target in targets]
+            assert rows.n_hits.tolist() == full
+            assert rows.n_hits[1] > 0
         assert est.n_hits > 0
         # A box around every row.
         assert estimate_density(X, y, 1e9, structure, horizon).n_hits == len(X)
+        assert estimate_density(X, [y], 1e9, structure, horizon).n_hits.tolist() == [len(X)]
 
     def test_face_rows_are_hits(self, langevin):
-        y, h = np.array([0.25, -0.5]), 0.5
-        half = (h / 2.0) / dilation_scales(langevin.structure, 2.0)
-        X = y + np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]) * half
-        outside = np.nextafter(X[0], X[0] + 1.0)
-        X = np.vstack([X, outside])
-        assert estimate_density(X, y, h, langevin.structure, 0.25).n_hits == 4
+        for y0 in (0.25, 1e6 + 0.25, -1e6 - 0.25):
+            y, h = np.array([y0, -0.5]), 0.5
+            half = (h / 2.0) / dilation_scales(langevin.structure, 2.0)
+            X = y + np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]) * half
+            outside = np.nextafter(X[0], X[0] + 1.0)
+            X = np.vstack([X, outside])
+            assert estimate_density(X, y, h, langevin.structure, 0.25).n_hits == 4
+            rows = estimate_density(X, np.array([y, y]), h, langevin.structure, 0.25)
+            assert rows.n_hits.tolist() == [4, 4]
+
+    def test_windows_hold_rows_past_the_rounded_faces(self, langevin):
+        # First coordinates a few floats either side of y0 -+ (h/2)/s0: at
+        # non-dyadic horizons the rounded test counts some rows past those
+        # rounded faces, and each window must still hold them.
+        h, past = 0.5, 0
+        for y0 in (0.0, 0.3, 1e6 + 0.3, -1e6 - 0.3):
+            y = np.array([y0, 0.0])
+            for horizon in np.linspace(0.3, 1.7, 29):
+                scale0 = dilation_scales(langevin.structure, horizon**-0.5)[0]
+                faces = y0 + np.array([-1.0, 1.0]) * (h / 2.0) / scale0
+                first = (faces[:, None] + np.spacing(faces)[:, None] * np.arange(-4, 5)).ravel()
+                X = np.column_stack([first, np.zeros_like(first)])
+                hits = full_scan_hits(X, y, h, langevin.structure, horizon)
+                rows = estimate_density(X, [y], h, langevin.structure, horizon)
+                assert rows.n_hits.tolist() == [hits]
+                outside = X[(first < faces[0]) | (first > faces[1])]
+                past += full_scan_hits(outside, y, h, langevin.structure, horizon)
+        assert past > 0
+
+    def test_rows_equal_single_targets(self, langevin):
+        X = simulate_paths(make_spec(langevin), 0.0, [0.0, 0.0], 1.0, SimConfig(N_ODD, 1, seed=17))
+        targets = np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 0.25], [9.0, 9.0]])
+        rows = estimate_density(X, targets, 0.25, langevin.structure, 1.0)
+        for i, y in enumerate(targets):
+            one = estimate_density(X, y, 0.25, langevin.structure, 1.0)
+            assert rows.value[i] == one.value and rows.stderr[i] == one.stderr
+            assert rows.n_hits[i] == one.n_hits
+        assert rows.n_hits[-1] == 0
+
+    def test_target_shape_checked(self, heat1d):
+        with pytest.raises(ValueError):
+            estimate_density(np.zeros((5, 1)), [0.0, 0.0], 0.1, heat1d.structure, 1.0)
+        with pytest.raises(ValueError):
+            estimate_density(np.zeros((5, 1)), np.zeros((2, 2)), 0.1, heat1d.structure, 1.0)
 
 
 class TestMassConcentration:
@@ -559,6 +696,22 @@ class TestVerifyBounds:
         np.testing.assert_allclose(np.log(report.gamma), log_ref, rtol=1e-12, atol=1e-12)
         assert all(m >= -1e-12 for m in report.psd_margins)
 
+    def test_constant_matrix_propagator_kept(self, kinetic21, monkeypatch):
+        A = np.array([[0.6, 0.2], [0.2, 0.4]])
+        spec = make_spec(kinetic21, a=fields.ConstantMatrixField(A), mu=4.0)
+        x, ys = np.array([0.3, -0.2, 0.5]), np.array([[0.2, 0.1, 0.4], [0.0, 0.0, 0.0]])
+        first = verify_bounds(spec, 0.1, x, 0.9, ys, 0.5, 2.0)
+        calls = []
+        for module in ("kolmo.gramian", "kolmo.mc"):
+            expm = sys.modules[module].expm
+            monkeypatch.setattr(
+                sys.modules[module], "expm", lambda M, expm=expm: calls.append(M) or expm(M)
+            )
+        second = verify_bounds(spec, 0.1, x, 0.9, ys, 0.5, 2.0)
+        assert calls == []
+        assert np.array_equal(first.gamma, second.gamma)
+        assert first.diagonal_c == second.diagonal_c
+
     def test_mc_route_flags_zero_hits(self, heat1d):
         spec = make_spec(heat1d, lam=1.0, mu=2.0)
         # Break the exact route with a lower-order coefficient of zero size?
@@ -599,6 +752,19 @@ class TestVerifyBounds:
         )
         assert report.diagonal_c[-1] == full.value
         assert report.gamma[0] == full.value
+
+    def test_mc_route_grid_equals_per_target_estimates(self, langevin):
+        spec = space_spec(langevin)
+        t, T, x = -0.2, 0.6, np.array([0.1, -0.1])
+        config = SimConfig(N_ODD, 8, seed=29)
+        ys = np.array([[0.1, 0.0], [0.5, 0.3], [-0.4, -0.2], [0.1, 0.05], [3.0, 3.0], [-3.0, 1.5]])
+        report = verify_bounds(spec, t, x, T, ys, 1 / 2.5, 2.5, sim_config=config, bandwidth=0.25)
+        endpoints = simulate_paths(spec, t, x, T, config)
+        ests = [estimate_density(endpoints, y, 0.25, langevin.structure, T - t) for y in ys]
+        assert report.gamma.tolist() == [e.value for e in ests]
+        assert report.stderr.tolist() == [e.stderr for e in ests]
+        assert report.zero_hit_indices == tuple(i for i, e in enumerate(ests) if e.n_hits == 0)
+        assert report.zero_hit_indices == (4, 5)
 
     def test_mc_route_requires_config(self, heat1d):
         a = fields.IsotropicMatrixField(

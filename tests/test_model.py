@@ -352,7 +352,9 @@ class TestBatchedValidation:
         with pytest.raises(CoefficientError, match="Doubled"):
             fields.batch_scalar(Doubled(), 0.0, np.zeros((3, 2)))
         with pytest.raises(CoefficientError, match="TimeSinusoidField"):
-            fields.batch_value_and_gradient(fields.TimeSinusoidField(1.0, 0.5), np.zeros((3, 2)))
+            fields.batch_value_and_gradient(
+                fields.TimeSinusoidField(1.0, 0.5), np.zeros((3, 2)), 1
+            )
 
 
 class TestConfigRoundTrip:

@@ -62,6 +62,27 @@ def test_only_main_writes_cli_files():
     assert writers == {"main"}
 
 
+def test_environment_read_only_for_the_lane_count():
+    # One setting comes from the environment: KOLMO_THREADS, read where the
+    # simulation picks its lane count.
+    mentions = [
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+        in ("environ", "environb", "getenv", "getenvb")
+    ]
+    assert mentions == ["mc.py"]
+    reads = [
+        node.args[0].value
+        for node in ast.walk(_trees()["mc.py"])
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "get"
+        and getattr(node.func.value, "attr", None) == "environ"
+    ]
+    assert reads == ["KOLMO_THREADS"]
+
+
 def test_dilation_exponents_called_only_in_model():
     # Everything else scales through dilation_scales or dilation_matrix.
     callers = {
