@@ -16,9 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .control import ConeSpec, cone_membership, optimal_control
+from .control import in_cones, optimal_control
 from .exceptions import ChainError
-from .model import SpaceTimePoint
 
 __all__ = [
     "HarnackConfig",
@@ -31,11 +30,15 @@ __all__ = [
 ]
 
 _TIME_TOL = 1e-12
-# Iterations a stopping-time solve may take before it counts as failed.
-# Newton from the previous rate needs a handful; a solve that cannot meet its
+# Iterations a stopping-time solve may take before it counts as failed (the
+# Taylor model's own solve stops there too).  Newton from the model's root
+# needs one evaluation where the model is exact; a solve that cannot meet its
 # residual falls back to bisection and, for times of order one, runs out of
 # floats between the bracket ends within about 60 halvings.
 _NEWTON_MAX = 200
+# Terms of the Taylor model of the control that gives each solve its first
+# iterate: exact for a nilpotent drift of index at most this.
+_TAYLOR_TERMS = 10
 
 
 @dataclass(frozen=True)
@@ -110,11 +113,17 @@ def build_chain(problem, config):
     Each next time is ``(t_j + tau*beta) ^ inf{s : energy on [t_j, s] >= eps}``
     capped at ``T``.  The infimum is found by safeguarded Newton on the
     energy spent since ``t_j``, whose derivative is the closed-form rate
-    ``|sigma^T e^((T-s)B^T) w|^2``; each step starts from the rate and its
-    slope at ``t_j`` and stops once the spent energy is within
-    ``1e-12 * max(1, eps)`` of ``eps``.  The energy left, its rate and the
-    trajectory point ``e^(-(T-s)B) (y - C(T-s) w)`` at each iterate all come
-    from one exponential of the system's propagator.  Times within
+    ``|sigma^T e^((T-s)B^T) w|^2``, and is accepted once the spent energy is
+    within ``1e-12 * max(1, eps)`` of ``eps``.  The first iterate is the root
+    of a Taylor model of the spent energy: with ``u_j = e^((T-t_j)B^T) w``
+    from the state at ``t_j`` and ``a_k = sigma^T (-B^T)^k u_j / k!``,
+    ``F(delta) = sum_(i,j<10) (a_i . a_j) delta^(i+j+1) / (i+j+1)``, exact for
+    a drift nilpotent of index at most 10 and needing no new exponential.
+    Acceptance is still decided by the exact state, so the model moves only
+    where the solve starts: where it is exact, a step costs one exponential.
+    The energy left, its rate and the trajectory point
+    ``e^(-(T-s)B) (y - C(T-s) w)`` at each iterate all come from one
+    exponential of the system's propagator.  Times within
     ``1e-9 * (T - t)`` of ``T`` snap to ``T``.  When the whole horizon fits a
     single time budget and the total energy is within one cost budget, the
     single-step fast path is taken verbatim.
@@ -142,13 +151,12 @@ def build_chain(problem, config):
     exponent = 1.0 / config.beta + V / eps
     propagator = problem.system.propagator
     m0 = problem.system.m0
-    coupling = problem.system.B[:, :m0].T  # sigma^T B^T, as sigma = (I; 0)
+    forms = _energy_forms(problem.system.B, m0)
 
     def state(s):
         # The energy left after s (w^T C(T - s) w, decreasing in s), the rate
-        # |v|^2 at which it is spent, that rate's slope, and gamma(s), all
-        # from the exponential at T - s; v = sigma^T u with u = e^((T-s)B^T) w
-        # and dv/ds = -sigma^T B^T u.
+        # |sigma^T u|^2 at which it is spent, u = e^((T-s)B^T) w, and
+        # gamma(s), all from the exponential at T - s.
         if s >= T:
             u, left, point = ctrl.w, 0.0, problem.y
         else:
@@ -156,7 +164,7 @@ def build_chain(problem, config):
             Cw = C @ ctrl.w
             u, left, point = flow.T @ ctrl.w, float(ctrl.w @ Cw), inv_flow @ (problem.y - Cw)
         v = u[:m0]
-        return left, float(v @ v), -2.0 * float(v @ (coupling @ u)), point
+        return left, float(v @ v), u, point
 
     times = [t]
     points = [problem.x]
@@ -176,7 +184,8 @@ def build_chain(problem, config):
                 )
             t_j = times[-1]
             right = min(t_j + step_cap, T)
-            t_next, at_next = _stopping_time(state, t_j, at_j, right, eps)
+            first = _model_root(forms, at_j[2], eps, t_j, right)
+            t_next, at_next = _stopping_time(state, t_j, at_j, right, eps, first)
             step_cost = at_j[0] - at_next[0]
             if t_next == right and step_cost < eps:
                 clause = "terminal" if right >= T - snap else "time-budget"
@@ -204,24 +213,86 @@ def build_chain(problem, config):
     return chain
 
 
-def _stopping_time(state, lo, at_lo, hi, eps):
+def _energy_forms(B, m0):
+    """Forms ``Q_n`` of the Taylor model ``F(delta) = sum_n (u^T Q_n u) delta**(n+1)``.
+
+    ``F`` is the energy spent from ``t_j`` to ``t_j + delta`` when
+    ``u = e^((T-t_j)B^T) w``: with ``T_k = sigma^T (-B^T)^k / k!``, ``k < 10``,
+    the control there is ``sum_k delta^k T_k u``, so ``Q_n`` sums
+    ``T_i^T T_j / (n+1)`` over the anti-diagonal ``i + j = n``.  Trailing
+    zero forms, the whole tail of a nilpotent drift, are dropped; the forms
+    are stacked as ``(n d, d)`` rows.
+    """
+    K, d = _TAYLOR_TERMS, len(B)
+    terms = [np.eye(d)[:m0]]
+    for k in range(1, K):
+        terms.append(terms[-1] @ -B.T / k)
+    T = np.array(terms)
+    i, j = np.divmod(np.arange(K * K), K)
+    antidiagonals = (np.arange(2 * K - 1)[:, None] == i + j) / (i + j + 1.0)
+    forms = antidiagonals @ np.einsum("imk,jml->ijkl", T, T).reshape(K * K, d * d)
+    return forms[: np.flatnonzero(forms.any(axis=1))[-1] + 1].reshape(-1, d)
+
+
+def _model_root(forms, u, eps, t_j, right):
+    """The time ``t_j + delta`` where the Taylor model of the spent energy reaches ``eps``.
+
+    The model ``F(delta) = sum_n c[n] delta**(n+1)``, ``c[n] = u^T Q_n u``
+    (see `_energy_forms`), is nondecreasing, its derivative being a squared
+    norm, so ``right`` is returned when ``F(right - t_j) < eps``.  Otherwise
+    safeguarded Newton from the model's quadratic part runs until ``F`` is
+    within ``1e-13 * max(1, eps)`` of ``eps`` or the bracket collapses.
+    """
+    c = ((forms @ u).reshape(-1, len(u)) @ u).tolist()
+    slopes = [(n + 1) * cn for n, cn in enumerate(c)]
+
+    def residual(x):
+        f = df = 0.0
+        for cn, sn in zip(reversed(c), reversed(slopes)):
+            f = f * x + cn
+            df = df * x + sn
+        return f * x - eps, df
+
+    lo, hi = 0.0, right - t_j
+    if residual(hi)[0] < 0:
+        return right
+    tol = 1e-13 * max(1.0, eps)
+    c0, c1 = (c + [0.0])[:2]
+    reach = c0 + math.sqrt(max(c0 * c0 + 4.0 * c1 * eps, 0.0))
+    x = 2.0 * eps / reach if reach > 0 else hi
+    for _ in range(_NEWTON_MAX):
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        f, df = residual(x)
+        if abs(f) <= tol:
+            break
+        if f < 0:
+            lo = x
+        else:
+            hi = x
+        x = x - f / df if df > 0 else hi
+    return t_j + x
+
+
+def _stopping_time(state, lo, at_lo, hi, eps, first):
     """The time in ``(lo, hi]`` where the energy spent since ``lo`` reaches ``eps``.
 
-    ``state(s)`` returns ``(energy left, spending rate, its slope, gamma(s))``.
-    The first step solves the quadratic model of the spent energy given by
-    the rate and slope at ``lo``; later steps are Newton steps.  ``hi`` is
-    evaluated only when a step reaches it, and a step that leaves the bracket
-    is replaced by bisection.  Returns the time and its state once the spent
-    energy is within ``1e-12 * max(1, eps)`` of ``eps``; ``hi`` if less than
-    ``eps`` is spent by then; or, if the bracket shrinks to adjacent floats
-    first, the end with the smaller residual.
+    ``state(s)`` returns ``(energy left, spending rate, ..., gamma(s))``.
+    The solve starts at ``first`` (at ``hi`` if ``first`` is outside
+    ``(lo, hi)``); later steps are Newton steps.  ``hi`` is evaluated only
+    when a step reaches it, and a step that leaves the bracket is replaced
+    by bisection.
+    Returns the time and its state once the spent energy is within
+    ``1e-12 * max(1, eps)`` of ``eps``; ``hi`` if less than ``eps`` is spent
+    by then; or, if the bracket shrinks to adjacent floats first, the end
+    with the smaller residual.
     """
     tol = 1e-12 * max(1.0, eps)
     left_lo = at_lo[0]
     f_lo, f_hi, at_hi = -eps, None, None
-    rate, slope = at_lo[1], at_lo[2]
-    reach = rate + math.sqrt(max(rate * rate + 2.0 * slope * eps, 0.0))
-    s = lo + 2.0 * eps / reach if reach > 0 else hi
+    s = first
     for _ in range(_NEWTON_MAX):
         if not lo < s < hi:
             if at_hi is None:
@@ -266,25 +337,21 @@ def _check_chain_invariants(chain):
 def verify_chain(chain):
     """Check the chaining geometry: every step lands in its predecessor's cone.
 
-    Tests ``(t_{j+1}, gamma(t_{j+1}))`` against the cone with opening
+    Tests each ``(t_{j+1}, gamma(t_{j+1}))`` against the cone with opening
     ``beta``, radius ``r``, and scale cap ``sqrt(tau)`` of ``chain.config``,
     based at ``(t_j, gamma(t_j))`` over the chain's own system, plus the
-    time-budget condition.  By construction each step's energy is at most
-    ``epsilon = (r/kappa)**2``, so the dilated offset is below ``r`` with a
-    1/1.1 margin from the certified ``kappa``.
+    time-budget condition.  The ``J`` step flows come from one batched
+    exponential and every step is tested at once.  By construction each
+    step's energy is at most ``epsilon = (r/kappa)**2``, so the dilated
+    offset is below ``r`` with a 1/1.1 margin from the certified ``kappa``.
     """
     cfg = chain.config
     system = chain.problem.system
-    R = np.sqrt(cfg.tau)
-    base = SpaceTimePoint(chain.times[0], chain.points[0])
-    for j in range(chain.J):
-        nxt = SpaceTimePoint(chain.times[j + 1], chain.points[j + 1])
-        if nxt.t - base.t > cfg.tau * cfg.beta + 1e-9:
-            return False
-        if not cone_membership(ConeSpec(cfg.beta, cfg.r, R, base), nxt, system):
-            return False
-        base = nxt
-    return True
+    dt = np.diff(chain.times)
+    points = np.asarray(chain.points)
+    offsets = points[1:] - np.einsum("jik,jk->ji", system.propagator.flows(dt), points[:-1])
+    inside = in_cones(system.structure, cfg.beta, cfg.r, np.sqrt(cfg.tau), dt, offsets)
+    return bool(np.all(inside & (dt <= cfg.tau * cfg.beta + 1e-9)))
 
 
 class HarnackFactor(NamedTuple):

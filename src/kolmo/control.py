@@ -32,6 +32,7 @@ __all__ = [
     "discrete_least_norm_control",
     "kappa_estimate",
     "cone_membership",
+    "in_cones",
     "cylinder_membership",
 ]
 
@@ -206,19 +207,28 @@ def cone_membership(cone, p, system):
     """Whether ``p`` lies in the cone: dilation scale in range, dilated offset small.
 
     Solves ``l = sqrt((t_p - t_base) / beta)`` and tests ``0 < l <= R`` and
-    ``|D(1/l)(x_p - e^((t_p - t_base) B) x_base)| < r``.  Points at or before
-    the base time are simply not members (no error), so chain construction
-    can probe candidates freely.
+    ``|D(1/l)(x_p - e^((t_p - t_base) B) x_base)| < r`` through `in_cones`.
+    Points at or before the base time are simply not members (no error).
     """
     dt = p.t - cone.base.t
-    if dt <= 0:
-        return False
-    lam = np.sqrt(dt / cone.beta)
-    if lam > cone.R:
-        return False
     offset = p.x - system.propagator.flow(dt) @ cone.base.x
-    xi = dilation_scales(system.structure, 1.0 / lam) * offset
-    return bool(np.linalg.norm(xi) < cone.r)
+    return bool(in_cones(system.structure, cone.beta, cone.r, cone.R, dt, offset))
+
+
+def in_cones(structure, beta, r, R, dt, offsets):
+    """The cone test on offsets ``x_p - e^(dt B) x_base`` over time steps ``dt``.
+
+    One step (a number and a ``(d,)`` offset) or rows of them (``(n,)`` and
+    ``(n, d)``, giving ``(n,)``): a step is inside when ``dt > 0``,
+    ``l = sqrt(dt / beta) <= R`` and ``|D(1/l) offset| < r``.  The one
+    dilated-offset test, behind `cone_membership` and `chain.verify_chain`.
+    """
+    dt = np.asarray(dt, dtype=float)
+    lam = np.sqrt(np.abs(dt) / beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = dilation_scales(structure, 1.0 / lam) * offsets
+        radius = np.sqrt(np.einsum("...i,...i->...", xi, xi))
+    return (dt > 0) & (lam <= R) & (radius < r)
 
 
 def cylinder_membership(center, rho, p, system):

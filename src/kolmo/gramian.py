@@ -139,6 +139,17 @@ class Propagator:
         """``e^(sB)``."""
         return self.at(s)[1]
 
+    def flows(self, s_grid):
+        """``e^(sB)`` at every horizon of a grid, as an ``(n, d, d)`` array.
+
+        One exponential call on the stacked Van Loan matrices, each slice bit
+        for bit ``flow(s)``; the cache is neither read nor filled.
+        """
+        s = np.asarray(s_grid, dtype=float)
+        d = self._M.shape[0] // 2
+        E = expm(self._M * s[:, None, None])
+        return np.ascontiguousarray(E[:, d:, d:].swapaxes(1, 2))
+
     def gramian(self, s):
         """The covariance ``C(s)``, symmetrized."""
         return self.at(s)[2]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kolmo import fields
+from kolmo.control import optimal_control
 from kolmo.model import OperatorSpec, validate_structure
 
 
@@ -92,3 +93,32 @@ def langevin_model_path(tmp_path):
     path = tmp_path / "langevin.json"
     path.write_text(json.dumps(langevin_config()))
     return str(path)
+
+
+def bisection_stop(ctrl, t_j, right, eps):
+    """First float in ``(t_j, right]`` where the energy spent since ``t_j`` reaches eps."""
+    p = ctrl.problem
+
+    def left(s):
+        return 0.0 if s >= p.T else float(ctrl.w @ p.system.propagator.gramian(p.T - s) @ ctrl.w)
+
+    left_j = left(t_j)
+    lo, hi = t_j, right
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if left_j - left(mid) >= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def oracle_gaps(chain, steps):
+    """``|bisection_stop - t_end|`` for each of the chain's ``steps``."""
+    cfg, p = chain.config, chain.problem
+    ctrl = optimal_control(p)
+    rights = [min(s.t_start + cfg.tau * cfg.beta, p.T) for s in steps]
+    return [
+        abs(bisection_stop(ctrl, s.t_start, right, cfg.epsilon) - s.t_end)
+        for s, right in zip(steps, rights)
+    ]

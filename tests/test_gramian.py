@@ -127,6 +127,19 @@ class TestPropagator:
         langevin.propagator.gramians([0.625, 0.125, 0.375, 0.5])
         assert expm_calls[0] == 2
 
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
+    def test_batched_flows_are_flow_bit_for_bit(self, name, request, expm_calls):
+        system = request.getfixturevalue(name)
+        prop = system.propagator
+        grid = np.concatenate([np.random.default_rng(5).uniform(1e-4, 1.0, 50), [0.0, 0.5, 0.5]])
+        before = prop._at.cache_info()
+        flows = prop.flows(grid)
+        assert prop._at.cache_info() == before
+        assert expm_calls[0] == 1
+        assert flows.shape == (len(grid), system.d, system.d)
+        for s, F in zip(grid, flows):
+            np.testing.assert_array_equal(F, prop.flow(s))
+
     def test_cache_is_bounded(self, langevin, expm_calls):
         prop = langevin.propagator
         horizons = np.linspace(0.01, 1.0, 200)

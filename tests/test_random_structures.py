@@ -6,14 +6,17 @@ diagonal.  The paper's identities are checked at the tolerances the
 hand-picked fixtures use.
 """
 
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from kolmo import fields
-from kolmo.control import ControlProblem, optimal_control, trajectory
+from kolmo.chain import HarnackConfig, build_chain, verify_chain
+from kolmo.control import ControlProblem, kappa_estimate, optimal_control, trajectory
 from kolmo.exceptions import GramianError
 from kolmo.gramian import (
     dilation_scaling_defect,
@@ -31,6 +34,8 @@ from kolmo.model import (
     spec_to_config,
     validate_structure,
 )
+
+from conftest import oracle_gaps
 
 SEEDS = range(24)
 
@@ -81,9 +86,17 @@ def test_dilation_scales(seed):
         np.testing.assert_array_equal(grid[idx], dilation_scales(structure, rs[idx]))
 
 
+# Cascades of four or more levels.
+DEEP_SEEDS = [seed for seed in SEEDS if random_system(seed)[0].structure.nu >= 3]
+
+
+def _deep_seeds_marked(mark):
+    return [pytest.param(seed, marks=[mark] if seed in DEEP_SEEDS else []) for seed in SEEDS]
+
+
 # The Van Loan covariance of a cascade with four or more levels loses its
 # smallest entries at short horizons: C0(tau) is then not numerically
-# positive definite, and both laws fail (ROADMAP item 3).
+# positive definite, and both laws fail (ROADMAP item 2).
 _DEEP = pytest.mark.xfail(
     strict=True,
     raises=(AssertionError, GramianError),
@@ -91,13 +104,7 @@ _DEEP = pytest.mark.xfail(
 )
 
 
-@pytest.mark.parametrize(
-    "seed",
-    [
-        pytest.param(seed, marks=[_DEEP] if random_system(seed)[0].structure.nu >= 3 else [])
-        for seed in SEEDS
-    ],
-)
+@pytest.mark.parametrize("seed", _deep_seeds_marked(_DEEP))
 def test_homogeneous_gramian_laws(seed):
     system, _ = random_system(seed)
     for tau in (1e-3, 1e-1, 1.0):
@@ -130,6 +137,67 @@ def test_steering_and_cost_identities(seed):
         g = system.propagator.factor(tau)
         offset = p.y - expm(tau * system.B) @ p.x
         assert abs(ctrl.cost - quadratic_form(g, offset)) <= 1e-10 * max(ctrl.cost, 1.0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batched_flows_are_flow_bit_for_bit(seed):
+    system, rng = random_system(seed)
+    prop = system.propagator
+    grid = rng.uniform(1e-4, 1.0, size=20)
+    before = prop._at.cache_info()
+    flows = prop.flows(grid)
+    assert prop._at.cache_info() == before
+    for s, F in zip(grid, flows):
+        np.testing.assert_array_equal(F, prop.flow(s))
+
+
+@functools.lru_cache(maxsize=None)
+def steered_chain(seed):
+    """A chain over ``[0, 1]`` whose steering energy is 58 budgets: exponent 60."""
+    system, rng = random_system(seed)
+    cfg = HarnackConfig(C_harnack=10.0, beta=0.5, r=0.4, tau=1.0, kappa=kappa_estimate(system))
+    x = rng.normal(size=system.d)
+    offset = rng.normal(size=system.d)
+    offset *= math.sqrt(58 * cfg.epsilon / quadratic_form(system.propagator.factor(1.0), offset))
+    problem = ControlProblem(system, 0.0, 1.0, x, system.propagator.flow(1.0) @ x + offset)
+    return build_chain(problem, cfg)
+
+
+# gamma(t) is formed in original coordinates: on a deep cascade the dilated
+# offset of a short step scales its last coordinates by (1/l)^(2 nu + 1)
+# and is rounding, and the stopping-time solves see the same noise in the
+# energy left.
+_DEEP_CHAIN = pytest.mark.xfail(
+    strict=False,
+    reason="deep-cascade rounding in original coordinates (ROADMAP item 2)",
+)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chain_invariants(seed):
+    chain = steered_chain(seed)
+    assert chain.J <= math.ceil(chain.exponent) + 1
+    np.testing.assert_array_equal(chain.points[0], chain.problem.x)
+    np.testing.assert_array_equal(chain.points[-1], chain.problem.y)
+    assert chain.times[-1] == chain.problem.T
+
+
+@pytest.mark.parametrize("seed", _deep_seeds_marked(_DEEP_CHAIN))
+def test_chain_step_costs_within_budget(seed):
+    chain = steered_chain(seed)
+    assert max(step.cost for step in chain.steps) <= chain.config.epsilon * (1 + 1e-9)
+
+
+# The first three shallow seeds with more than one block.
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_chain_stops_match_bisection_oracle(seed):
+    cost_steps = [s for s in steered_chain(seed).steps if s.clause == "cost-budget"]
+    assert max(oracle_gaps(steered_chain(seed), cost_steps[::20] + cost_steps[-1:])) <= 2e-12
+
+
+@pytest.mark.parametrize("seed", _deep_seeds_marked(_DEEP_CHAIN))
+def test_chain_verifies(seed):
+    assert verify_chain(steered_chain(seed))
 
 
 def _every_kind(rng, d):
