@@ -7,7 +7,7 @@ equivalences, minimum-energy steering controls, Harnack-chain constructions,
 and Monte Carlo verification of two-sided Gaussian comparison bounds.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .chain import (
     HarnackChain,
@@ -21,7 +21,6 @@ from .control import (
     ControlProblem,
     OptimalControl,
     cone_membership,
-    cylinder_membership,
     discrete_least_norm_control,
     kappa_estimate,
     optimal_control,
@@ -46,13 +45,10 @@ from .gramian import (
     quadratic_form,
 )
 from .kernel import (
-    BoundEnvelope,
     GaussianKernel,
     aronson_upper_form,
-    bound_envelope_eval,
     cauchy_solution,
     chapman_kolmogorov_residual,
-    covariance_upper_form,
     eval_kernel,
     eval_log_kernel,
     lower_bound_form,
@@ -65,7 +61,6 @@ from .mc import (
     SimConfig,
     estimate_density,
     mass_concentration,
-    mass_concentration_dual,
     simulate_paths,
     verify_bounds,
 )
@@ -80,7 +75,6 @@ from .model import (
     group_inverse,
     homogeneous_dimension,
     kalman_rank,
-    principal_part,
     scaled_system,
     spec_from_config,
     spec_to_config,

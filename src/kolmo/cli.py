@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
+import platform
 import re
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chain import HarnackConfig, build_chain, verify_chain
@@ -33,12 +36,7 @@ from .control import (
 )
 from .exceptions import CoefficientError, KolmoError, SettingError, StructureError
 from .gramian import equivalence_constants, gramian, gramian_homogeneous
-from .kernel import (
-    GaussianKernel,
-    aronson_upper_form,
-    eval_log_kernel,
-    lower_bound_form,
-)
+from .kernel import GaussianKernel, aronson_upper_form, lower_bound_form
 from .mc import SimConfig, estimate_density, simulate_paths, verify_bounds
 from .model import (
     coefficient_bounds,
@@ -46,6 +44,7 @@ from .model import (
     ellipticity_check,
     kalman_rank,
     spec_from_config,
+    spec_to_config,
 )
 
 __all__ = ["main", "load_model"]
@@ -81,14 +80,10 @@ def load_model(path):
 
     Runs the structural validation, the coupling rank check, the sampled
     ellipticity check against the declared constant, and the sampled
-    coefficient bound check.  A document that is not a JSON object, or
-    lacks a required key, raises a `KolmoError` naming the key.
+    coefficient bound check.  Returns the spec and its sampled ellipticity
+    constants ``(mu_low, mu_high)``.  A document that is not a JSON object,
+    or lacks a required key, raises a `KolmoError` naming the key.
     """
-    return _validated_model(path)[0]
-
-
-def _validated_model(path):
-    """`load_model`'s spec together with its sampled ellipticity constants."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -166,15 +161,29 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _manifest(args, outputs):
+def _manifest(args, outputs, spec):
+    """The run's parameters and outputs, and its inputs.
+
+    ``inputs`` holds the sha256 of the model's canonical JSON (its
+    `spec_to_config` form with sorted keys and compact separators, so key
+    order and whitespace do not change it) and the python, numpy and scipy
+    versions.
+    """
     params = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "out") and v is not None
     }
+    canonical = json.dumps(spec_to_config(spec), sort_keys=True, separators=(",", ":"))
     return {
         "subcommand": args.subcommand,
         "model": getattr(args, "model", None),
+        "inputs": {
+            "model_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "scipy": scipy.__version__,
+        },
         "params": params,
         "seed": getattr(args, "seed", None),
         "outputs": outputs,
@@ -191,6 +200,24 @@ def _parse_floats(text, option, count=None):
     if count is not None and len(vals) != count:
         raise _UsageError(f"{option} takes {count} numbers, got {text!r}")
     return vals
+
+
+def _at_least(low):
+    """An argparse type: an integer of at least ``low``.
+
+    Anything else is a usage error that names the option.
+    """
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_point(text, d, option):
@@ -263,18 +290,10 @@ def _cmd_kernel(args, spec, mu_sampled):
         ys = _grid_points(system, t, x, T, g["radius"], g["n"])
     else:
         ys = y[None, :]
-    rows = []
-    for yi in ys:
-        log_gamma = eval_log_kernel(kernel, t, x, T, yi)
-        rows.append(
-            [
-                *yi.tolist(),
-                float(np.exp(log_gamma)),
-                log_gamma,
-                lower_bound_form(args.c_lower, system, t, x, T, yi),
-                aronson_upper_form(args.c_upper, system, t, x, T, yi),
-            ]
-        )
+    log_gamma = kernel.log_batch(t, x, T, ys)
+    lower = lower_bound_form(args.c_lower, system, t, x, T, ys)
+    upper = aronson_upper_form(args.c_upper, system, t, x, T, ys)
+    rows = np.column_stack((ys, np.exp(log_gamma), log_gamma, lower, upper)).tolist()
     header = [f"y{i}" for i in range(d)] + ["gamma", "log_gamma", "lower_form", "upper_form"]
     return None, (header, rows)
 
@@ -439,8 +458,8 @@ def _build_parser():
             p.add_argument("--to", required=True, help="T,y1,...,yd")
         if sim:
             p.add_argument("--horizon", type=float, required=True)
-            p.add_argument("--paths", type=int, default=100000)
-            p.add_argument("--steps", type=int, default=16)
+            p.add_argument("--paths", type=_at_least(1), default=100000)
+            p.add_argument("--steps", type=_at_least(1), default=16)
             p.add_argument("--seed", type=int, required=True)
             p.add_argument("--bandwidth", type=float, default=0.2)
         p.set_defaults(func=fn)
@@ -458,7 +477,7 @@ def _build_parser():
     p.add_argument("--c-upper", type=float, default=1.0)
 
     p = add("control", _cmd_control, "minimum-energy control trajectory", to=True)
-    p.add_argument("--n", type=int, default=65)
+    p.add_argument("--n", type=_at_least(2), default=65)
 
     p = add("chain", _cmd_chain, "Harnack chain construction", to=True)
     p.add_argument("--beta", type=float, default=0.5)
@@ -497,7 +516,8 @@ def main(argv=None):
             return EXIT_USAGE
         if args.out is None and args.subcommand != "validate":
             args.out = f"kolmo-{args.subcommand}"
-        summary, table = args.func(args, *_validated_model(args.model))
+        spec, mu_sampled = load_model(args.model)
+        summary, table = args.func(args, spec, mu_sampled)
         if args.out is None:
             print(json.dumps(summary, sort_keys=True))
             return EXIT_OK
@@ -506,7 +526,7 @@ def main(argv=None):
             outputs["csv"] = args.out + ".csv"
         if summary is not None:
             outputs["json"] = args.out + ".json"
-        manifest = _manifest(args, outputs)
+        manifest = _manifest(args, outputs, spec)
         # Strict JSON has no NaN or infinity: both payloads are checked before
         # any file is opened (the CSV rows before theirs), so a failure leaves
         # no file.

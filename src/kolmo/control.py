@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, expm
+from scipy.linalg import cho_solve
 
 from .exceptions import GramianError
+from .gramian import input_response
 from .model import SpaceTimePoint, dilation_scales, sigma_matrix
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "kappa_estimate",
     "cone_membership",
     "in_cones",
-    "cylinder_membership",
 ]
 
 
@@ -142,12 +142,7 @@ def discrete_least_norm_control(problem, n_steps):
     p = problem
     d, m0 = p.system.d, p.system.m0
     dt = p.horizon / n_steps
-    sig = sigma_matrix(p.system.structure)
-    aug = np.zeros((d + m0, d + m0))
-    aug[:d, :d] = p.system.B
-    aug[:d, d:] = sig
-    E = expm(aug * dt)
-    A, G = E[:d, :d], E[:d, d:]
+    A, G = input_response(p.system, dt)
 
     M = np.zeros((d, n_steps * m0))
     Apow = np.eye(d)
@@ -229,21 +224,3 @@ def in_cones(structure, beta, r, R, dt, offsets):
         xi = dilation_scales(structure, 1.0 / lam) * offsets
         radius = np.sqrt(np.einsum("...i,...i->...", xi, xi))
     return (dt > 0) & (lam <= R) & (radius < r)
-
-
-def cylinder_membership(center, rho, p, system):
-    """Whether ``p`` lies in the dilated-translated unit cylinder at ``center``.
-
-    The unit cylinder is ``{0 <= t < 1, |x| < 1}``; membership rescales
-    ``center^-1 o p`` by ``delta_(1/rho)`` and tests against it (time
-    half-open, space open).
-    """
-    if rho <= 0:
-        raise ValueError(f"cylinder scale must be positive, got {rho}")
-    dt = p.t - center.t
-    s = dt / rho**2
-    if not 0 <= s < 1:
-        return False
-    rel = p.x - system.propagator.flow(dt) @ center.x
-    xi = dilation_scales(system.structure, 1.0 / rho) * rel
-    return bool(np.linalg.norm(xi) < 1.0)

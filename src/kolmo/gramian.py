@@ -17,12 +17,13 @@ The propagator also keeps the factored `Gramian` of each cached horizon
 (``propagator.factor(s)``), the one unchecked route to ``C(t)`` with its
 Cholesky factor: the steering cost, the bound forms and the equivalence
 constants all read it, so a horizon is factored once however often it is
-revisited.  `gramian_weighted` reads the time-weighted covariance off
-propagators in closed form; adaptive Simpson quadrature is only the checked
-`gramian`'s independent cross-check.  Quadratic forms and Gaussian log
-densities go through the Cholesky factor; the inverse is never formed
-explicitly, since the conditioning of ``C(t)`` degrades like
-``t**-(2 nu)`` as ``t -> 0``.
+revisited.  `input_response` reads a step's flow and its response to a
+constant input off one exponential of its own.  `gramian_weighted` reads
+the time-weighted covariance off propagators in closed form; adaptive
+Simpson quadrature is only the checked `gramian`'s independent
+cross-check.  Quadratic forms and Gaussian log densities go through the
+Cholesky factor; the inverse is never formed explicitly, since the
+conditioning of ``C(t)`` degrades like ``t**-(2 nu)`` as ``t -> 0``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .exceptions import CoefficientError, GramianError, QuadratureError
 from .fields import ConstantField, TabulatedField, TimeSinusoidField
 from .model import (
     dilation_matrix,
-    homogeneous_dimension,
     homogeneous_system,
     sigma_matrix,
 )
@@ -50,6 +50,7 @@ __all__ = [
     "gramian",
     "gramian_weighted",
     "gramian_homogeneous",
+    "input_response",
     "is_time_field",
     "strength_at",
     "quadratic_form",
@@ -197,6 +198,20 @@ class Propagator:
             C = C_h + E @ C @ E.T
             out[k] = C
         return out[where]
+
+
+def input_response(system, s):
+    """The flow ``e^(sB)`` and the response ``J(s) = int_0^s e^(uB) sigma du``.
+
+    ``J(s)`` is the state's response to a unit constant input; both blocks
+    are read off one exponential of ``s [[B, sigma], [0, 0]]``.
+    """
+    d, m0 = system.d, system.m0
+    aug = np.zeros((d + m0, d + m0))
+    aug[:d, :d] = system.B
+    aug[:d, d:] = sigma_matrix(system.structure)
+    E = expm(aug * s)
+    return E[:d, :d], E[:d, d:]
 
 
 def _simpson_panel(f, a, fa, b, fb, m, fm, whole, depth, tol):
@@ -459,12 +474,3 @@ def dilation_scaling_defect(system, tau):
     D_inv = dilation_matrix(system.structure, tau ** -0.5)
     lhs = D_inv @ C_tau @ D_inv
     return float(np.abs(lhs - C_1).max() / np.abs(C_1).max())
-
-
-def homogeneous_det_law_defect(system, tau):
-    """Relative defect of ``det C0(tau) = tau**Q det C0(1)``, in log space."""
-    h_prop = homogeneous_system(system).propagator
-    Q = homogeneous_dimension(system.structure)
-    ld_tau = h_prop.factor(tau).logdet
-    ld_1 = h_prop.factor(1.0).logdet
-    return float(abs(ld_tau - (Q * np.log(tau) + ld_1)))

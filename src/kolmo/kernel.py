@@ -10,7 +10,6 @@ differences, so tails never overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,20 +25,15 @@ from .model import dilation_scales, homogeneous_dimension
 
 __all__ = [
     "GaussianKernel",
-    "BoundEnvelope",
     "eval_kernel",
     "eval_log_kernel",
     "chapman_kolmogorov_residual",
     "normalization_residual",
     "pde_residual",
     "cauchy_solution",
-    "bound_envelope_eval",
     "aronson_upper_form",
     "lower_bound_form",
-    "covariance_upper_form",
     "payoff_polynomial",
-    "payoff_gaussian_bump",
-    "payoff_smoothed_indicator",
 ]
 
 
@@ -211,8 +205,8 @@ def cauchy_solution(kernel, phi, t, x, T):
     """Terminal-value representation ``u(t,x) = int G(t,x;T,y) phi(y) dy``.
 
     ``phi`` must be bounded and continuous for the representation to solve
-    the terminal-value problem; use the payoff factories in this module for
-    serializable choices.  Quadrature supported for d <= 2.
+    the terminal-value problem; `payoff_polynomial` is a serializable choice.
+    Quadrature supported for d <= 2.
     """
     x = np.asarray(x, dtype=float)
     mean = kernel.flow(T - t) @ x
@@ -231,86 +225,44 @@ def payoff_polynomial(constant, linear, cap):
     return phi
 
 
-def payoff_gaussian_bump(center, width):
-    center = np.asarray(center, dtype=float)
+def _bound_offset(c, system, t, x, T, y):
+    """``T - t``, the prefactor ``(T-t)^(-Q/2)`` and the offset ``y - e^((T-t)B) x``.
 
-    def phi(y):
-        r = np.asarray(y, dtype=float) - center
-        return float(np.exp(-0.5 * float(r @ r) / width**2))
-
-    return phi
-
-
-def payoff_smoothed_indicator(center, radius):
-    """Logistic step of sharpness 20 from 1 inside the ball to 0 outside."""
-    center = np.asarray(center, dtype=float)
-
-    def phi(y):
-        r = np.linalg.norm(np.asarray(y, dtype=float) - center)
-        return float(1.0 / (1.0 + np.exp(-20.0 * (radius - r))))
-
-    return phi
-
-
-@dataclass(frozen=True)
-class BoundEnvelope:
-    """Comparison constants ``(lambda-, lambda+, C-, C+)`` for a two-sided bound."""
-
-    lambda_minus: float
-    lambda_plus: float
-    C_minus: float
-    C_plus: float
-
-    def __post_init__(self):
-        if not (0 < self.lambda_minus <= self.lambda_plus):
-            raise ValueError("need 0 < lambda- <= lambda+")
-        if self.C_minus <= 0 or self.C_plus <= 0:
-            raise ValueError("envelope constants must be positive")
-
-
-def bound_envelope_eval(env, system, t, x, T, y):
-    """Evaluate ``(C- * G^{lambda-}, C+ * G^{lambda+})`` at one point.
-
-    Near the peak the slower kernel exceeds the faster one, so the envelope
-    is consistent (lower <= upper) only for suitable constants; both values
-    are returned regardless.
+    ``y`` is one target ``(d,)`` or target rows ``(n, d)``; the offset has its
+    shape.  The bound forms hold on unit horizons only, with a positive
+    constant ``c``.
     """
-    lo = env.C_minus * eval_kernel(GaussianKernel(system, env.lambda_minus), t, x, T, y)
-    hi = env.C_plus * eval_kernel(GaussianKernel(system, env.lambda_plus), t, x, T, y)
-    return lo, hi
-
-
-def _check_unit_horizon(t, T):
     if not 0 < T - t <= 1:
         raise ValueError(f"bound forms require 0 < T - t <= 1, got {T - t}")
+    if not c > 0:
+        raise ValueError(f"bound forms require a positive constant, got {c}")
+    tau = T - t
+    Q = homogeneous_dimension(system.structure)
+    offset = np.asarray(y, float) - system.propagator.flow(tau) @ np.asarray(x, float)
+    return tau, tau ** (-Q / 2.0), offset
 
 
 def aronson_upper_form(c_A, system, t, x, T, y):
-    """Dilated-norm upper envelope ``c_A (T-t)^(-Q/2) exp(-|D((T-t)^(-1/2)) offset|^2 / c_A)``."""
-    _check_unit_horizon(t, T)
-    tau = T - t
-    Q = homogeneous_dimension(system.structure)
-    offset = np.asarray(y, float) - system.propagator.flow(tau) @ np.asarray(x, float)
+    """Dilated-norm upper envelope ``c_A (T-t)^(-Q/2) exp(-|D((T-t)^(-1/2)) offset|^2 / c_A)``.
+
+    ``y`` is one target ``(d,)``, giving a float, or target rows ``(n, d)``,
+    giving an ``(n,)`` array, each entry bit for bit its row's one-target value.
+    """
+    tau, prefactor, offset = _bound_offset(c_A, system, t, x, T, y)
     z = dilation_scales(system.structure, tau**-0.5) * offset
-    return float(c_A * tau ** (-Q / 2.0) * np.exp(-float(z @ z) / c_A))
+    # A row times its column is the same inner product as the 1-d ``z @ z``.
+    sq = (z[..., None, :] @ z[..., :, None])[..., 0, 0]
+    value = c_A * prefactor * np.exp(-sq / c_A)
+    return value if offset.ndim == 2 else float(value)
 
 
 def lower_bound_form(c_D, system, t, x, T, y):
-    """Covariance-form lower envelope ``c_D (T-t)^(-Q/2) exp(-<C^-1 offset, offset> / c_D)``."""
-    _check_unit_horizon(t, T)
-    tau = T - t
-    Q = homogeneous_dimension(system.structure)
-    g = system.propagator.factor(tau)
-    offset = np.asarray(y, float) - system.propagator.flow(tau) @ np.asarray(x, float)
-    return float(c_D * tau ** (-Q / 2.0) * np.exp(-quadratic_form(g, offset) / c_D))
+    """Covariance-form lower envelope ``c_D (T-t)^(-Q/2) exp(-<C^-1 offset, offset> / c_D)``.
 
-
-def covariance_upper_form(c_L, system, t, x, T, y):
-    """Covariance-form upper envelope with ``det C`` normalization."""
-    _check_unit_horizon(t, T)
-    tau = T - t
-    g = system.propagator.factor(tau)
-    offset = np.asarray(y, float) - system.propagator.flow(tau) @ np.asarray(x, float)
-    return float(
-        c_L * np.exp(-0.5 * g.logdet) * np.exp(-quadratic_form(g, offset) / c_L)
-    )
+    ``y`` is one target ``(d,)``, giving a float, or target rows ``(n, d)``,
+    giving an ``(n,)`` array.
+    """
+    tau, prefactor, offset = _bound_offset(c_D, system, t, x, T, y)
+    q = quadratic_form(system.propagator.factor(tau), offset)
+    value = c_D * prefactor * np.exp(-q / c_D)
+    return value if offset.ndim == 2 else float(value)

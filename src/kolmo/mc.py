@@ -39,25 +39,18 @@ error in any lane stops the others and is raised to the caller.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fields
 from .exceptions import CoefficientError, GramianError, SettingError
-from .gramian import gramian_weighted, log_density
+from .gramian import gramian_weighted, input_response, log_density
 from .kernel import GaussianKernel
-from .model import (
-    dilation_scales,
-    ellipticity_check,
-    homogeneous_dimension,
-    sigma_matrix,
-)
+from .model import dilation_scales, ellipticity_check, homogeneous_dimension
 
 __all__ = [
     "SimConfig",
@@ -66,7 +59,6 @@ __all__ = [
     "simulate_paths",
     "estimate_density",
     "mass_concentration",
-    "mass_concentration_dual",
     "verify_bounds",
 ]
 
@@ -221,21 +213,12 @@ def _run_lanes(run_chunk, chunks, lanes):
         raise min(errors, key=lambda error: error[0])[1]
 
 
-def _input_response(system, s):
-    """``int_0^s e^(uB) sigma du``, the state's response to a unit constant input."""
-    d, m0 = system.d, system.m0
-    aug = np.zeros((d + m0, d + m0))
-    aug[:d, :d] = system.B
-    aug[:d, d:] = sigma_matrix(system.structure)
-    return expm(aug * s)[:d, d:]
-
-
 def _gaussian_endpoint(spec, t, x, T):
     """Mean and covariance `Gramian` of the endpoint law where it is exactly Gaussian.
 
     It is where the diffusion does not depend on space and every lower-order
     coefficient is a constant, summing to ``b``: the endpoint is then
-    ``N(e^(tau B) x + J(tau) b, C_w)`` with ``J`` from `_input_response` and
+    ``N(e^(tau B) x + J(tau) b, C_w)`` with ``J`` from `input_response` and
     ``C_w`` the covariance of the linear diffusion with squared coefficient
     ``2 a`` on the leading block.  Elsewhere returns None.  `simulate_paths`
     samples this law and the exact route of `verify_bounds` reads its
@@ -257,7 +240,7 @@ def _gaussian_endpoint(spec, t, x, T):
     mean = system.propagator.flow(tau) @ x
     b = np.add([c.value for c in spec.a_low.components], [c.value for c in spec.b_low.components])
     if np.any(b):
-        mean = mean + _input_response(system, tau) @ b
+        mean = mean + input_response(system, tau)[1] @ b
     return mean, cov
 
 
@@ -290,13 +273,14 @@ def _step_grid(t, horizons, n_steps):
 def _stepped_chunk_runner(spec, t, x, horizons, config):
     """Chunk simulation by frozen-coefficient steps, with a snapshot at each horizon.
 
-    Each step applies the exact linear flow, the lower-order drift through
-    `_input_response`, and noise ``sqrt(2 alpha) L Z`` with ``L`` the
-    Cholesky factor of the step's covariance ``C(dt)`` and ``a = alpha I``
-    at the step start (a constant matrix ``a`` folds ``2 a`` into ``L``
-    instead).  Returns ``run_chunk(chunk_index, rows)``, which fills the
-    ``rows[i]`` view with that chunk's states at ``horizons[i]``.  Every
-    chunk simulates ``2**14`` paths.
+    Each step applies the exact linear flow and the lower-order drift, both
+    read off one exponential by `input_response`, and noise
+    ``sqrt(2 alpha) L Z`` with ``L`` the Cholesky factor of the step's
+    covariance ``C(dt)`` and ``a = alpha I`` at the step start (a constant
+    matrix ``a`` folds ``2 a`` into ``L`` instead).  Returns
+    ``run_chunk(chunk_index, rows)``, which fills the ``rows[i]`` view with
+    that chunk's states at ``horizons[i]``.  Every chunk simulates ``2**14``
+    paths.
     """
     system = spec.system
     m0 = system.m0
@@ -321,11 +305,7 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
         strength = a_field.scalar
     step_times, step_lengths, ends = _step_grid(t, horizons, config.n_steps)
     step_ops = {
-        dt: (
-            expm(dt * system.B),
-            _input_response(system, dt),
-            propagator.factor(dt).chol,
-        )
+        dt: (*input_response(system, dt), propagator.factor(dt).chol)
         for dt in set(step_lengths)
     }
     snapshot_of = {end: i for i, end in enumerate(ends)}
@@ -456,43 +436,6 @@ def mass_concentration(endpoints, flow_point, R, structure, horizon):
     scale = dilation_scales(structure, horizon**-0.5)
     scaled = (endpoints - np.asarray(flow_point, float)[None, :]) * scale
     return float(np.mean(np.linalg.norm(scaled, axis=1) <= R))
-
-
-def mass_concentration_dual(kernel, t, T, y, R):
-    """Source-side mass near the backward flow: quadrature check of the dual form.
-
-    Computes ``int G(t, x; T, y) dx`` over
-    ``|D((T-t)^(-1/2)) (y - e^((T-t)B) x)| <= R`` by substituting the dilated
-    offset, for constant-coefficient kernels in dimension at most 2: 128
-    Gauss-Legendre radial nodes, and 256 equispaced angles in dimension 2.
-    """
-    n_radial, n_angular = 128, 256
-    system = kernel.system
-    d = system.d
-    tau = T - t
-    cov = kernel.covariance(t, T)
-    scales = dilation_scales(system.structure, tau**0.5)
-    # dx = e^(-tau tr B) det D(sqrt(tau)) dz
-    jac = math.exp(-tau * float(np.trace(system.B))) * float(np.prod(scales))
-
-    def density_of_z(Z):
-        return np.exp(log_density(cov, Z * scales))
-
-    if d == 1:
-        nodes, wts = np.polynomial.legendre.leggauss(n_radial)
-        Z = (R * nodes)[:, None]
-        return jac * float(np.sum(R * wts * density_of_z(Z)))
-    if d == 2:
-        nodes, wts = np.polynomial.legendre.leggauss(n_radial)
-        r = 0.5 * R * (nodes + 1.0)
-        wr = 0.5 * R * wts
-        theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
-        wt = 2.0 * math.pi / n_angular
-        Rg, Tg = np.meshgrid(r, theta, indexing="ij")
-        Z = np.stack([(Rg * np.cos(Tg)).ravel(), (Rg * np.sin(Tg)).ravel()], axis=1)
-        f = density_of_z(Z).reshape(n_radial, n_angular)
-        return jac * float(np.sum(wr[:, None] * Rg * f) * wt)
-    raise ValueError(f"dual quadrature supported for d <= 2, got d={d}")
 
 
 @dataclass(frozen=True)

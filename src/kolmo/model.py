@@ -34,7 +34,6 @@ __all__ = [
     "group_inverse",
     "scaled_system",
     "homogeneous_system",
-    "principal_part",
     "ellipticity_check",
     "coefficient_bounds",
     "default_sample_grid",
@@ -337,27 +336,6 @@ class OperatorSpec:
         return self.system.structure
 
 
-def principal_part(spec, lam):
-    """The constant-coefficient comparison operator with diffusion ``(lam/2) I``.
-
-    Keeps the drift system, zeroes all lower-order coefficients, and declares
-    the tightest ellipticity constant ``max(lam/2, 2/lam)``.
-    """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    m0 = spec.system.m0
-    zero_vec = fields.VectorField(tuple(fields.ConstantField(0.0) for _ in range(m0)))
-    return OperatorSpec(
-        system=spec.system,
-        a=fields.ConstantMatrixField((lam / 2.0) * np.eye(m0)),
-        a_low=zero_vec,
-        b_low=zero_vec,
-        c=fields.ConstantField(0.0),
-        mu=max(lam / 2.0, 2.0 / lam),
-        M_bound=spec.M_bound,
-    )
-
-
 def default_sample_grid(structure):
     """Deterministic sample points for coefficient checks.
 
@@ -477,6 +455,11 @@ def spec_from_config(cfg):
 
 
 def spec_to_config(spec):
+    """The JSON dict form of a spec, read back by `spec_from_config`.
+
+    Every coefficient appears in its one serialized form, so the run
+    manifest hashes this dict as the model's content.
+    """
     return {
         "blocks": list(spec.structure.m),
         "B": spec.system.B.tolist(),

@@ -1,11 +1,19 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from kolmo import fields
 from kolmo.control import optimal_control
-from kolmo.model import OperatorSpec, validate_structure
+from kolmo.gramian import log_density
+from kolmo.model import (
+    OperatorSpec,
+    dilation_scales,
+    homogeneous_dimension,
+    homogeneous_system,
+    validate_structure,
+)
 
 
 @pytest.fixture
@@ -122,3 +130,49 @@ def oracle_gaps(chain, steps):
         abs(bisection_stop(ctrl, s.t_start, right, cfg.epsilon) - s.t_end)
         for s, right in zip(steps, rights)
     ]
+
+
+def homogeneous_det_law_defect(system, tau):
+    """Relative defect of ``det C0(tau) = tau**Q det C0(1)``, in log space."""
+    h_prop = homogeneous_system(system).propagator
+    Q = homogeneous_dimension(system.structure)
+    ld_tau = h_prop.factor(tau).logdet
+    ld_1 = h_prop.factor(1.0).logdet
+    return float(abs(ld_tau - (Q * np.log(tau) + ld_1)))
+
+
+def mass_concentration_dual(kernel, t, T, y, R):
+    """Source-side mass near the backward flow: quadrature check of the dual form.
+
+    Computes ``int G(t, x; T, y) dx`` over
+    ``|D((T-t)^(-1/2)) (y - e^((T-t)B) x)| <= R`` by substituting the dilated
+    offset, for constant-coefficient kernels in dimension at most 2: 128
+    Gauss-Legendre radial nodes, and 256 equispaced angles in dimension 2.
+    """
+    n_radial, n_angular = 128, 256
+    system = kernel.system
+    d = system.d
+    tau = T - t
+    cov = kernel.covariance(t, T)
+    scales = dilation_scales(system.structure, tau**0.5)
+    # dx = e^(-tau tr B) det D(sqrt(tau)) dz
+    jac = math.exp(-tau * float(np.trace(system.B))) * float(np.prod(scales))
+
+    def density_of_z(Z):
+        return np.exp(log_density(cov, Z * scales))
+
+    if d == 1:
+        nodes, wts = np.polynomial.legendre.leggauss(n_radial)
+        Z = (R * nodes)[:, None]
+        return jac * float(np.sum(R * wts * density_of_z(Z)))
+    if d == 2:
+        nodes, wts = np.polynomial.legendre.leggauss(n_radial)
+        r = 0.5 * R * (nodes + 1.0)
+        wr = 0.5 * R * wts
+        theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
+        wt = 2.0 * math.pi / n_angular
+        Rg, Tg = np.meshgrid(r, theta, indexing="ij")
+        Z = np.stack([(Rg * np.cos(Tg)).ravel(), (Rg * np.sin(Tg)).ravel()], axis=1)
+        f = density_of_z(Z).reshape(n_radial, n_angular)
+        return jac * float(np.sum(wr[:, None] * Rg * f) * wt)
+    raise ValueError(f"dual quadrature supported for d <= 2, got d={d}")

@@ -26,7 +26,6 @@ from kolmo.gramian import (
     adaptive_simpson,
     dilation_scaling_defect,
     gramian,
-    homogeneous_det_law_defect,
     quadratic_form,
 )
 from kolmo.kernel import (
@@ -38,7 +37,7 @@ from kolmo.kernel import (
 from kolmo.mc import SimConfig, estimate_density, mass_concentration, simulate_paths, verify_bounds
 from kolmo.model import SpaceTimePoint, dilation_matrix, sigma_matrix, validate_structure
 
-from conftest import make_spec, sinusoid_spec
+from conftest import homogeneous_det_law_defect, make_spec, sinusoid_spec
 
 LANGEVIN = validate_structure([[0.0, 0.0], [1.0, 0.0]], [1, 1])
 HEAT1D = validate_structure([[0.0]], [1])

@@ -53,8 +53,9 @@ def read_csv(path):
 
 class TestLoadModel:
     def test_valid_langevin(self, langevin_model_path):
-        spec = load_model(langevin_model_path)
+        spec, (mu_low, mu_high) = load_model(langevin_model_path)
         assert spec.system.d == 2
+        assert mu_low <= spec.mu and mu_high <= spec.mu
 
     def test_monotonicity_failure_exit_code(self, tmp_path, capsys):
         cfg = langevin_config()
@@ -190,6 +191,21 @@ class TestSubcommands:
             ]
         )
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("option", ["--c-lower", "--c-upper"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_kernel_nonpositive_constant_is_numeric_exit(
+        self, option, value, langevin_model_path, tmp_path
+    ):
+        out = tmp_path / "kc"
+        code = main(
+            [
+                "kernel", "--model", langevin_model_path,
+                "--from", "0,0,0", "--to", "1,0.5,0.2", option, value, "--out", str(out),
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        assert list(tmp_path.glob("kc*")) == []
 
     def test_control_cost(self, langevin_model_path, tmp_path):
         out = str(tmp_path / "c")
@@ -497,6 +513,33 @@ class TestOutputs:
             assert runs[0] == runs[1], sub
 
 
+class TestManifestInputs:
+    """The manifest records the model's content hash and the library versions."""
+
+    def manifest(self, tmp_path, name, text):
+        model = tmp_path / f"{name}.json"
+        model.write_text(text)
+        out = str(tmp_path / name)
+        assert main(["validate", "--model", str(model), "--out", out]) == EXIT_OK
+        return json.loads(open(out + ".manifest.json").read())
+
+    def test_hash_ignores_key_order_and_whitespace(self, tmp_path):
+        cfg = langevin_config()
+        first = self.manifest(tmp_path, "a", json.dumps(cfg))
+        reordered = dict(reversed(list(cfg.items())))
+        second = self.manifest(tmp_path, "b", json.dumps(reordered, indent=4))
+        assert first["inputs"] == second["inputs"]
+        assert set(first["inputs"]) == {"model_sha256", "numpy", "python", "scipy"}
+        assert len(first["inputs"]["model_sha256"]) == 64
+
+    def test_changed_coefficient_changes_hash(self, tmp_path):
+        first = self.manifest(tmp_path, "a", json.dumps(langevin_config(1.0)))
+        cfg = langevin_config(1.0)
+        cfg["coefficients"]["a"]["value"] = 0.6
+        second = self.manifest(tmp_path, "b", json.dumps(cfg))
+        assert first["inputs"]["model_sha256"] != second["inputs"]["model_sha256"]
+
+
 class TestNegativeTimes:
     """A point with a negative time parses as a separate value, as after ``=``."""
 
@@ -546,6 +589,18 @@ class TestMalformedValues:
         ("verify-bounds", ["--from", "0,0,0", "--horizon", "1", "--lambda-minus", "1",
                            "--lambda-plus", "1", "--seed", "4", "--grid", "radius=3,n=0"],
          "--grid"),
+        *(
+            ("control", ["--from", "0,0,0", "--to", "1,1,0", "--n", n], "--n")
+            for n in ("1", "0", "-3", "2.5", "x")
+        ),
+        *(
+            (sub, ["--from", "0,0,0", "--horizon", "1", "--seed", "4", *extra, option, value],
+             option)
+            for sub, extra in (("simulate", []),
+                               ("verify-bounds", ["--lambda-minus", "1", "--lambda-plus", "1"]))
+            for option, value in (("--paths", "0"), ("--paths", "-5"), ("--steps", "0"),
+                                  ("--steps", "1.5"))
+        ),
     ]
 
     @pytest.mark.parametrize("sub, extra, option", CASES)

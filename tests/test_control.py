@@ -7,7 +7,6 @@ from kolmo.control import (
     ControlProblem,
     cone_membership,
     control_value,
-    cylinder_membership,
     discrete_least_norm_control,
     kappa_estimate,
     optimal_control,
@@ -256,31 +255,6 @@ class TestConeMembership:
     def test_invalid_cone(self):
         with pytest.raises(ValueError):
             ConeSpec(1.5, 0.25, 1.0, SpaceTimePoint(0.0, [0.0]))
-
-
-class TestCylinderMembership:
-    def test_unit_cylinder_interior(self, heat1d):
-        center = SpaceTimePoint(0.0, [0.0])
-        assert cylinder_membership(center, 1.0, SpaceTimePoint(0.5, [0.5]), heat1d)
-
-    def test_time_half_open(self, heat1d):
-        center = SpaceTimePoint(0.0, [0.0])
-        assert not cylinder_membership(center, 1.0, SpaceTimePoint(1.0, [0.0]), heat1d)
-
-    def test_langevin_offset_center(self, langevin):
-        # Hand-unrolled: relative point (0.125, (0, -0.0625)); at scale 0.5 the
-        # rescaled time is 0.5 and the rescaled offset has norm 0.5.
-        center = SpaceTimePoint(1.0, [1.0, 0.0])
-        inside = SpaceTimePoint(1.125, [1.0, 0.0625])
-        assert cylinder_membership(center, 0.5, inside, langevin)
-        outside = SpaceTimePoint(1.125, [1.0, 0.5])
-        assert not cylinder_membership(center, 0.5, outside, langevin)
-
-    def test_nonpositive_scale_rejected(self, heat1d):
-        with pytest.raises(ValueError):
-            cylinder_membership(
-                SpaceTimePoint(0.0, [0.0]), 0.0, SpaceTimePoint(0.1, [0.0]), heat1d
-            )
 
 
 class TestCostScaling:

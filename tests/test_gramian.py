@@ -16,10 +16,10 @@ from kolmo.gramian import (
     gramian,
     gramian_homogeneous,
     gramian_weighted,
-    homogeneous_det_law_defect,
+    input_response,
     quadratic_form,
 )
-from kolmo.kernel import covariance_upper_form, lower_bound_form
+from kolmo.kernel import lower_bound_form
 from kolmo.model import (
     BlockStructure,
     SystemMatrix,
@@ -27,6 +27,10 @@ from kolmo.model import (
     sigma_matrix,
     validate_structure,
 )
+
+from conftest import homogeneous_det_law_defect
+
+FIXTURES = ["heat1d", "langevin", "kinetic21", "deep221", "starful"]
 
 # Hand values for the velocity/position system: C(t) = [[t, t^2/2], [t^2/2, t^3/3]].
 LANGEVIN_C1 = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
@@ -152,6 +156,29 @@ class TestPropagator:
         assert expm_calls[0] == 201
 
 
+class TestInputResponse:
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("s", [1e-3, 0.3, 1.0])
+    def test_flow_block_is_the_propagator_flow(self, name, s, request):
+        system = request.getfixturevalue(name)
+        flow, _ = input_response(system, s)
+        ref = system.propagator.flow(s)
+        assert np.abs(flow - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_response_matches_gauss_legendre(self, name, request):
+        # J(s) = int_0^s e^(uB) sigma du by 64-point Gauss-Legendre.
+        system = request.getfixturevalue(name)
+        s = 0.7
+        nodes, wts = np.polynomial.legendre.leggauss(64)
+        sig = sigma_matrix(system.structure)
+        ref = sum(
+            0.5 * s * w * expm(0.5 * s * (u + 1.0) * system.B) @ sig for u, w in zip(nodes, wts)
+        )
+        _, J = input_response(system, s)
+        assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 class TestFactor:
     @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
     @pytest.mark.parametrize("s", [0.05, 0.7, 1.0])
@@ -188,7 +215,6 @@ class TestFactor:
         x = np.array([0.2, -0.1])
         for y in np.random.default_rng(3).normal(size=(20, 2)):
             lower_bound_form(1.0, langevin, 0.0, x, 0.6, y)
-            covariance_upper_form(1.0, langevin, 0.0, x, 0.6, y)
             optimal_control(ControlProblem(langevin, 0.0, 0.6, x, y))
         assert len(calls) == 1
 

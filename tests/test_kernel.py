@@ -6,20 +6,15 @@ from kolmo import fields
 from kolmo.exceptions import CoefficientError, GramianError
 from kolmo.gramian import gramian, gramian_weighted, strength_at
 from kolmo.kernel import (
-    BoundEnvelope,
     GaussianKernel,
     aronson_upper_form,
-    bound_envelope_eval,
     cauchy_solution,
     chapman_kolmogorov_residual,
-    covariance_upper_form,
     eval_kernel,
     eval_log_kernel,
     lower_bound_form,
     normalization_residual,
-    payoff_gaussian_bump,
     payoff_polynomial,
-    payoff_smoothed_indicator,
     pde_residual,
 )
 from kolmo.model import (
@@ -28,6 +23,9 @@ from kolmo.model import (
     group_compose,
     homogeneous_dimension,
 )
+
+
+FIXTURES = ["heat1d", "langevin", "kinetic21", "deep221", "starful"]
 
 
 class TestEvalKernel:
@@ -45,6 +43,20 @@ class TestEvalKernel:
         k = GaussianKernel(heat1d, 2.0)
         val = eval_kernel(k, 0.0, [0.0], 1.0, [1.0])
         assert np.isclose(val, np.exp(-0.25) / np.sqrt(4 * np.pi), rtol=1e-12)
+
+    def test_slow_kernel_exceeds_fast_at_peak(self, heat1d):
+        # At the peak the slow kernel exceeds the fast one, which is why the
+        # two-sided bound needs its constants C- and C+.
+        slow = eval_kernel(GaussianKernel(heat1d, 0.5), 0.0, [0.0], 1.0, [0.0])
+        fast = eval_kernel(GaussianKernel(heat1d, 2.0), 0.0, [0.0], 1.0, [0.0])
+        assert np.isclose(slow, 1 / np.sqrt(np.pi), rtol=1e-12)
+        assert np.isclose(fast, 1 / np.sqrt(4 * np.pi), rtol=1e-12)
+        assert slow > fast
+
+    def test_fast_kernel_dominates_in_tail(self, heat1d):
+        slow = eval_kernel(GaussianKernel(heat1d, 0.5), 0.0, [0.0], 1.0, [8.0])
+        fast = eval_kernel(GaussianKernel(heat1d, 2.0), 0.0, [0.0], 1.0, [8.0])
+        assert fast > slow
 
     def test_reversed_times_rejected(self, heat1d):
         with pytest.raises(ValueError):
@@ -261,45 +273,22 @@ class TestCauchySolution:
 
     def test_terminal_value_recovered(self, heat1d):
         k = GaussianKernel(heat1d, 1.0)
-        phi = payoff_gaussian_bump([0.2], width=0.5)
+
+        def phi(y):  # a Gaussian bump of width 0.5 at 0.2
+            return float(np.exp(-0.5 * (y[0] - 0.2) ** 2 / 0.5**2))
+
         T = 1.0
         u = cauchy_solution(k, phi, T - 1e-4, [0.1], T)
         assert abs(u - phi([0.1])) < 1e-3
 
     def test_smoothed_indicator_bounded(self, heat1d):
         k = GaussianKernel(heat1d, 1.0)
-        phi = payoff_smoothed_indicator([0.0], radius=1.0)
+
+        def phi(y):  # a logistic step of sharpness 20 from 1 inside |y| < 1 to 0
+            return float(1.0 / (1.0 + np.exp(-20.0 * (1.0 - abs(y[0])))))
+
         u = cauchy_solution(k, phi, 0.0, [0.0], 1.0)
         assert 0.0 < u < 1.0
-
-
-class TestBoundEnvelope:
-    def test_degenerate_envelope(self, langevin):
-        env = BoundEnvelope(1.0, 1.0, 1.0, 1.0)
-        k = GaussianKernel(langevin, 1.0)
-        lo, hi = bound_envelope_eval(env, langevin, 0.0, [0.0, 0.0], 1.0, [0.4, 0.2])
-        ref = eval_kernel(k, 0.0, [0.0, 0.0], 1.0, [0.4, 0.2])
-        assert np.isclose(lo, ref) and np.isclose(hi, ref)
-
-    def test_peak_ordering_requires_constants(self, heat1d):
-        # At the peak the slow kernel exceeds the fast one: with C = 1 the
-        # envelope is inconsistent there, which is why the constants exist.
-        env = BoundEnvelope(0.5, 2.0, 1.0, 1.0)
-        lo, hi = bound_envelope_eval(env, heat1d, 0.0, [0.0], 1.0, [0.0])
-        assert np.isclose(lo, 1 / np.sqrt(np.pi), rtol=1e-12)
-        assert np.isclose(hi, 1 / np.sqrt(4 * np.pi), rtol=1e-12)
-        assert lo > hi
-
-    def test_fast_kernel_dominates_in_tail(self, heat1d):
-        env = BoundEnvelope(0.5, 2.0, 1.0, 1.0)
-        lo, hi = bound_envelope_eval(env, heat1d, 0.0, [0.0], 1.0, [8.0])
-        assert hi > lo
-
-    def test_invalid_constants(self):
-        with pytest.raises(ValueError):
-            BoundEnvelope(2.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            BoundEnvelope(1.0, 2.0, 0.0, 1.0)
 
 
 class TestBoundForms:
@@ -329,22 +318,24 @@ class TestBoundForms:
         val = lower_bound_form(1.0, heat1d, 0.0, [0.0], 1.0, [1.0])
         assert np.isclose(val, np.exp(-1.0), rtol=1e-12)
 
-    def test_covariance_form_on_flow(self, langevin):
-        val = covariance_upper_form(1.0, langevin, 0.0, [0.0, 0.0], 1.0, [0.0, 0.0])
-        assert np.isclose(val, np.sqrt(12.0), rtol=1e-10)
-
-    def test_covariance_form_matches_aronson_without_drift(self, heat1d):
-        # With zero drift in d=1 the covariance is t and the dilated norm is
-        # the covariance quadratic form, so the two envelopes coincide.
+    def test_aronson_without_drift_is_the_heat_form(self, heat1d):
+        # With zero drift in d=1 the dilated norm is the covariance quadratic
+        # form y^2 / t, so the envelope is t^(-1/2) exp(-y^2 / t).
         for t, y in ((0.3, 0.4), (1.0, -1.2)):
             a = aronson_upper_form(1.0, heat1d, 0.0, [0.0], t, [y])
-            c = covariance_upper_form(1.0, heat1d, 0.0, [0.0], t, [y])
-            assert np.isclose(a, c, rtol=1e-12)
+            assert np.isclose(a, np.exp(-y * y / t) / np.sqrt(t), rtol=1e-12)
 
     def test_horizon_restriction(self, heat1d):
-        for form in (aronson_upper_form, lower_bound_form, covariance_upper_form):
+        for form in (aronson_upper_form, lower_bound_form):
             with pytest.raises(ValueError):
                 form(1.0, heat1d, 0.0, [0.0], 1.5, [0.0])
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
+    def test_nonpositive_constant_rejected(self, heat1d, c):
+        for form in (aronson_upper_form, lower_bound_form):
+            for y in ([0.5], [[0.5], [0.0]]):
+                with pytest.raises(ValueError, match="positive constant"):
+                    form(c, heat1d, 0.0, [0.0], 1.0, y)
 
     def test_fitted_forms_sandwich_kernel(self, langevin):
         # Fit c_D and c_A on a grid so the two forms bracket the exact kernel.
@@ -377,3 +368,45 @@ class TestBoundForms:
             lo = lower_bound_form(c_D, langevin, 0.0, [0.0, 0.0], tau, y)
             hi = aronson_upper_form(c_A, langevin, 0.0, [0.0, 0.0], tau, y)
             assert lo <= v <= hi
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_rows_equal_one_target_calls(self, name, request):
+        system = request.getfixturevalue(name)
+        for forms in bound_forms_both_ways(system, np.random.default_rng(5)):
+            assert_rows_equal_one_target_calls(*forms)
+
+
+def bound_forms_both_ways(system, rng):
+    """Both bound forms at 40 targets, as rows and one target at a time.
+
+    Yields, for ``c`` in 0.5 and 2, the Aronson form's rows and one-target
+    values, the lower form's, and the lower form's exponent
+    ``<C^-1 offset, offset> / c``.  The targets lie two standard deviations
+    out, where no form underflows.
+    """
+    t, T = 0.1, 0.7
+    x = rng.normal(size=system.d)
+    mean = system.propagator.flow(T - t) @ x
+    Y = mean + 2.0 * rng.normal(size=(40, system.d)) @ system.propagator.factor(T - t).chol.T
+    prefactor = (T - t) ** (-homogeneous_dimension(system.structure) / 2.0)
+    for c in (0.5, 2.0):
+        lower = np.array([lower_bound_form(c, system, t, x, T, y) for y in Y])
+        yield (
+            aronson_upper_form(c, system, t, x, T, Y),
+            np.array([aronson_upper_form(c, system, t, x, T, y) for y in Y]),
+            lower_bound_form(c, system, t, x, T, Y),
+            lower,
+            -np.log(lower / (c * prefactor)),
+        )
+
+
+def assert_rows_equal_one_target_calls(upper_rows, upper, lower_rows, lower, exponent):
+    """Aronson bit for bit; the lower form within 1e-14 relative in its exponent.
+
+    The lower form's rows take a multi-column triangular solve, which rounds
+    the exponent differently; the value's relative error is the exponent's
+    absolute error.
+    """
+    assert upper_rows.shape == lower_rows.shape == upper.shape
+    np.testing.assert_array_equal(upper_rows, upper)
+    assert np.all(np.abs(lower_rows / lower - 1.0) <= 1e-14 * np.maximum(1.0, exponent))

@@ -10,7 +10,7 @@ from kolmo import fields
 from kolmo.exceptions import CoefficientError, SettingError
 from kolmo.gramian import Propagator, gramian_weighted
 from kolmo.kernel import GaussianKernel
-from kolmo.model import dilation_scales, sigma_matrix
+from kolmo.model import dilation_scales, sigma_matrix, validate_structure
 from kolmo.mc import (
     SimConfig,
     _lane_count,
@@ -18,12 +18,11 @@ from kolmo.mc import (
     _step_grid,
     estimate_density,
     mass_concentration,
-    mass_concentration_dual,
     simulate_paths,
     verify_bounds,
 )
 
-from conftest import make_spec, sinusoid_spec
+from conftest import make_spec, mass_concentration_dual, sinusoid_spec
 from test_random_structures import SEEDS, random_system
 
 FIXTURES = ["heat1d", "langevin", "kinetic21", "deep221", "starful"]
@@ -39,6 +38,20 @@ def cov_stderr(C, n):
         for j in range(d):
             out[i, j] = np.sqrt((C[i, i] * C[j, j] + C[i, j] ** 2) / n)
     return out
+
+
+def count_exponentials(monkeypatch):
+    """Patch every kolmo module's ``expm``; the list gets each call's number of matrices."""
+    matrices = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kolmo.") and hasattr(module, "expm"):
+
+            def counting(M, *args, expm=module.expm, **kwargs):
+                matrices.append(len(M) if np.ndim(M) == 3 else 1)
+                return expm(M, *args, **kwargs)
+
+            monkeypatch.setattr(module, "expm", counting)
+    return matrices
 
 
 def space_spec(system, amplitude=0.1):
@@ -241,6 +254,17 @@ class TestSimulatePaths:
     def test_rejects_bad_horizon(self, heat1d):
         with pytest.raises(ValueError):
             simulate_paths(make_spec(heat1d), 1.0, [0.0], 1.0, SimConfig(10, 1, seed=1))
+
+    def test_stepped_run_exponentiates_two_matrices_per_step_length(self, monkeypatch):
+        # Per distinct step length, one exponential gives the step's flow and
+        # its input response, and one its covariance factor.
+        system = validate_structure([[0.0, 0.0], [1.0, 0.0]], [1, 1])  # empty caches
+        horizons = [0.25, 1.0]  # 2 steps of 0.125, then 8 of 0.09375
+        _, lengths, _ = _step_grid(0.0, horizons, 10)
+        matrices = count_exponentials(monkeypatch)
+        simulate_paths(space_spec(system), 0.0, np.zeros(2), horizons, SimConfig(100, 10, seed=1))
+        assert len(set(lengths)) == 2
+        assert sum(matrices) == 2 * len(set(lengths))
 
 
 class TestSnapshots:
@@ -701,12 +725,7 @@ class TestVerifyBounds:
         spec = make_spec(kinetic21, a=fields.ConstantMatrixField(A), mu=4.0)
         x, ys = np.array([0.3, -0.2, 0.5]), np.array([[0.2, 0.1, 0.4], [0.0, 0.0, 0.0]])
         first = verify_bounds(spec, 0.1, x, 0.9, ys, 0.5, 2.0)
-        calls = []
-        for module in ("kolmo.gramian", "kolmo.mc"):
-            expm = sys.modules[module].expm
-            monkeypatch.setattr(
-                sys.modules[module], "expm", lambda M, expm=expm: calls.append(M) or expm(M)
-            )
+        calls = count_exponentials(monkeypatch)
         second = verify_bounds(spec, 0.1, x, 0.9, ys, 0.5, 2.0)
         assert calls == []
         assert np.array_equal(first.gamma, second.gamma)

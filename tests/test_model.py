@@ -16,7 +16,6 @@ from kolmo.model import (
     group_inverse,
     homogeneous_dimension,
     kalman_rank,
-    principal_part,
     scaled_system,
     spec_from_config,
     spec_to_config,
@@ -193,32 +192,18 @@ class TestScaledSystem:
         validate_structure(out.B, out.structure.m)
 
 
-class TestPrincipalPart:
-    def test_half_identity(self, langevin):
-        spec = make_spec(langevin, lam=1.0)
-        pp = principal_part(spec, 1.0)
-        np.testing.assert_allclose(pp.a(0.0, np.zeros(2)), 0.5 * np.eye(1))
-
-    def test_lambda_two_scalar(self, heat1d):
-        pp = principal_part(make_spec(heat1d), 2.0)
-        np.testing.assert_allclose(pp.a(0.0, np.zeros(1)), [[1.0]])
-
-    def test_fitted_mu_passes_ellipticity(self, langevin):
-        for lam in (0.3, 1.0, 5.0):
-            pp = principal_part(make_spec(langevin), lam)
-            mu_low, mu_high = ellipticity_check(pp)
-            assert mu_low <= pp.mu + 1e-12 and mu_high <= pp.mu + 1e-12
-
-    def test_nonpositive_lambda(self, langevin):
-        with pytest.raises(ValueError):
-            principal_part(make_spec(langevin), 0.0)
-
-
 class TestEllipticityCheck:
     def test_identity_coefficient(self, heat1d):
         spec = make_spec(heat1d, lam=2.0)  # a = I
         mu_low, mu_high = ellipticity_check(spec)
         assert np.isclose(mu_low, 1.0) and np.isclose(mu_high, 1.0)
+
+    def test_comparison_operator_within_declared_mu(self, langevin):
+        # a = (lam/2) I declares mu = max(lam/2, 2/lam), the tightest constant.
+        for lam in (0.3, 1.0, 5.0):
+            spec = make_spec(langevin, lam=lam)
+            mu_low, mu_high = ellipticity_check(spec)
+            assert mu_low <= spec.mu + 1e-12 and mu_high <= spec.mu + 1e-12
 
     def test_time_sinusoid_extremes(self, heat1d):
         a = fields.IsotropicMatrixField(

@@ -7,6 +7,7 @@ from pathlib import Path
 import kolmo
 
 SOURCES = sorted(Path(kolmo.__file__).parent.glob("*.py"))
+DEMOS = sorted((Path(kolmo.__file__).parents[2] / "demos").glob("*.py"))
 
 
 def _trees():
@@ -14,16 +15,15 @@ def _trees():
 
 
 def test_expm_imported_only_where_needed():
-    # gramian: the Van Loan exponential and the integrand of the checked
-    # gramian's Simpson cross-check; control: the discrete least-norm oracle;
-    # mc: the step flow, kept bit for bit.
+    # gramian: the Van Loan exponential, the input response and the integrand
+    # of the checked gramian's Simpson cross-check.
     importers = {
         name
         for name, tree in _trees().items()
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and any(a.name == "expm" for a in node.names)
     }
-    assert importers == {"gramian.py", "control.py", "mc.py"}
+    assert importers == {"gramian.py"}
 
 
 def _simpson_calls(tree):
@@ -158,3 +158,34 @@ def test_exports_resolve():
     assert reexports
     unexported = [(m, n) for m, n in reexports if n not in modules[m].__all__]
     assert unexported == []
+
+
+def _references(tree):
+    """``(defined name or None, names loaded and attributes read)`` per top-level statement."""
+    out = []
+    for node in tree.body:
+        names = {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        }
+        out.append((getattr(node, "name", None), names))
+    return out
+
+
+def test_every_export_has_a_caller():
+    # A name in a module's __all__ is used by the library outside its own
+    # definition, or by a demo; the package's re-exports do not count.
+    assert DEMOS
+    refs = {name: _references(tree) for name, tree in _trees().items() if name != "__init__.py"}
+    in_src = {
+        ref for statements in refs.values() for defined, names in statements for ref in names - {defined}
+    }
+    in_demos = {ref for p in DEMOS for _, names in _references(ast.parse(p.read_text())) for ref in names}
+    uncalled = [
+        f"{name[:-3]}.{export}"
+        for name in refs
+        for export in getattr(importlib.import_module(f"kolmo.{name[:-3]}"), "__all__", ())
+        if export not in in_src and export not in in_demos
+    ]
+    assert uncalled == []
