@@ -7,15 +7,18 @@ manifest produce byte-identical outputs (floats are serialized with
 shortest-roundtrip ``repr``; a NaN or an infinity is a computational failure).
 
 Exit codes: 0 success, 1 computational failure, 2 parse error,
-3 model validation failure, 64 usage error (a malformed option value too).
+3 model validation failure, 64 usage error (a malformed or out-of-range option
+value too).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
+import math
 import platform
 import re
 import sys
@@ -124,7 +127,7 @@ def _write_csv(path, header, rows):
     # Every row is checked before the file is opened, so a failure leaves none.
     for row in rows:
         for v in row:
-            if isinstance(v, (float, np.floating)) and not np.isfinite(v):
+            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
                 raise KolmoError(f"non-finite value {v} in CSV output")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -172,7 +175,7 @@ def _manifest(args, outputs, spec):
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "out") and v is not None
+        if k != "out" and v is not None
     }
     canonical = json.dumps(spec_to_config(spec), sort_keys=True, separators=(",", ":"))
     return {
@@ -220,6 +223,31 @@ def _at_least(low):
     return parse
 
 
+def _between(low, high):
+    """An argparse type: a number strictly between ``low`` and ``high``.
+
+    ``_between(0, math.inf)`` is a positive finite number; NaN is never
+    between.  Anything else is a usage error that names the option.
+    """
+
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(
+                f"must be a number in ({low}, {high}), got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_POSITIVE = _between(0, math.inf)
+_FRACTION = _between(0, 1)
+
+
 def _parse_point(text, d, option):
     vals = _parse_floats(text, option, d + 1)
     return vals[0], np.array(vals[1:])
@@ -240,6 +268,14 @@ def _parse_grid(text):
                 val = int(val)
             out[k] = val
     return out
+
+
+def _start_and_horizon(args, d):
+    """The ``--from`` point and a finite ``--horizon`` after its time."""
+    t, x = _parse_point(args.frm, d, "--from")
+    if not t < args.horizon < math.inf:
+        raise _UsageError(f"--horizon must be a finite time after {t}, got {args.horizon}")
+    return t, x, args.horizon
 
 
 def _grid_points(system, t, x, T, radius, n):
@@ -352,8 +388,7 @@ def _cmd_chain(args, spec, mu_sampled):
 
 def _cmd_simulate(args, spec, mu_sampled):
     d = spec.system.d
-    t, x = _parse_point(args.frm, d, "--from")
-    T = args.horizon
+    t, x, T = _start_and_horizon(args, d)
     if args.density_at is not None:
         y = np.array(_parse_floats(args.density_at, "--density-at", d))
     config = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
@@ -379,8 +414,7 @@ def _cmd_simulate(args, spec, mu_sampled):
 
 def _cmd_verify_bounds(args, spec, mu_sampled):
     d = spec.system.d
-    t, x = _parse_point(args.frm, d, "--from")
-    T = args.horizon
+    t, x, T = _start_and_horizon(args, d)
     g = _parse_grid(args.grid)
     ys = _grid_points(spec.system, t, x, T, g["radius"], g["n"])
     config = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
@@ -439,12 +473,17 @@ def _cmd_equivalence(args, spec, mu_sampled):
     return summary, (["tau", "det_ratio"], rows)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and kept: parsing leaves it unchanged.
+
+    It holds no handlers; `main` looks up ``_cmd_<subcommand>`` when it runs.
+    """
     parser = _Parser(prog="kolmo", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add(name, fn, help, *, to=False, sim=False):
+    def add(name, help, *, to=False, sim=False):
         """A subcommand; ``to`` adds ``--from --to``, ``sim`` the simulation options."""
         p = sub.add_parser(name, help=help)
         # A point such as -0.2,0,0 is a value, not an option: argparse's own
@@ -461,40 +500,39 @@ def _build_parser():
             p.add_argument("--paths", type=_at_least(1), default=100000)
             p.add_argument("--steps", type=_at_least(1), default=16)
             p.add_argument("--seed", type=int, required=True)
-            p.add_argument("--bandwidth", type=float, default=0.2)
-        p.set_defaults(func=fn)
+            p.add_argument("--bandwidth", type=_POSITIVE, default=0.2)
         return p
 
-    add("validate", _cmd_validate, "validate a model config")
+    add("validate", "validate a model config")
 
-    p = add("gramian", _cmd_gramian, "covariance matrices over a horizon grid")
+    p = add("gramian", "covariance matrices over a horizon grid")
     p.add_argument("--tau-grid", default="0.1,0.5,1.0")
 
-    p = add("kernel", _cmd_kernel, "Gaussian kernel and bound forms", to=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p = add("kernel", "Gaussian kernel and bound forms", to=True)
+    p.add_argument("--lambda", dest="lam", type=_POSITIVE, default=1.0)
     p.add_argument("--grid", default=None, help="radius=3,n=25 (dilated offsets)")
-    p.add_argument("--c-lower", type=float, default=1.0)
-    p.add_argument("--c-upper", type=float, default=1.0)
+    p.add_argument("--c-lower", type=_POSITIVE, default=1.0)
+    p.add_argument("--c-upper", type=_POSITIVE, default=1.0)
 
-    p = add("control", _cmd_control, "minimum-energy control trajectory", to=True)
+    p = add("control", "minimum-energy control trajectory", to=True)
     p.add_argument("--n", type=_at_least(2), default=65)
 
-    p = add("chain", _cmd_chain, "Harnack chain construction", to=True)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--r", type=float, default=0.25)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=None, help="default: estimated")
-    p.add_argument("--c-harnack", type=float, default=10.0)
+    p = add("chain", "Harnack chain construction", to=True)
+    p.add_argument("--beta", type=_FRACTION, default=0.5)
+    p.add_argument("--r", type=_FRACTION, default=0.25)
+    p.add_argument("--tau", type=_POSITIVE, default=1.0)
+    p.add_argument("--kappa", type=_POSITIVE, default=None, help="default: estimated")
+    p.add_argument("--c-harnack", type=_POSITIVE, default=10.0)
 
-    p = add("simulate", _cmd_simulate, "endpoint simulation", sim=True)
+    p = add("simulate", "endpoint simulation", sim=True)
     p.add_argument("--density-at", default=None, help="y1,...,yd")
 
-    p = add("verify-bounds", _cmd_verify_bounds, "two-sided bound verification", sim=True)
+    p = add("verify-bounds", "two-sided bound verification", sim=True)
     p.add_argument("--grid", default="radius=3,n=25")
-    p.add_argument("--lambda-minus", type=float, required=True)
-    p.add_argument("--lambda-plus", type=float, required=True)
+    p.add_argument("--lambda-minus", type=_POSITIVE, required=True)
+    p.add_argument("--lambda-plus", type=_POSITIVE, required=True)
 
-    p = add("equivalence", _cmd_equivalence, "homogeneous comparison constants")
+    p = add("equivalence", "homogeneous comparison constants")
     p.add_argument("--tau-grid", default="0.01,0.1,1.0")
 
     return parser
@@ -517,7 +555,8 @@ def main(argv=None):
         if args.out is None and args.subcommand != "validate":
             args.out = f"kolmo-{args.subcommand}"
         spec, mu_sampled = load_model(args.model)
-        summary, table = args.func(args, spec, mu_sampled)
+        handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
+        summary, table = handler(args, spec, mu_sampled)
         if args.out is None:
             print(json.dumps(summary, sort_keys=True))
             return EXIT_OK

@@ -575,15 +575,16 @@ def verify_bounds(
         ]
 
     live = [i for i in range(len(y_grid)) if i not in zero_hits]
-    # Ratios through log space: comparison kernels never underflow there,
-    # and zero estimates give a zero ratio rather than 0/0.
-    with np.errstate(divide="ignore"):
-        ratio_minus = np.where(
-            gamma_lo_conf > 0, np.exp(np.log(np.maximum(gamma_lo_conf, 1e-300)) - log_g_minus), 0.0
+    # Ratios through log space: comparison kernels never underflow there.
+    # A zero estimate gives a zero ratio, and is not exponentiated at all.
+    ratio_minus, ratio_plus = (
+        np.exp(
+            np.log(np.maximum(conf, 1e-300)) - log_g,
+            out=np.zeros_like(log_g),
+            where=conf > 0,
         )
-        ratio_plus = np.where(
-            gamma_hi_conf > 0, np.exp(np.log(np.maximum(gamma_hi_conf, 1e-300)) - log_g_plus), 0.0
-        )
+        for conf, log_g in ((gamma_lo_conf, log_g_minus), (gamma_hi_conf, log_g_plus))
+    )
     C_minus = float(np.min(ratio_minus[live])) if live else float("nan")
     C_plus = float(np.max(ratio_plus[live])) if live else float("nan")
 

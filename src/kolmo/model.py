@@ -11,7 +11,7 @@ operator class with bounded measurable coefficients on the diffusion block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -336,21 +336,33 @@ class OperatorSpec:
         return self.system.structure
 
 
+@lru_cache(maxsize=None)
+def _sample_grid(d):
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(-1.0, 1.0, size=(32, d))
+    xs[0] = 0.0
+    ts, X = np.repeat(np.arange(32) / 32, 32), np.tile(xs, (32, 1))
+    ts.setflags(write=False)
+    X.setflags(write=False)
+    return ts, X
+
+
 def default_sample_grid(structure):
-    """Deterministic sample points for coefficient checks.
+    """Deterministic sample points for coefficient checks, as arrays ``(ts, X)``.
 
     The 32 times ``k / 32`` (hitting sinusoid extremes for integer
-    frequencies) crossed with 32 seeded uniform space points in ``[-1, 1]^d``.
+    frequencies) crossed with 32 seeded uniform space points in ``[-1, 1]^d``
+    (the first one the origin): sample ``32 i + j`` is time ``i / 32`` at
+    point ``j``, so ``ts`` is ``(1024,)`` and ``X`` is ``(1024, d)``.  Both are
+    read-only and built once per dimension ``d``.
     """
-    rng = np.random.default_rng(0)
-    times = np.arange(32) / 32
-    xs = rng.uniform(-1.0, 1.0, size=(32, structure.d))
-    xs[0] = 0.0
-    return [(float(t), x) for t in times for x in xs]
+    return _sample_grid(structure.d)
 
 
-def _sample_arrays(spec, sample_points):
-    """Times ``(n,)`` and states ``(n, d)`` of a sample list."""
+def _samples(spec, sample_points):
+    """Times ``(n,)`` and states ``(n, d)``: the default grid, or those of a list of pairs."""
+    if sample_points is None:
+        return default_sample_grid(spec.structure)
     ts = np.array([t for t, _ in sample_points], dtype=float)
     X = np.array([x for _, x in sample_points], dtype=float).reshape(len(ts), spec.system.d)
     return ts, X
@@ -380,11 +392,10 @@ def ellipticity_check(spec, sample_points=None):
         If a sampled coefficient matrix is nonsymmetric, non-finite, or not
         positive definite; the message names the first such sample.
     """
-    if sample_points is None:
-        sample_points = default_sample_grid(spec.structure)
-    if len(sample_points) == 0:
+    ts, X = _samples(spec, sample_points)
+    if len(ts) == 0:
         raise ValueError("sample grid must be nonempty")
-    A = _batch_matrix(spec.a, *_sample_arrays(spec, sample_points))
+    A = _batch_matrix(spec.a, ts, X)
     finite = np.isfinite(A).all(axis=(1, 2))
     A = np.where(finite[:, None, None], A, np.eye(A.shape[1]))
     symmetric = np.abs(A - A.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12 * np.maximum(
@@ -395,7 +406,7 @@ def ellipticity_check(spec, sample_points=None):
     bad = ~(finite & symmetric & (emin > 0))
     if bad.any():
         i = int(np.argmax(bad))
-        t, x = sample_points[i]
+        t, x = float(ts[i]), X[i]
         if not finite[i]:
             raise CoefficientError(f"non-finite diffusion coefficient at (t={t}, x={x})")
         if not symmetric[i]:
@@ -412,9 +423,7 @@ def coefficient_bounds(spec, sample_points=None):
     All samples are evaluated at once; a non-finite value raises
     `CoefficientError` naming the first sample that has one.
     """
-    if sample_points is None:
-        sample_points = default_sample_grid(spec.structure)
-    ts, X = _sample_arrays(spec, sample_points)
+    ts, X = _samples(spec, sample_points)
     va, vb = (
         np.array([fields.sample_scalar(c, ts, X) for c in vec.components]).reshape(
             len(vec.components), len(ts)
@@ -424,7 +433,8 @@ def coefficient_bounds(spec, sample_points=None):
     vc = fields.sample_scalar(spec.c, ts, X)
     finite = np.isfinite(va).all(axis=0) & np.isfinite(vb).all(axis=0) & np.isfinite(vc)
     if not finite.all():
-        t, x = sample_points[int(np.argmax(~finite))]
+        i = int(np.argmax(~finite))
+        t, x = float(ts[i]), X[i]
         raise CoefficientError(f"non-finite lower-order coefficient at (t={t}, x={x})")
     return tuple(float(np.abs(v).max(initial=0.0)) for v in (va, vb, vc))
 

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from kolmo import cli
 from kolmo.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -194,8 +195,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("option", ["--c-lower", "--c-upper"])
     @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_kernel_nonpositive_constant_is_numeric_exit(
-        self, option, value, langevin_model_path, tmp_path
+    def test_kernel_nonpositive_constant_is_usage_error(
+        self, option, value, langevin_model_path, tmp_path, capsys
     ):
         out = tmp_path / "kc"
         code = main(
@@ -204,7 +205,8 @@ class TestSubcommands:
                 "--from", "0,0,0", "--to", "1,0.5,0.2", option, value, "--out", str(out),
             ]
         )
-        assert code == EXIT_NUMERIC
+        assert code == EXIT_USAGE
+        assert option in capsys.readouterr().err
         assert list(tmp_path.glob("kc*")) == []
 
     def test_control_cost(self, langevin_model_path, tmp_path):
@@ -379,16 +381,23 @@ class TestSubcommands:
         assert "non-finite value inf in CSV output" in capsys.readouterr().err
         assert os.listdir(tmp_path / "out") == []
 
-    def test_non_finite_option_leaves_no_file(self, tmp_path, capsys):
+    def test_non_finite_option_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # The table and summary are finite; only the manifest's record of
-        # the unused bandwidth is not.
+        # the unused bandwidth is not.  The parser refuses such a value, so
+        # the handler sets it, as an option with no range check would.
+        simulate = cli._cmd_simulate
+
+        def unchecked_bandwidth(args, spec, mu_sampled):
+            args.bandwidth = float("inf")
+            return simulate(args, spec, mu_sampled)
+
+        monkeypatch.setattr("kolmo.cli._cmd_simulate", unchecked_bandwidth)
         model = write_model(tmp_path, heat_cfg())
         (tmp_path / "out").mkdir()
         code = main(
             [
                 "simulate", "--model", model, "--from", "0,0", "--horizon", "1.0",
-                "--paths", "100", "--seed", "1", "--bandwidth", "inf",
-                "--out", str(tmp_path / "out" / "s"),
+                "--paths", "100", "--seed", "1", "--out", str(tmp_path / "out" / "s"),
             ]
         )
         assert code == EXIT_NUMERIC
@@ -603,6 +612,33 @@ class TestMalformedValues:
         ),
     ]
 
+    # A number outside its option's range: each of these once reached the
+    # library and exited 1 with a message that did not name the option.
+    KERNEL = ["--from", "0,0,0", "--to", "1,0,0"]
+    SIMULATE = ["--from", "0,0,0", "--seed", "4", "--paths", "2000"]
+    VERIFY = SIMULATE + ["--lambda-minus", "1", "--lambda-plus", "1"]
+    OUT_OF_RANGE = {
+        "simulate --bandwidth 0": ("simulate", [*SIMULATE, "--horizon", "1", "--bandwidth", "0"]),
+        "kernel --lambda 0": ("kernel", [*KERNEL, "--lambda", "0"]),
+        "kernel --lambda nan": ("kernel", [*KERNEL, "--lambda", "nan"]),
+        "kernel --c-upper inf": ("kernel", [*KERNEL, "--c-upper", "inf"]),
+        "verify-bounds --lambda-minus 0": ("verify-bounds", [
+            *SIMULATE, "--horizon", "1", "--lambda-minus", "0", "--lambda-plus", "1"]),
+        "verify-bounds --lambda-plus -1": ("verify-bounds", [
+            *SIMULATE, "--horizon", "1", "--lambda-minus", "1", "--lambda-plus", "-1"]),
+        "chain --beta 0": ("chain", [*KERNEL, "--beta", "0"]),
+        "chain --beta 1": ("chain", [*KERNEL, "--beta", "1"]),
+        "chain --r -1": ("chain", [*KERNEL, "--r", "-1"]),
+        "chain --tau 0": ("chain", [*KERNEL, "--tau", "0"]),
+        "chain --kappa -2": ("chain", [*KERNEL, "--kappa", "-2"]),
+        "chain --c-harnack x": ("chain", [*KERNEL, "--c-harnack", "x"]),
+        "simulate --horizon at t": ("simulate", [*SIMULATE, "--horizon", "0"]),
+        "verify-bounds --horizon before t": ("verify-bounds", [*VERIFY, "--horizon", "-0.5"]),
+        "simulate --horizon inf": ("simulate", [*SIMULATE, "--horizon", "inf"]),
+        "simulate --horizon nan": ("simulate", [*SIMULATE, "--horizon", "nan"]),
+    }
+    CASES += [(sub, extra, case.split()[1]) for case, (sub, extra) in OUT_OF_RANGE.items()]
+
     @pytest.mark.parametrize("sub, extra, option", CASES)
     def test_usage_error_names_option(
         self, sub, extra, option, langevin_model_path, tmp_path, monkeypatch, capsys
@@ -614,3 +650,41 @@ class TestMalformedValues:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and option in err
         assert set(os.listdir(tmp_path)) == before
+
+
+class TestOneParser:
+    """The parser is built once per process, and a call leaves nothing in it."""
+
+    def test_built_once(self, langevin_model_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cli._build_parser.cache_clear()
+        for sub in ("validate", "gramian", "equivalence"):
+            assert main([sub, "--model", langevin_model_path, "--out", sub]) == EXIT_OK
+        assert main(["gramian", "--model", langevin_model_path, "--tau-grid", "x"]) == EXIT_USAGE
+        info = cli._build_parser.cache_info()
+        assert info.misses == 1 and info.hits == 3
+
+    CALLS = [
+        ["kernel", "--from", "0,0,0", "--to", "1,0.5,0.2", "--grid", "radius=3,n=5"],
+        ["kernel", "--from", "0,0,0", "--to", "1,0.5,0.2"],
+        ["gramian", "--tau-grid", "0.2,0.7"],
+        ["gramian"],
+    ]
+
+    def run(self, argv, model, cwd, monkeypatch):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main([*argv, "--model", model, "--out", "o"]) == EXIT_OK
+        return {name: (cwd / name).read_bytes() for name in os.listdir(cwd)}
+
+    def test_calls_leave_no_state(self, langevin_model_path, tmp_path, monkeypatch):
+        first = []
+        for i, argv in enumerate(self.CALLS):
+            cli._build_parser.cache_clear()
+            first.append(self.run(argv, langevin_model_path, tmp_path / f"first{i}", monkeypatch))
+        in_turn = [
+            self.run(argv, langevin_model_path, tmp_path / f"turn{i}", monkeypatch)
+            for i, argv in enumerate(self.CALLS)
+        ]
+        assert cli._build_parser.cache_info().misses == 1
+        assert in_turn == first

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -719,6 +720,33 @@ class TestVerifyBounds:
         )
         np.testing.assert_allclose(np.log(report.gamma), log_ref, rtol=1e-12, atol=1e-12)
         assert all(m >= -1e-12 for m in report.psd_margins)
+
+    def test_zero_estimate_ratio_not_exponentiated(self, deep221):
+        # A short horizon from a far start: on 16 of the 125 dilated targets
+        # gamma underflows to 0, where exponentiating the floored log ratio
+        # would overflow.  Those ratios are 0 and no warning is raised.
+        spec = make_spec(deep221)
+        t, T = -0.43093901672327806, 0.04897290996526199
+        x = np.array([-0.7176682673461952, 0.2144354123978789, -0.06533375882359205,
+                      -0.8657190378390542, -0.3381238797788766])
+        lam_minus, lam_plus = 0.6266832744897999, 1.9971925592639856
+        scale = dilation_scales(deep221.structure, (T - t) ** 0.5)
+        ys = np.tile(deep221.propagator.flow(T - t) @ x, (5, 25, 1))
+        for axis in range(5):
+            ys[axis, :, axis] += np.linspace(-3.0, 3.0, 25) * scale[axis]
+        ys = ys.reshape(-1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_bounds(spec, t, x, T, ys, lam_minus, lam_plus)
+        zero = report.gamma == 0
+        assert report.exact and zero.sum() == 16
+        for ratio, lam in ((report.ratio_minus, lam_minus), (report.ratio_plus, lam_plus)):
+            assert np.all(ratio[zero] == 0) and np.isfinite(ratio).all()
+            # The kept ratios are those of exponentiating at every target.
+            log_g = GaussianKernel(deep221, lam).log_batch(t, x, T, ys)
+            with np.errstate(over="ignore"):
+                full = np.exp(np.log(np.maximum(report.gamma, 1e-300)) - log_g)
+            assert ratio[~zero].tobytes() == full[~zero].tobytes()
 
     def test_constant_matrix_propagator_kept(self, kinetic21, monkeypatch):
         A = np.array([[0.6, 0.2], [0.2, 0.4]])

@@ -233,6 +233,15 @@ class TestEllipticityCheck:
             ellipticity_check(make_spec(heat1d), sample_points=[])
 
 
+def old_sample_grid(structure):
+    """Reference: the sample grid as the list of ``(t, x)`` pairs it once was."""
+    rng = np.random.default_rng(0)
+    times = np.arange(32) / 32
+    xs = rng.uniform(-1.0, 1.0, size=(32, structure.d))
+    xs[0] = 0.0
+    return [(float(t), x) for t in times for x in xs]
+
+
 def ellipticity_loop(spec, sample_points):
     """Reference: the checks one sample at a time, in sample order."""
     lo = hi = -np.inf
@@ -300,12 +309,48 @@ class TestBatchedValidation:
         rng = np.random.default_rng(41)
         mixed = [(float(t), x) for t, x in zip(rng.uniform(-1, 1, 200), rng.normal(size=(200, system.d)))]
         for spec in self.specs(system):
-            for samples in (default_sample_grid(system.structure), mixed):
+            for samples in (old_sample_grid(system.structure), mixed):
                 ref = ellipticity_loop(spec, samples)
                 got = ellipticity_check(spec, samples)
                 assert got == ref and type(got[0]) is type(ref[0])
                 assert coefficient_bounds(spec, samples) == coefficient_bounds_loop(spec, samples)
             assert coefficient_bounds(spec, []) == coefficient_bounds_loop(spec, [])
+
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221"])
+    def test_default_grid_equal_to_loop(self, name, request):
+        # With no sample list the checks read the cached arrays; the loops
+        # run over the grid's old list of pairs.  The diffusion depends on
+        # space and ``c`` on time, so both arrays are read.
+        system = request.getfixturevalue(name)
+        samples = old_sample_grid(system.structure)
+        spec = self.specs(system)[3]
+        assert ellipticity_check(spec) == ellipticity_loop(spec, samples)
+        assert coefficient_bounds(spec) == coefficient_bounds_loop(spec, samples)
+
+    def test_default_grid_failure_named(self, kinetic21):
+        # The first offending sample of the default grid is named as the loop
+        # over the old list names it: the field is NaN wherever x0 < -0.5.
+        field = fields.TabulatedField((-1.0, 0.0), (1.0, 1.0), axis=0)
+        object.__setattr__(field, "values", (float("nan"), 1.0))
+        spec = make_spec(kinetic21, a=fields.IsotropicMatrixField(field, 2), c=field)
+        samples = old_sample_grid(kinetic21.structure)
+        for check, loop in ((ellipticity_check, ellipticity_loop),
+                            (coefficient_bounds, coefficient_bounds_loop)):
+            expected = outcome(loop, spec, samples)
+            assert isinstance(expected, str) and "(t=" in expected
+            assert outcome(check, spec) == expected
+
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221"])
+    def test_default_sample_grid_is_old_list(self, name, request):
+        structure = request.getfixturevalue(name).structure
+        ts, X = grid = default_sample_grid(structure)
+        old = old_sample_grid(structure)
+        assert ts.shape == (1024,) and X.shape == (1024, structure.d)
+        assert ts.tolist() == [t for t, _ in old]
+        assert X.tolist() == [x.tolist() for _, x in old]
+        assert not ts.flags.writeable and not X.flags.writeable
+        again = default_sample_grid(BlockStructure(structure.m))
+        assert again is grid or (again[0] is ts and again[1] is X)
 
     def test_first_offending_sample_named(self, kinetic21):
         # Sample 1 is not positive definite and sample 2 not finite; either
