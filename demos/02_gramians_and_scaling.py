@@ -1,7 +1,7 @@
 """Covariance Gramians: closed forms, scaling laws, and comparison constants.
 
 C(t) is computed through one augmented matrix exponential and cross-checked
-by adaptive quadrature.  For drift matrices with nothing above the coupling
+by a Taylor series with semigroup doublings, which needs no exponential.  For drift matrices with nothing above the coupling
 subdiagonal, C obeys an exact dilation scaling law; for general drifts the
 homogeneous part C0 approximates C as t -> 0 with a linear-in-t determinant
 gap.

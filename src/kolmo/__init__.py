@@ -7,7 +7,7 @@ equivalences, minimum-energy steering controls, Harnack-chain constructions,
 and Monte Carlo verification of two-sided Gaussian comparison bounds.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .chain import (
     HarnackChain,
@@ -31,7 +31,6 @@ from .exceptions import (
     CoefficientError,
     GramianError,
     KolmoError,
-    QuadratureError,
     SettingError,
     StructureError,
 )

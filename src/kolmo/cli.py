@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .chain import HarnackConfig, build_chain, verify_chain
+from .chain import _TIME_TOL, HarnackConfig, build_chain, verify_chain
 from .control import (
     ControlProblem,
     control_value,
@@ -44,7 +44,6 @@ from .mc import SimConfig, estimate_density, simulate_paths, verify_bounds
 from .model import (
     coefficient_bounds,
     dilation_scales,
-    ellipticity_check,
     kalman_rank,
     spec_from_config,
     spec_to_config,
@@ -83,9 +82,9 @@ def load_model(path):
 
     Runs the structural validation, the coupling rank check, the sampled
     ellipticity check against the declared constant, and the sampled
-    coefficient bound check.  Returns the spec and its sampled ellipticity
-    constants ``(mu_low, mu_high)``.  A document that is not a JSON object,
-    or lacks a required key, raises a `KolmoError` naming the key.
+    coefficient bound check.  Returns the spec, with ``spec.mu_sampled``
+    computed.  A document that is not a JSON object, or lacks a required
+    key, raises a `KolmoError` naming the key.
     """
     with open(path) as fh:
         cfg = json.load(fh)
@@ -102,7 +101,7 @@ def load_model(path):
         raise _ValidationFailure(
             "kalman-rank", f"coupling rank {rank} < {spec.system.d}; covariance singular"
         )
-    mu_low, mu_high = ellipticity_check(spec)
+    mu_low, mu_high = spec.mu_sampled
     if mu_low > spec.mu + 1e-12 or mu_high > spec.mu + 1e-12:
         raise _ValidationFailure(
             "ellipticity",
@@ -114,7 +113,7 @@ def load_model(path):
             "coefficient-bound",
             f"sampled sup norms ({sup_a}, {sup_b}, {sup_c}) exceed M={spec.M_bound}",
         )
-    return spec, (mu_low, mu_high)
+    return spec
 
 
 def _fmt(v):
@@ -288,19 +287,19 @@ def _grid_points(system, t, x, T, radius, n):
     return pts.reshape(-1, system.d)
 
 
-def _cmd_validate(args, spec, mu_sampled):
+def _cmd_validate(args, spec):
     summary = {
         "blocks": list(spec.structure.m),
         "d": spec.system.d,
         "kalman_rank": spec.system.d,  # the loader rejects any smaller rank
         "mu_declared": spec.mu,
-        "mu_sampled": list(mu_sampled),
+        "mu_sampled": list(spec.mu_sampled),
         "valid": True,
     }
     return summary, None
 
 
-def _cmd_gramian(args, spec, mu_sampled):
+def _cmd_gramian(args, spec):
     rows = []
     for tau in _parse_floats(args.tau_grid, "--tau-grid"):
         g = gramian(spec.system, tau)
@@ -315,7 +314,7 @@ def _cmd_gramian(args, spec, mu_sampled):
     return None, (header, rows)
 
 
-def _cmd_kernel(args, spec, mu_sampled):
+def _cmd_kernel(args, spec):
     system = spec.system
     d = system.d
     t, x = _parse_point(args.frm, d, "--from")
@@ -334,7 +333,7 @@ def _cmd_kernel(args, spec, mu_sampled):
     return None, (header, rows)
 
 
-def _cmd_control(args, spec, mu_sampled):
+def _cmd_control(args, spec):
     d = spec.system.d
     t, x = _parse_point(args.frm, d, "--from")
     T, y = _parse_point(args.to, d, "--to")
@@ -353,10 +352,19 @@ def _cmd_control(args, spec, mu_sampled):
     return summary, (header, rows)
 
 
-def _cmd_chain(args, spec, mu_sampled):
+def _cmd_chain(args, spec):
     d = spec.system.d
     t, x = _parse_point(args.frm, d, "--from")
     T, y = _parse_point(args.to, d, "--to")
+    # Limits the parser types cannot state; HarnackConfig and build_chain check them too.
+    if args.c_harnack < 1:
+        raise _UsageError(f"--c-harnack must be at least 1, got {args.c_harnack}")
+    if args.tau > 1:
+        raise _UsageError(f"--tau must be at most 1, got {args.tau}")
+    if args.r**2 > args.beta or args.beta + args.r**2 > 1:
+        raise _UsageError(f"--r and --beta need r^2 <= beta <= 1 - r^2, got {args.r}, {args.beta}")
+    if T - t > args.tau + _TIME_TOL:
+        raise _UsageError(f"--to must be at most --tau {args.tau} after --from, got {T - t}")
     kappa = args.kappa if args.kappa is not None else kappa_estimate(spec.system)
     config = HarnackConfig(
         C_harnack=args.c_harnack, beta=args.beta, r=args.r, tau=args.tau, kappa=kappa
@@ -386,7 +394,7 @@ def _cmd_chain(args, spec, mu_sampled):
     return summary, (header, rows)
 
 
-def _cmd_simulate(args, spec, mu_sampled):
+def _cmd_simulate(args, spec):
     d = spec.system.d
     t, x, T = _start_and_horizon(args, d)
     if args.density_at is not None:
@@ -412,7 +420,7 @@ def _cmd_simulate(args, spec, mu_sampled):
     return summary, (header, rows)
 
 
-def _cmd_verify_bounds(args, spec, mu_sampled):
+def _cmd_verify_bounds(args, spec):
     d = spec.system.d
     t, x, T = _start_and_horizon(args, d)
     g = _parse_grid(args.grid)
@@ -462,7 +470,7 @@ def _cmd_verify_bounds(args, spec, mu_sampled):
     return summary, (header, rows)
 
 
-def _cmd_equivalence(args, spec, mu_sampled):
+def _cmd_equivalence(args, spec):
     report = equivalence_constants(spec.system, _parse_floats(args.tau_grid, "--tau-grid"))
     rows = [[tau, ratio] for tau, ratio in zip(report.tau_grid, report.det_ratio)]
     summary = {
@@ -554,9 +562,9 @@ def main(argv=None):
             return EXIT_USAGE
         if args.out is None and args.subcommand != "validate":
             args.out = f"kolmo-{args.subcommand}"
-        spec, mu_sampled = load_model(args.model)
+        spec = load_model(args.model)
         handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
-        summary, table = handler(args, spec, mu_sampled)
+        summary, table = handler(args, spec)
         if args.out is None:
             print(json.dumps(summary, sort_keys=True))
             return EXIT_OK

@@ -5,7 +5,6 @@ __all__ = [
     "StructureError",
     "CoefficientError",
     "GramianError",
-    "QuadratureError",
     "ChainError",
     "SettingError",
 ]
@@ -39,11 +38,7 @@ class CoefficientError(KolmoError):
 
 
 class GramianError(KolmoError):
-    """Covariance computation failed (singular system, cross-check mismatch)."""
-
-
-class QuadratureError(KolmoError):
-    """A numerical quadrature did not converge to the requested tolerance."""
+    """Covariance computation failed (not finite, singular, cross-check mismatch)."""
 
 
 class ChainError(KolmoError):

@@ -50,7 +50,7 @@ from . import fields
 from .exceptions import CoefficientError, GramianError, SettingError
 from .gramian import gramian_weighted, input_response, log_density
 from .kernel import GaussianKernel
-from .model import dilation_scales, ellipticity_check, homogeneous_dimension
+from .model import dilation_scales, homogeneous_dimension
 
 __all__ = [
     "SimConfig",
@@ -514,7 +514,7 @@ def verify_bounds(
     """
     if not (0 < lambda_minus <= lambda_plus):
         raise ValueError("need 0 < lambda- <= lambda+")
-    mu_low, mu_high = ellipticity_check(spec)
+    mu_low, mu_high = spec.mu_sampled
     strength_lo, strength_hi = 2.0 / mu_low, 2.0 * mu_high
     if lambda_minus > strength_lo * (1 + 1e-9) or lambda_plus < strength_hi * (1 - 1e-9):
         raise ValueError(

@@ -335,6 +335,11 @@ class OperatorSpec:
     def structure(self):
         return self.system.structure
 
+    @cached_property
+    def mu_sampled(self):
+        """``(mu_low, mu_high)`` of `ellipticity_check` on the default grid, run once."""
+        return ellipticity_check(self)
+
 
 @lru_cache(maxsize=None)
 def _sample_grid(d):

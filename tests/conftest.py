@@ -132,6 +132,42 @@ def oracle_gaps(chain, steps):
     ]
 
 
+def _simpson_panel(f, a, fa, b, fb, m, fm, whole, depth, tol):
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    err = np.abs(left + right - whole).max()
+    if err <= tol or depth >= 40:
+        return left + right + (left + right - whole) / 15.0
+    return _simpson_panel(f, a, fa, m, fm, lm, flm, left, depth + 1, tol) + _simpson_panel(
+        f, m, fm, b, fb, rm, frm, right, depth + 1, tol
+    )
+
+
+def adaptive_simpson(f, a, b):
+    """Adaptive Simpson quadrature for matrix-valued integrands: a test oracle.
+
+    Bisection depth is capped at 40; a panel is accepted when its max-norm
+    error estimate is at most 1e-10 times the max norm of the first
+    whole-interval estimate, or at most 1e-14.  A non-finite integrand never
+    meets the tolerance and bisects to that depth, so call it on finite
+    integrands only.
+    """
+    rel_tol, abs_floor = 1e-10, 1e-14
+    if not b > a:
+        raise ValueError(f"empty integration interval [{a}, {b}]")
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    scale = max(np.abs(whole).max(), abs_floor)
+    tol = 15.0 * max(rel_tol * scale, abs_floor)
+    return _simpson_panel(f, a, fa, b, fb, m, fm, whole, 0, tol)
+
+
 def homogeneous_det_law_defect(system, tau):
     """Relative defect of ``det C0(tau) = tau**Q det C0(1)``, in log space."""
     h_prop = homogeneous_system(system).propagator

@@ -22,12 +22,7 @@ from kolmo.control import (
     optimal_control,
     trajectory,
 )
-from kolmo.gramian import (
-    adaptive_simpson,
-    dilation_scaling_defect,
-    gramian,
-    quadratic_form,
-)
+from kolmo.gramian import dilation_scaling_defect, gramian, quadratic_form
 from kolmo.kernel import (
     GaussianKernel,
     chapman_kolmogorov_residual,
@@ -37,7 +32,7 @@ from kolmo.kernel import (
 from kolmo.mc import SimConfig, estimate_density, mass_concentration, simulate_paths, verify_bounds
 from kolmo.model import SpaceTimePoint, dilation_matrix, sigma_matrix, validate_structure
 
-from conftest import homogeneous_det_law_defect, make_spec, sinusoid_spec
+from conftest import adaptive_simpson, homogeneous_det_law_defect, make_spec, sinusoid_spec
 
 LANGEVIN = validate_structure([[0.0, 0.0], [1.0, 0.0]], [1, 1])
 HEAT1D = validate_structure([[0.0]], [1])
@@ -84,7 +79,7 @@ def random_problem(rng, system, tau_range=(0.2, 1.0), offset_range=(0.1, 1.0)):
 def test_criterion_1_gramian_correctness():
     with criterion(1, 1.0, "Langevin Gramian closed form; exponential vs quadrature"):
         for t in (0.1, 0.5, 1.0):
-            g = gramian(LANGEVIN, t)  # cross-checks against Simpson internally
+            g = gramian(LANGEVIN, t)  # cross-checks against semigroup doublings internally
             exact = np.array([[t, t**2 / 2], [t**2 / 2, t**3 / 3]])
             assert np.abs(g.C - exact).max() <= 1e-10 * np.abs(exact).max()
             sig = sigma_matrix(LANGEVIN.structure)

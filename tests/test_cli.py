@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import kolmo.model
 from kolmo import cli
 from kolmo.cli import (
     EXIT_NUMERIC,
@@ -54,7 +55,8 @@ def read_csv(path):
 
 class TestLoadModel:
     def test_valid_langevin(self, langevin_model_path):
-        spec, (mu_low, mu_high) = load_model(langevin_model_path)
+        spec = load_model(langevin_model_path)
+        mu_low, mu_high = spec.mu_sampled
         assert spec.system.d == 2
         assert mu_low <= spec.mu and mu_high <= spec.mu
 
@@ -370,7 +372,7 @@ class TestSubcommands:
         assert os.listdir(tmp_path / "out") == []  # not even the table, which is finite
 
     def test_non_finite_row_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        def inf_row(args, spec, mu_sampled):
+        def inf_row(args, spec):
             return None, (["tau", "value"], [[0.1, 1.0], [0.5, float("inf")], [1.0, 2.0]])
 
         monkeypatch.setattr("kolmo.cli._cmd_gramian", inf_row)
@@ -387,9 +389,9 @@ class TestSubcommands:
         # the handler sets it, as an option with no range check would.
         simulate = cli._cmd_simulate
 
-        def unchecked_bandwidth(args, spec, mu_sampled):
+        def unchecked_bandwidth(args, spec):
             args.bandwidth = float("inf")
-            return simulate(args, spec, mu_sampled)
+            return simulate(args, spec)
 
         monkeypatch.setattr("kolmo.cli._cmd_simulate", unchecked_bandwidth)
         model = write_model(tmp_path, heat_cfg())
@@ -458,21 +460,58 @@ class TestSubcommands:
         assert main(["--help"]) == EXIT_OK
         assert main(["--version"]) == EXIT_OK
 
-    def test_validate_samples_ellipticity_once(self, langevin_model_path, monkeypatch, capsys):
-        import kolmo.cli
-
+    @pytest.fixture
+    def ellipticity_calls(self, monkeypatch):
+        """The specs `kolmo.model.ellipticity_check` is called on, and the original."""
         calls = []
-        original = kolmo.cli.ellipticity_check
+        original = kolmo.model.ellipticity_check
 
         def counting(spec, *args, **kwargs):
             calls.append(spec)
             return original(spec, *args, **kwargs)
 
-        monkeypatch.setattr(kolmo.cli, "ellipticity_check", counting)
+        monkeypatch.setattr(kolmo.model, "ellipticity_check", counting)
+        return calls, original
+
+    def test_validate_samples_ellipticity_once(
+        self, langevin_model_path, ellipticity_calls, capsys
+    ):
+        calls, original = ellipticity_calls
         assert main(["validate", "--model", langevin_model_path]) == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
         assert len(calls) == 1
         assert summary["mu_sampled"] == list(original(calls[0]))
+
+    def test_verify_bounds_samples_ellipticity_once(
+        self, langevin_model_path, ellipticity_calls, tmp_path
+    ):
+        calls, _ = ellipticity_calls
+        code = main(
+            [
+                "verify-bounds", "--model", langevin_model_path, "--from", "0,0,0",
+                "--horizon", "1.0", "--grid", "radius=2,n=3", "--lambda-minus", "1",
+                "--lambda-plus", "1", "--seed", "4", "--out", str(tmp_path / "vb"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
+    def test_chain_horizon_rounded_above_tau_runs(self, langevin_model_path, tmp_path):
+        # 1.1 - 0.1 is 1.0000000000000002: within build_chain's time tolerance.
+        argv = ["--from", "0.1,0,0", "--to", "1.1,0.1,0", "--out", str(tmp_path / "ch")]
+        assert main(["chain", "--model", langevin_model_path, *argv]) == EXIT_OK
+
+    def test_overflowing_gramian_writes_nothing(self, tmp_path, capsys):
+        # e^(400 B) overflows, so the Van Loan C(400) is not finite.
+        cfg = {"blocks": [1, 1], "B": [[1, 0], [1, 0]], "coefficients": {"a": 0.5}, "mu": 2}
+        model = write_model(tmp_path, cfg)
+        (tmp_path / "out").mkdir()
+        out = str(tmp_path / "out" / "g")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["gramian", "--model", model, "--tau-grid", "400", "--out", out])
+        assert code == EXIT_NUMERIC
+        assert "covariance is not finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
 
     def test_gramian_on_invalid_model(self, tmp_path):
         cfg = langevin_config()
@@ -636,6 +675,12 @@ class TestMalformedValues:
         "verify-bounds --horizon before t": ("verify-bounds", [*VERIFY, "--horizon", "-0.5"]),
         "simulate --horizon inf": ("simulate", [*SIMULATE, "--horizon", "inf"]),
         "simulate --horizon nan": ("simulate", [*SIMULATE, "--horizon", "nan"]),
+        # Chain values that HarnackConfig or build_chain reject, alone or together.
+        "chain --c-harnack 0.5": ("chain", [*KERNEL, "--c-harnack", "0.5"]),
+        "chain --tau 2": ("chain", [*KERNEL, "--tau", "2"]),
+        "chain --r 0.8 with beta 0.5": ("chain", [*KERNEL, "--r", "0.8"]),
+        "chain --beta 0.9 with r 0.5": ("chain", [*KERNEL, "--beta", "0.9", "--r", "0.5"]),
+        "chain --to past tau": ("chain", ["--from", "0,0,0", "--to", "1.5,0,0"]),
     }
     CASES += [(sub, extra, case.split()[1]) for case, (sub, extra) in OUT_OF_RANGE.items()]
 

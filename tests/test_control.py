@@ -14,7 +14,7 @@ from kolmo.control import (
     trajectory,
 )
 from kolmo.exceptions import GramianError
-from kolmo.gramian import adaptive_simpson, quadratic_form
+from kolmo.gramian import quadratic_form
 from kolmo.model import (
     SpaceTimePoint,
     dilation_exponents,
@@ -23,6 +23,8 @@ from kolmo.model import (
     sigma_matrix,
     validate_structure,
 )
+
+from conftest import adaptive_simpson
 
 FIXTURES = ["heat1d", "langevin", "kinetic21", "deep221", "starful"]
 

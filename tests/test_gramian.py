@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -10,7 +11,7 @@ from kolmo.exceptions import CoefficientError, GramianError
 from kolmo.gramian import (
     Gramian,
     Propagator,
-    adaptive_simpson,
+    _doubling_gramian,
     dilation_scaling_defect,
     equivalence_constants,
     gramian,
@@ -28,7 +29,7 @@ from kolmo.model import (
     validate_structure,
 )
 
-from conftest import homogeneous_det_law_defect
+from conftest import adaptive_simpson, homogeneous_det_law_defect
 
 FIXTURES = ["heat1d", "langevin", "kinetic21", "deep221", "starful"]
 
@@ -220,10 +221,7 @@ class TestFactor:
 
 
 class TestCheckedGramianCost:
-    # Van Loan plus the Simpson nodes of the cross-check: 1 + 5 when the
-    # first panel converges, more on the systems with a growing flow.
-    EXPECTED = {"deep221": (6, 66, 130), "starful": (6, 66, 130)}
-
+    # The cross-check takes no exponential: the Van Loan one is all.
     @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
     def test_expm_calls(self, name, request, expm_calls):
         system = request.getfixturevalue(name)
@@ -232,7 +230,96 @@ class TestCheckedGramianCost:
             expm_calls[0] = 0
             gramian(system, t)
             counts.append(expm_calls[0])
-        assert tuple(counts) == self.EXPECTED.get(name, (6, 6, 6))
+        assert counts == [1, 1, 1]
+        gramian(system, 0.5)  # a cached horizon
+        assert expm_calls[0] == 1
+
+
+def nilpotent_gramian(system, t):
+    """``C(t)`` of a nilpotent drift: ``sum_(i,j<d) B^i S (B^T)^j t^(i+j+1) / (i! j! (i+j+1))``."""
+    sig = sigma_matrix(system.structure)
+    powers = [np.linalg.matrix_power(system.B, i) / math.factorial(i) for i in range(system.d)]
+    return sum(
+        Pi @ sig @ sig.T @ Pj.T * t ** (i + j + 1) / (i + j + 1)
+        for i, Pi in enumerate(powers)
+        for j, Pj in enumerate(powers)
+    )
+
+
+class TestDoublingGramian:
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221"])
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0])
+    def test_matches_nilpotent_closed_form(self, name, t, request):
+        system = request.getfixturevalue(name)
+        ref = nilpotent_gramian(system, t)
+        assert np.abs(_doubling_gramian(system, t) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestMutation:
+    """A Van Loan ``C`` moved by a symmetric ``delta`` is refused by the check.
+
+    On HEAT1D, and at LANGEVIN's ``C_22``, ``delta`` lies in the kernel of the
+    Lyapunov map ``delta -> B delta + delta B^T``, where a residual test is blind.
+    """
+
+    CASES = [
+        ("heat1d", (0, 0)),
+        ("langevin", (0, 0)),
+        ("langevin", (1, 1)),
+        ("kinetic21", (0, 0)),
+        ("deep221", (0, 0)),
+    ]
+
+    def perturbed_system(self, system, entry, rel, monkeypatch):
+        original = Propagator._exponentiate
+
+        def perturbed(self, s):
+            inv_flow, flow, C = original(self, s)
+            C = C.copy()
+            i, j = entry
+            delta = rel * np.abs(C).max()
+            C[i, j] += delta
+            if i != j:
+                C[j, i] += delta
+            return inv_flow, flow, C
+
+        monkeypatch.setattr(Propagator, "_exponentiate", perturbed)
+        return validate_structure(system.B, system.structure.m)
+
+    @pytest.mark.parametrize("name, entry", CASES)
+    @pytest.mark.parametrize("t", [0.3, 1.0])
+    def test_both_checks_refuse_1e_8(self, name, entry, t, request, monkeypatch):
+        fresh = self.perturbed_system(request.getfixturevalue(name), entry, 1e-8, monkeypatch)
+        with pytest.raises(GramianError, match="disagree"):
+            gramian(fresh, t)
+        sig = sigma_matrix(fresh.structure)
+
+        def integrand(s):
+            Es = expm(s * fresh.B) @ sig
+            return Es @ Es.T
+
+        C = fresh.propagator.gramian(t)
+        assert np.abs(C - adaptive_simpson(integrand, 0.0, t)).max() > 1e-9 * np.abs(C).max()
+
+    @pytest.mark.parametrize("name, entry", CASES)
+    @pytest.mark.parametrize("t", [0.3, 1.0])
+    def test_check_passes_1e_11(self, name, entry, t, request, monkeypatch):
+        fresh = self.perturbed_system(request.getfixturevalue(name), entry, 1e-11, monkeypatch)
+        gramian(fresh, t)
+
+
+class TestFiniteGuard:
+    def test_non_finite_matrix_refused(self):
+        with pytest.raises(GramianError, match="not finite"):
+            Gramian.from_matrix([[1.0, np.nan], [np.nan, 1.0]])
+
+    def test_overflowing_horizon_raises(self, starful):
+        # e^(400) squared overflows; the NaN C(400) is refused where it is factored.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GramianError, match="not finite"):
+                starful.propagator.factor(400.0)
+            with pytest.raises(GramianError, match="not finite"):
+                gramian(starful, 400.0)
 
 
 class TestWeightedGramian:
