@@ -44,6 +44,7 @@ from .mc import SimConfig, estimate_density, simulate_paths, verify_bounds
 from .model import (
     coefficient_bounds,
     dilation_scales,
+    ellipticity_check,
     kalman_rank,
     spec_from_config,
     spec_to_config,
@@ -80,11 +81,11 @@ class _ValidationFailure(KolmoError):
 def load_model(path):
     """Load and fully validate a model config file.
 
-    Runs the structural validation, the coupling rank check, the sampled
-    ellipticity check against the declared constant, and the sampled
-    coefficient bound check.  Returns the spec, with ``spec.mu_sampled``
-    computed.  A document that is not a JSON object, or lacks a required
-    key, raises a `KolmoError` naming the key.
+    Runs the structural validation, the coupling rank check, and the exact
+    ellipticity constants and lower-order sup norms over every ``(t, x)``
+    against the declared ``mu`` and ``M``.  Returns the spec.  A document
+    that is not a JSON object, or lacks a required key, raises a
+    `KolmoError` naming the key.
     """
     with open(path) as fh:
         cfg = json.load(fh)
@@ -101,17 +102,17 @@ def load_model(path):
         raise _ValidationFailure(
             "kalman-rank", f"coupling rank {rank} < {spec.system.d}; covariance singular"
         )
-    mu_low, mu_high = spec.mu_sampled
+    mu_low, mu_high = ellipticity_check(spec)
     if mu_low > spec.mu + 1e-12 or mu_high > spec.mu + 1e-12:
         raise _ValidationFailure(
             "ellipticity",
-            f"sampled constants ({mu_low}, {mu_high}) exceed declared mu={spec.mu}",
+            f"ellipticity constants ({mu_low}, {mu_high}) exceed declared mu={spec.mu}",
         )
     sup_a, sup_b, sup_c = coefficient_bounds(spec)
     if max(sup_a, sup_b, sup_c) > spec.M_bound + 1e-12:
         raise _ValidationFailure(
             "coefficient-bound",
-            f"sampled sup norms ({sup_a}, {sup_b}, {sup_c}) exceed M={spec.M_bound}",
+            f"sup norms ({sup_a}, {sup_b}, {sup_c}) exceed M={spec.M_bound}",
         )
     return spec
 
@@ -293,7 +294,8 @@ def _cmd_validate(args, spec):
         "d": spec.system.d,
         "kalman_rank": spec.system.d,  # the loader rejects any smaller rank
         "mu_declared": spec.mu,
-        "mu_sampled": list(spec.mu_sampled),
+        # The exact constants, under the key that earlier versions filled from samples.
+        "mu_sampled": list(ellipticity_check(spec)),
         "valid": True,
     }
     return summary, None

@@ -3,11 +3,13 @@
 Coefficients are supplied as a closed enumeration of serializable forms —
 constant, time-sinusoid, space-sinusoid, and tabulated with nearest-point
 lookup — rather than arbitrary measurable functions, which cannot round-trip
-through a config file.  Every field is evaluated pointwise at ``(t, x)``.
+through a config file.  Every field is evaluated pointwise at ``(t, x)``, and
+each kind gives the exact range of its values over all ``(t, x)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -23,7 +25,6 @@ __all__ = [
     "ConstantMatrixField",
     "VectorField",
     "batch_scalar",
-    "sample_scalar",
     "batch_value_and_gradient",
     "json_value",
     "scalar_field_from_config",
@@ -44,6 +45,9 @@ class ConstantField:
     def __call__(self, t, x):
         return self.value
 
+    def value_range(self):
+        return self.value, self.value
+
 
 @dataclass(frozen=True)
 class TimeSinusoidField:
@@ -60,6 +64,9 @@ class TimeSinusoidField:
         return self.base + self.amplitude * np.sin(
             2.0 * np.pi * self.frequency * t + self.phase
         )
+
+    def value_range(self):
+        return _sinusoid_range(self, (self.frequency,))
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,23 @@ class SpaceSinusoidField:
         return self.base + self.amplitude * np.sin(
             2.0 * np.pi * float(k @ np.asarray(x, dtype=float)) + self.phase
         )
+
+    def value_range(self):
+        return _sinusoid_range(self, self.wave)
+
+
+def _sinusoid_range(field, wave):
+    """Range of ``base + amplitude sin(2 pi <wave, .> + phase)`` over every argument.
+
+    ``base -+ |amplitude|``, or the one value ``base + amplitude sin(phase)``
+    when the wave is all zeros; NaN when a parameter is not finite.
+    """
+    if not all(map(math.isfinite, (field.base, field.amplitude, field.phase, *wave))):
+        return np.nan, np.nan
+    if not any(wave):
+        value = float(field.base + field.amplitude * np.sin(field.phase))
+        return value, value
+    return field.base - abs(field.amplitude), field.base + abs(field.amplitude)
 
 
 @dataclass(frozen=True)
@@ -110,6 +134,12 @@ class TabulatedField:
         pts = np.asarray(self.points, dtype=float)
         return float(np.asarray(self.values, dtype=float)[np.argmin(np.abs(pts - coord))])
 
+    def value_range(self):
+        """The first value at each distinct point: ``argmin`` never returns a later duplicate."""
+        _, first = np.unique(np.asarray(self.points, dtype=float), return_index=True)
+        reached = np.asarray(self.values, dtype=float)[first]
+        return float(reached.min()), float(reached.max())
+
 
 @dataclass(frozen=True)
 class IsotropicMatrixField:
@@ -125,6 +155,9 @@ class IsotropicMatrixField:
     def __call__(self, t, x):
         return float(self.scalar(t, x)) * np.eye(self.dim)
 
+    def eigenvalue_range(self):
+        return self.scalar.value_range()
+
 
 @dataclass(frozen=True)
 class ConstantMatrixField:
@@ -139,6 +172,17 @@ class ConstantMatrixField:
 
     def __call__(self, t, x):
         return self.matrix
+
+    def eigenvalue_range(self):
+        """Least and largest eigenvalue; the matrix must be finite and symmetric."""
+        m = self.matrix
+        if not np.isfinite(m).all():
+            raise CoefficientError("non-finite diffusion coefficient a")
+        asym = np.abs(m - m.T).max()
+        if asym > 1e-12 * max(1.0, np.abs(m).max()):
+            raise CoefficientError(f"diffusion coefficient a is asymmetric by {asym:.3e}")
+        eigs = np.linalg.eigvalsh(m)
+        return float(eigs[0]), float(eigs[-1])
 
 
 @dataclass(frozen=True)
@@ -178,29 +222,6 @@ def batch_scalar(field, t, X):
         idx = np.argmin(np.abs(pts[None, :] - X[:, field.axis][:, None]), axis=1)
         return vals[idx]
     raise CoefficientError(f"no batch evaluation for {type(field).__name__}")
-
-
-def sample_scalar(field, ts, X):
-    """A scalar field at the samples ``(ts[i], X[i])``, bit for bit as pointwise calls.
-
-    Goes through `batch_scalar` once per distinct time (once in all for a
-    constant), except that the space-sinusoid phase takes one inner product
-    per sample, as the pointwise call does: a matrix-vector product rounds
-    differently.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(field, ConstantField):
-        return batch_scalar(field, 0.0, X)
-    if isinstance(field, SpaceSinusoidField):
-        k = np.asarray(field.wave, dtype=float)
-        dots = (X[:, None, :] @ k[:, None])[:, 0, 0]
-        return field.base + field.amplitude * np.sin(2.0 * np.pi * dots + field.phase)
-    times, group = np.unique(np.asarray(ts, dtype=float), return_inverse=True)
-    out = np.empty(len(X))
-    for i, t in enumerate(times):
-        rows = group == i
-        out[rows] = batch_scalar(field, float(t), X[rows])
-    return out
 
 
 def batch_value_and_gradient(field, X, m):

@@ -85,8 +85,10 @@ class Gramian:
         try:
             chol = np.linalg.cholesky(C)
         except np.linalg.LinAlgError as exc:
+            eigs = np.linalg.eigvalsh(C)
             raise GramianError(
-                "covariance is not positive definite (rank-deficient system?)"
+                f"covariance is not positive definite: eigenvalues from {eigs[0]:.3e} "
+                f"to {eigs[-1]:.3e}"
             ) from exc
         C.setflags(write=False)
         chol.setflags(write=False)
@@ -167,7 +169,8 @@ class Propagator:
         """The `Gramian` of ``C(s)``, factored once per cached horizon.
 
         Raises `GramianError` where ``C(s)`` is not finite or not positive
-        definite (a rank-deficient coupling), and ``ValueError`` for ``s <= 0``.
+        definite (a rank-deficient coupling, or a horizon too badly conditioned
+        for floats), and ``ValueError`` for ``s <= 0``.
         """
         return self._factor(float(s))
 
@@ -260,8 +263,8 @@ def gramian(system, t):
     ValueError
         If ``t <= 0``.
     GramianError
-        If the covariance is not finite, is singular (rank-deficient
-        system), or the two computation routes disagree.
+        If the covariance is not finite, is not positive definite (rank-deficient
+        system, or an ill-conditioned horizon), or the two routes disagree.
     """
     g = system.propagator.factor(t)
     if not np.abs(g.C - _doubling_gramian(system, t)).max() <= 1e-9 * np.abs(g.C).max():

@@ -50,7 +50,7 @@ from . import fields
 from .exceptions import CoefficientError, GramianError, SettingError
 from .gramian import gramian_weighted, input_response, log_density
 from .kernel import GaussianKernel
-from .model import dilation_scales, homogeneous_dimension
+from .model import dilation_scales, ellipticity_check, homogeneous_dimension
 
 __all__ = [
     "SimConfig",
@@ -507,18 +507,18 @@ def verify_bounds(
     route simulates once: the paths behind the grid's estimates are
     snapshotted at the two shorter horizons (see `simulate_paths`).
 
-    The comparison range must cover the operator's sampled diffusion
-    strength: ``lambda- <= 2 min_eig(a)`` and ``2 max_eig(a) <= lambda+``
-    over the coefficient sample grid (the comparison operator against
+    The comparison range must cover the operator's diffusion strength:
+    ``lambda- <= 2 min_eig(a)`` and ``2 max_eig(a) <= lambda+`` over every
+    ``(t, x)``, by `ellipticity_check` (the comparison operator against
     itself, ``lambda- = lambda+ = lambda``, is the boundary case).
     """
     if not (0 < lambda_minus <= lambda_plus):
         raise ValueError("need 0 < lambda- <= lambda+")
-    mu_low, mu_high = spec.mu_sampled
+    mu_low, mu_high = ellipticity_check(spec)
     strength_lo, strength_hi = 2.0 / mu_low, 2.0 * mu_high
     if lambda_minus > strength_lo * (1 + 1e-9) or lambda_plus < strength_hi * (1 - 1e-9):
         raise ValueError(
-            "inconsistent comparison range: sampled diffusion strength is "
+            "inconsistent comparison range: diffusion strength is "
             f"[{strength_lo}, {strength_hi}] but requested "
             f"[{lambda_minus}, {lambda_plus}]"
         )

@@ -10,8 +10,9 @@ operator class with bounded measurable coefficients on the diffusion block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "homogeneous_system",
     "ellipticity_check",
     "coefficient_bounds",
-    "default_sample_grid",
     "spec_from_config",
     "spec_to_config",
 ]
@@ -330,118 +330,81 @@ class OperatorSpec:
             raise CoefficientError(f"ellipticity constant must be positive, got {self.mu}")
         if self.M_bound < 0:
             raise CoefficientError(f"coefficient bound must be >= 0, got {self.M_bound}")
+        d = self.system.d
+        for name, field in _scalar_fields(self):
+            axis, wave = getattr(field, "axis", "time"), getattr(field, "wave", range(d))
+            if not (axis == "time" or 0 <= axis < d) or len(wave) != d:
+                raise CoefficientError(f"coefficient {name}: {field} does not fit a {d}-d state")
 
     @property
     def structure(self):
         return self.system.structure
 
-    @cached_property
-    def mu_sampled(self):
-        """``(mu_low, mu_high)`` of `ellipticity_check` on the default grid, run once."""
-        return ellipticity_check(self)
 
+def _scalar_fields(spec):
+    """``(name, field)`` for every scalar field in ``a``, ``a_low``, ``b_low`` and ``c``.
 
-@lru_cache(maxsize=None)
-def _sample_grid(d):
-    rng = np.random.default_rng(0)
-    xs = rng.uniform(-1.0, 1.0, size=(32, d))
-    xs[0] = 0.0
-    ts, X = np.repeat(np.arange(32) / 32, 32), np.tile(xs, (32, 1))
-    ts.setflags(write=False)
-    X.setflags(write=False)
-    return ts, X
-
-
-def default_sample_grid(structure):
-    """Deterministic sample points for coefficient checks, as arrays ``(ts, X)``.
-
-    The 32 times ``k / 32`` (hitting sinusoid extremes for integer
-    frequencies) crossed with 32 seeded uniform space points in ``[-1, 1]^d``
-    (the first one the origin): sample ``32 i + j`` is time ``i / 32`` at
-    point ``j``, so ``ts`` is ``(1024,)`` and ``X`` is ``(1024, d)``.  Both are
-    read-only and built once per dimension ``d``.
+    An isotropic ``a`` contributes its scalar; a constant matrix, none.
     """
-    return _sample_grid(structure.d)
+    if isinstance(spec.a, fields.IsotropicMatrixField):
+        yield "a", spec.a.scalar
+    for vec in ("a_low", "b_low"):
+        for i, comp in enumerate(getattr(spec, vec).components):
+            yield f"{vec}[{i}]", comp
+    yield "c", spec.c
 
 
-def _samples(spec, sample_points):
-    """Times ``(n,)`` and states ``(n, d)``: the default grid, or those of a list of pairs."""
-    if sample_points is None:
-        return default_sample_grid(spec.structure)
-    ts = np.array([t for t, _ in sample_points], dtype=float)
-    X = np.array([x for _, x in sample_points], dtype=float).reshape(len(ts), spec.system.d)
-    return ts, X
+def _range(name, field):
+    """The exact ``(lo, hi)`` of coefficient ``name``: its values, or its eigenvalues for ``a``.
+
+    Raises `CoefficientError` naming the coefficient for a field of no known
+    kind or a range that is not finite.
+    """
+    bounds = getattr(field, "eigenvalue_range" if name == "a" else "value_range", None)
+    if bounds is None:
+        raise CoefficientError(f"coefficient {name}: no range for {type(field).__name__}")
+    lo, hi = bounds()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CoefficientError(f"non-finite coefficient {name}")
+    return float(lo), float(hi)
 
 
-def _batch_matrix(a, ts, X):
-    """A matrix field at every sample, stacked ``(n, m, m)``."""
-    if isinstance(a, fields.ConstantMatrixField):
-        return np.broadcast_to(a.matrix, (len(ts),) + a.matrix.shape)
-    if isinstance(a, fields.IsotropicMatrixField):
-        return fields.sample_scalar(a.scalar, ts, X)[:, None, None] * np.eye(a.dim)
-    raise CoefficientError(f"no batch evaluation for {type(a).__name__}")
+def ellipticity_check(spec):
+    """Exact ellipticity constants of the diffusion coefficient over every ``(t, x)``.
 
-
-def ellipticity_check(spec, sample_points=None):
-    """Tightest sampled ellipticity constants of the diffusion coefficient.
-
-    Returns ``(mu_low, mu_high)`` where ``mu_low`` is the smallest constant
-    making the lower bound hold on the samples (``max 1/lambda_min``) and
-    ``mu_high`` the smallest for the upper bound (``max lambda_max``).
-    Eigenvalues give the exact extremes over all unit directions.  All
-    samples are evaluated at once, with one batched eigenvalue call.
+    Returns ``(mu_low, mu_high)``: ``1 / min lambda_min(a)``, the smallest
+    constant for the lower bound, and ``max lambda_max(a)``, the smallest
+    for the upper bound.  An isotropic coefficient's eigenvalue is its
+    scalar's value, whose range each field kind gives in closed form; a
+    constant matrix takes one ``eigvalsh``.
 
     Raises
     ------
     CoefficientError
-        If a sampled coefficient matrix is nonsymmetric, non-finite, or not
-        positive definite; the message names the first such sample.
+        If the coefficient ``a`` is non-finite, nonsymmetric, not positive
+        definite, or of no known kind.
     """
-    ts, X = _samples(spec, sample_points)
-    if len(ts) == 0:
-        raise ValueError("sample grid must be nonempty")
-    A = _batch_matrix(spec.a, ts, X)
-    finite = np.isfinite(A).all(axis=(1, 2))
-    A = np.where(finite[:, None, None], A, np.eye(A.shape[1]))
-    symmetric = np.abs(A - A.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12 * np.maximum(
-        1.0, np.abs(A).max(axis=(1, 2))
-    )
-    eigs = np.linalg.eigvalsh(A)
-    emin, emax = eigs[:, 0], eigs[:, -1]
-    bad = ~(finite & symmetric & (emin > 0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        t, x = float(ts[i]), X[i]
-        if not finite[i]:
-            raise CoefficientError(f"non-finite diffusion coefficient at (t={t}, x={x})")
-        if not symmetric[i]:
-            raise CoefficientError(f"nonsymmetric diffusion coefficient at (t={t}, x={x})")
+    lo, hi = _range("a", spec.a)
+    if not lo > 0:
         raise CoefficientError(
-            f"diffusion coefficient not positive definite at (t={t}, x={x})"
+            f"diffusion coefficient a not positive definite: least eigenvalue {lo}"
         )
-    return np.max(1.0 / emin), np.max(emax)
+    return 1.0 / lo, hi
 
 
-def coefficient_bounds(spec, sample_points=None):
-    """Sampled sup norms of the lower-order coefficients ``(a_i, b_i, c)``.
+def coefficient_bounds(spec):
+    """Exact sup norms of the lower-order coefficients ``(a_i, b_i, c)`` over every ``(t, x)``.
 
-    All samples are evaluated at once; a non-finite value raises
-    `CoefficientError` naming the first sample that has one.
+    A non-finite coefficient raises `CoefficientError` naming it
+    (``a_low[i]``, ``b_low[i]`` or ``c``).
     """
-    ts, X = _samples(spec, sample_points)
-    va, vb = (
-        np.array([fields.sample_scalar(c, ts, X) for c in vec.components]).reshape(
-            len(vec.components), len(ts)
-        )
-        for vec in (spec.a_low, spec.b_low)
-    )
-    vc = fields.sample_scalar(spec.c, ts, X)
-    finite = np.isfinite(va).all(axis=0) & np.isfinite(vb).all(axis=0) & np.isfinite(vc)
-    if not finite.all():
-        i = int(np.argmax(~finite))
-        t, x = float(ts[i]), X[i]
-        raise CoefficientError(f"non-finite lower-order coefficient at (t={t}, x={x})")
-    return tuple(float(np.abs(v).max(initial=0.0)) for v in (va, vb, vc))
+    sup = dict.fromkeys(("a_low", "b_low", "c"), 0.0)
+    for name, field in _scalar_fields(spec):
+        key = name.partition("[")[0]
+        if key in sup:
+            lo, hi = _range(name, field)
+            sup[key] = max(sup[key], abs(lo), abs(hi))
+    return tuple(sup.values())
 
 
 def spec_from_config(cfg):

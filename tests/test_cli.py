@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-import kolmo.model
 from kolmo import cli
 from kolmo.cli import (
     EXIT_NUMERIC,
@@ -16,6 +15,7 @@ from kolmo.cli import (
     load_model,
     main,
 )
+from kolmo.model import ellipticity_check
 
 from conftest import langevin_config
 
@@ -56,7 +56,7 @@ def read_csv(path):
 class TestLoadModel:
     def test_valid_langevin(self, langevin_model_path):
         spec = load_model(langevin_model_path)
-        mu_low, mu_high = spec.mu_sampled
+        mu_low, mu_high = ellipticity_check(spec)
         assert spec.system.d == 2
         assert mu_low <= spec.mu and mu_high <= spec.mu
 
@@ -147,6 +147,68 @@ class TestLoadModel:
         path = write_model(tmp_path, cfg)
         assert main(["validate", "--model", path]) == EXIT_VALIDATION
         assert "ellipticity" in capsys.readouterr().err
+
+    @staticmethod
+    def slow_sinusoid_cfg(mu):
+        # a = 0.5 + 0.45 sin(pi t) falls to 0.05 at t = 1.5, so the exact
+        # lower constant is 20; samples at t = k/32 in [0, 1) read 2.
+        cfg = langevin_config()
+        cfg["coefficients"]["a"] = {
+            "kind": "time-sinusoid", "base": 0.5, "amplitude": 0.45, "frequency": 0.5,
+        }
+        cfg["mu"] = mu
+        return cfg
+
+    def test_slow_sinusoid_breaking_declared_mu_rejected(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        path = write_model(tmp_path, self.slow_sinusoid_cfg(2.0))
+        code = main(["validate", "--model", path, "--out", str(tmp_path / "out" / "v")])
+        assert code == EXIT_VALIDATION
+        assert "[ellipticity]" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_slow_sinusoid_with_true_mu_validates(self, tmp_path, capsys):
+        path = write_model(tmp_path, self.slow_sinusoid_cfg(20.0))
+        assert main(["validate", "--model", path]) == EXIT_OK
+        mu_low, mu_high = json.loads(capsys.readouterr().out)["mu_sampled"]
+        assert abs(mu_low - 20.0) <= 1e-12 and abs(mu_high - 0.95) <= 1e-12
+        # Its strength 2a falls to 0.1, so lambda- = 1 is no lower comparison.
+        (tmp_path / "out").mkdir()
+        code = main(
+            [
+                "verify-bounds", "--model", path, "--from", "1.0,0,0", "--horizon", "2.0",
+                "--lambda-minus", "1", "--lambda-plus", "2", "--seed", "1",
+                "--out", str(tmp_path / "out" / "vb"),
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        assert "inconsistent comparison range" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize(
+        "field, named",
+        [
+            ({"kind": "tabulated", "points": [0.0, 1.0], "values": [0.5, 0.6], "axis": 5},
+             "axis=5"),
+            ({"kind": "tabulated", "points": [0.0, 1.0], "values": [0.5, 0.6], "axis": -1},
+             "axis=-1"),
+            ({"kind": "space-sinusoid", "base": 0.5, "amplitude": 0.1, "wave": [1.0, 0.0, 0.0]},
+             "wave=(1.0, 0.0, 0.0)"),
+        ],
+        ids=["table-axis-5", "table-axis-negative", "wave-3-entries"],
+    )
+    def test_misfit_field_is_validation_failure(self, tmp_path, capsys, field, named):
+        # LANGEVIN has d = 2: a table reads axis 0 or 1, and a wave has 2 entries.
+        cfg = langevin_config()
+        cfg["coefficients"]["a"] = field
+        cfg["mu"] = 20.0
+        path = write_model(tmp_path, cfg)
+        (tmp_path / "out").mkdir()
+        code = main(["validate", "--model", path, "--out", str(tmp_path / "out" / "v")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure") and named in err and "coefficient a" in err
+        assert os.listdir(tmp_path / "out") == []
 
 
 class TestSubcommands:
@@ -460,41 +522,11 @@ class TestSubcommands:
         assert main(["--help"]) == EXIT_OK
         assert main(["--version"]) == EXIT_OK
 
-    @pytest.fixture
-    def ellipticity_calls(self, monkeypatch):
-        """The specs `kolmo.model.ellipticity_check` is called on, and the original."""
-        calls = []
-        original = kolmo.model.ellipticity_check
-
-        def counting(spec, *args, **kwargs):
-            calls.append(spec)
-            return original(spec, *args, **kwargs)
-
-        monkeypatch.setattr(kolmo.model, "ellipticity_check", counting)
-        return calls, original
-
-    def test_validate_samples_ellipticity_once(
-        self, langevin_model_path, ellipticity_calls, capsys
-    ):
-        calls, original = ellipticity_calls
+    def test_validate_reports_exact_constants(self, langevin_model_path, capsys):
+        # The summary keeps the key mu_sampled and fills it with the exact pair.
         assert main(["validate", "--model", langevin_model_path]) == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
-        assert len(calls) == 1
-        assert summary["mu_sampled"] == list(original(calls[0]))
-
-    def test_verify_bounds_samples_ellipticity_once(
-        self, langevin_model_path, ellipticity_calls, tmp_path
-    ):
-        calls, _ = ellipticity_calls
-        code = main(
-            [
-                "verify-bounds", "--model", langevin_model_path, "--from", "0,0,0",
-                "--horizon", "1.0", "--grid", "radius=2,n=3", "--lambda-minus", "1",
-                "--lambda-plus", "1", "--seed", "4", "--out", str(tmp_path / "vb"),
-            ]
-        )
-        assert code == EXIT_OK
-        assert len(calls) == 1
+        assert summary["mu_sampled"] == list(ellipticity_check(load_model(langevin_model_path)))
 
     def test_chain_horizon_rounded_above_tau_runs(self, langevin_model_path, tmp_path):
         # 1.1 - 0.1 is 1.0000000000000002: within build_chain's time tolerance.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from kolmo import fields
 from kolmo.exceptions import CoefficientError, GramianError, StructureError
@@ -8,8 +9,8 @@ from kolmo.model import (
     BlockStructure,
     SpaceTimePoint,
     SystemMatrix,
+    OperatorSpec,
     coefficient_bounds,
-    default_sample_grid,
     dilation_matrix,
     ellipticity_check,
     group_compose,
@@ -211,7 +212,7 @@ class TestEllipticityCheck:
         )
         spec = make_spec(heat1d, a=a, mu=2.0)
         mu_low, mu_high = ellipticity_check(spec)
-        # The default time grid hits the sinusoid extremes 0.5 and 2 exactly.
+        # The closed form reads the sinusoid's extremes 0.5 and 2 exactly.
         assert np.isclose(mu_low, 2.0, atol=1e-12)
         assert np.isclose(mu_high, 2.0, atol=1e-12)
 
@@ -228,147 +229,31 @@ class TestEllipticityCheck:
         with pytest.raises(CoefficientError):
             ellipticity_check(spec)
 
-    def test_empty_samples_rejected(self, heat1d):
-        with pytest.raises(ValueError):
-            ellipticity_check(make_spec(heat1d), sample_points=[])
+    @pytest.mark.parametrize("coefficient", ["a", "c"])
+    def test_nan_table_value_rejected(self, kinetic21, coefficient):
+        # A table refuses a NaN value when built, so it is set afterwards:
+        # the checks must catch a non-finite value from any source.
+        field = fields.TabulatedField((-1.0, 0.0, 1.0), (1.0, 0.5, 1.0), axis=0)
+        object.__setattr__(field, "values", (1.0, float("nan"), 1.0))
+        if coefficient == "a":
+            spec = make_spec(kinetic21, a=fields.IsotropicMatrixField(field, 2))
+            check = ellipticity_check
+        else:
+            spec = make_spec(kinetic21, c=field)
+            check = coefficient_bounds
+        with pytest.raises(CoefficientError, match=f"coefficient {coefficient}"):
+            check(spec)
 
+    def test_non_finite_matrix_rejected(self, heat1d):
+        spec = make_spec(heat1d, a=fields.ConstantMatrixField([[float("inf")]]))
+        with pytest.raises(CoefficientError, match="non-finite"):
+            ellipticity_check(spec)
 
-def old_sample_grid(structure):
-    """Reference: the sample grid as the list of ``(t, x)`` pairs it once was."""
-    rng = np.random.default_rng(0)
-    times = np.arange(32) / 32
-    xs = rng.uniform(-1.0, 1.0, size=(32, structure.d))
-    xs[0] = 0.0
-    return [(float(t), x) for t in times for x in xs]
-
-
-def ellipticity_loop(spec, sample_points):
-    """Reference: the checks one sample at a time, in sample order."""
-    lo = hi = -np.inf
-    for t, x in sample_points:
-        a_val = np.asarray(spec.a(t, x), dtype=float)
-        if not np.all(np.isfinite(a_val)):
-            raise CoefficientError(f"non-finite diffusion coefficient at (t={t}, x={x})")
-        if not np.allclose(a_val, a_val.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a_val).max())):
-            raise CoefficientError(f"nonsymmetric diffusion coefficient at (t={t}, x={x})")
-        eigs = np.linalg.eigvalsh(a_val)
-        emin, emax = eigs[0], eigs[-1]
-        if emin <= 0:
-            raise CoefficientError(
-                f"diffusion coefficient not positive definite at (t={t}, x={x})"
-            )
-        lo, hi = max(lo, 1.0 / emin), max(hi, emax)
-    return lo, hi
-
-
-def coefficient_bounds_loop(spec, sample_points):
-    """Reference: the sup norms one sample at a time, in sample order."""
-    sup_a = sup_b = sup_c = 0.0
-    for t, x in sample_points:
-        va, vb, vc = spec.a_low(t, x), spec.b_low(t, x), spec.c(t, x)
-        if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb)) and np.isfinite(vc)):
-            raise CoefficientError(f"non-finite lower-order coefficient at (t={t}, x={x})")
-        sup_a = max(sup_a, float(np.abs(va).max()))
-        sup_b = max(sup_b, float(np.abs(vb).max()))
-        sup_c = max(sup_c, abs(float(vc)))
-    return sup_a, sup_b, sup_c
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except CoefficientError as exc:
-        return str(exc)
-
-
-class TestBatchedValidation:
-    """The batched checks give the per-sample loop's results bit for bit."""
-
-    @staticmethod
-    def specs(system):
-        d, m0 = system.d, system.m0
-        wave = tuple(0.5 * (i + 1) / d for i in range(d))
-        space = fields.SpaceSinusoidField(base=0.6, amplitude=0.3, wave=wave, phase=0.2)
-        time = fields.TimeSinusoidField(base=0.625, amplitude=0.375, frequency=2.0)
-        tab_time = fields.TabulatedField((0.0, 0.3, 0.7), (0.5, 0.9, 1.3))
-        tab_space = fields.TabulatedField((-0.5, 0.0, 0.5), (0.7, 1.1, 0.4), axis=d - 1)
-        low = fields.VectorField(tuple([space, time, tab_space][: m0] + [tab_time] * (m0 - 3)))
-        spd = np.eye(m0) + 0.3 * np.ones((m0, m0))
-        return [
-            make_spec(system, lam=1.5),
-            make_spec(system, a=fields.ConstantMatrixField(spd), b_low=low, c=tab_time),
-            make_spec(system, a=fields.IsotropicMatrixField(time, m0), a_low=low, c=space),
-            make_spec(system, a=fields.IsotropicMatrixField(space, m0), c=time),
-            make_spec(system, a=fields.IsotropicMatrixField(tab_space, m0), b_low=low),
-            make_spec(system, a=fields.IsotropicMatrixField(tab_time, m0)),
-        ]
-
-    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221"])
-    def test_bitwise_equal_to_loop(self, name, request):
-        system = request.getfixturevalue(name)
-        rng = np.random.default_rng(41)
-        mixed = [(float(t), x) for t, x in zip(rng.uniform(-1, 1, 200), rng.normal(size=(200, system.d)))]
-        for spec in self.specs(system):
-            for samples in (old_sample_grid(system.structure), mixed):
-                ref = ellipticity_loop(spec, samples)
-                got = ellipticity_check(spec, samples)
-                assert got == ref and type(got[0]) is type(ref[0])
-                assert coefficient_bounds(spec, samples) == coefficient_bounds_loop(spec, samples)
-            assert coefficient_bounds(spec, []) == coefficient_bounds_loop(spec, [])
-
-    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221"])
-    def test_default_grid_equal_to_loop(self, name, request):
-        # With no sample list the checks read the cached arrays; the loops
-        # run over the grid's old list of pairs.  The diffusion depends on
-        # space and ``c`` on time, so both arrays are read.
-        system = request.getfixturevalue(name)
-        samples = old_sample_grid(system.structure)
-        spec = self.specs(system)[3]
-        assert ellipticity_check(spec) == ellipticity_loop(spec, samples)
-        assert coefficient_bounds(spec) == coefficient_bounds_loop(spec, samples)
-
-    def test_default_grid_failure_named(self, kinetic21):
-        # The first offending sample of the default grid is named as the loop
-        # over the old list names it: the field is NaN wherever x0 < -0.5.
-        field = fields.TabulatedField((-1.0, 0.0), (1.0, 1.0), axis=0)
-        object.__setattr__(field, "values", (float("nan"), 1.0))
-        spec = make_spec(kinetic21, a=fields.IsotropicMatrixField(field, 2), c=field)
-        samples = old_sample_grid(kinetic21.structure)
-        for check, loop in ((ellipticity_check, ellipticity_loop),
-                            (coefficient_bounds, coefficient_bounds_loop)):
-            expected = outcome(loop, spec, samples)
-            assert isinstance(expected, str) and "(t=" in expected
-            assert outcome(check, spec) == expected
-
-    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221"])
-    def test_default_sample_grid_is_old_list(self, name, request):
-        structure = request.getfixturevalue(name).structure
-        ts, X = grid = default_sample_grid(structure)
-        old = old_sample_grid(structure)
-        assert ts.shape == (1024,) and X.shape == (1024, structure.d)
-        assert ts.tolist() == [t for t, _ in old]
-        assert X.tolist() == [x.tolist() for _, x in old]
-        assert not ts.flags.writeable and not X.flags.writeable
-        again = default_sample_grid(BlockStructure(structure.m))
-        assert again is grid or (again[0] is ts and again[1] is X)
-
-    def test_first_offending_sample_named(self, kinetic21):
-        # Sample 1 is not positive definite and sample 2 not finite; either
-        # order must report the earlier one, as the loop does.  A table
-        # rejects a NaN value when built, so it is set afterwards: the
-        # sampled checks must catch a non-finite value from any source.
-        field = fields.TabulatedField((-1.0, 0.0, 1.0), (1.0, -1.0, 1.0), axis=0)
-        object.__setattr__(field, "values", (float("nan"), -1.0, 1.0))
-        spec = make_spec(kinetic21, a=fields.IsotropicMatrixField(field, 2), c=field)
-        samples = [(0.0, np.array([0.9, 0.0, 0.0])), (0.5, np.array([0.1, 0.2, 0.0])),
-                   (0.25, np.array([-0.9, 0.0, 0.0]))]
-        for order in (samples, samples[::-1], samples[:1] + samples[2:]):
-            expected = outcome(ellipticity_loop, spec, order)
-            assert isinstance(expected, str)
-            assert outcome(ellipticity_check, spec, order) == expected
-            assert outcome(coefficient_bounds, spec, order) == outcome(
-                coefficient_bounds_loop, spec, order
-            )
+    def test_non_finite_lower_order_named(self, kinetic21):
+        bad = fields.TimeSinusoidField(base=0.0, amplitude=1.0, frequency=float("nan"))
+        low = fields.VectorField((fields.ConstantField(0.1), bad))
+        with pytest.raises(CoefficientError, match=r"coefficient b_low\[1\]"):
+            coefficient_bounds(make_spec(kinetic21, b_low=low))
 
     def test_unknown_field_type_named(self, langevin):
         class Doubled:  # a field of no known kind
@@ -385,6 +270,124 @@ class TestBatchedValidation:
             fields.batch_value_and_gradient(
                 fields.TimeSinusoidField(1.0, 0.5), np.zeros((3, 2)), 1
             )
+
+
+def brute_force_range(field, d, seed):
+    """The least and largest value of a scalar field, found without its closed form.
+
+    ``batch_scalar`` at 100 times and 1,000 states drawn uniformly from
+    ``[-10, 10]``: 1e5 points ``(t, x)``.  The best sample of each sign is
+    then polished by Nelder-Mead over ``(t, x)``.  Returns the sampled
+    values and the two polished extremes.
+    """
+    rng = np.random.default_rng(seed)
+    ts, X = rng.uniform(-10.0, 10.0, 100), rng.uniform(-10.0, 10.0, (1000, d))
+    values = np.array([fields.batch_scalar(field, t, X) for t in ts])
+    extremes = []
+    for sign in (-1.0, 1.0):
+        i, j = np.unravel_index(np.argmax(sign * values), values.shape)
+        res = minimize(
+            lambda z: -sign * fields.batch_scalar(field, z[0], z[None, 1:])[0],
+            np.concatenate([[ts[i]], X[j]]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 20000},
+        )
+        extremes.append(max(sign * values[i, j], -res.fun) * sign)
+    return values, extremes[0], extremes[1]
+
+
+SCALAR_FIELDS = {
+    "constant": fields.ConstantField(-0.7),
+    "time-sinusoid": fields.TimeSinusoidField(base=0.5, amplitude=0.45, frequency=0.5),
+    "time-sinusoid-negative": fields.TimeSinusoidField(
+        base=-0.2, amplitude=-1.3, frequency=3.0, phase=0.4
+    ),
+    "time-sinusoid-still": fields.TimeSinusoidField(
+        base=1.0, amplitude=0.5, frequency=0.0, phase=0.7
+    ),
+    "space-sinusoid": fields.SpaceSinusoidField(
+        base=0.6, amplitude=0.3, wave=(0.05, -0.13, 0.0), phase=0.2
+    ),
+    "space-sinusoid-still": fields.SpaceSinusoidField(
+        base=0.6, amplitude=0.3, wave=(0.0, 0.0, 0.0), phase=-1.1
+    ),
+    "table-time": fields.TabulatedField((0.0, 0.3, 0.7, -4.0), (0.5, 0.9, 1.3, 0.25)),
+    # The second point 0.0 is never returned: argmin picks the first of equal points.
+    "table-space-duplicate": fields.TabulatedField(
+        (-0.5, 0.0, 0.0, 0.5), (0.7, 1.1, 9.0, -0.4), axis=2
+    ),
+}
+
+
+class TestExactRanges:
+    """Each field kind's closed-form range against a brute-force search."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_FIELDS))
+    def test_scalar_range_is_brute_force_range(self, name):
+        field = SCALAR_FIELDS[name]
+        lo, hi = field.value_range()
+        values, found_lo, found_hi = brute_force_range(field, 3, seed=len(name))
+        assert lo <= values.min() and values.max() <= hi
+        assert lo <= found_lo and found_hi <= hi
+        # Every kind attains its extremes, so the search meets them.
+        assert abs(found_lo - lo) <= 1e-12 and abs(found_hi - hi) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_FIELDS))
+    def test_isotropic_eigenvalues_are_scalar_range(self, name):
+        field = SCALAR_FIELDS[name]
+        assert fields.IsotropicMatrixField(field, 2).eigenvalue_range() == field.value_range()
+
+    def test_constant_matrix_range_holds_every_rayleigh_quotient(self):
+        rng = np.random.default_rng(17)
+        root = rng.normal(size=(3, 3))
+        matrix = root @ root.T + 0.1 * np.eye(3)
+        lo, hi = fields.ConstantMatrixField(matrix).eigenvalue_range()
+        u = rng.normal(size=(100_000, 3))
+        quotients = np.einsum("ni,ij,nj->n", u, matrix, u) / np.einsum("ni,ni->n", u, u)
+        assert lo <= quotients.min() and quotients.max() <= hi
+        eigs = np.sort(np.linalg.eigvals(matrix).real)
+        assert abs(eigs[0] - lo) <= 1e-12 * eigs[-1] and abs(eigs[-1] - hi) <= 1e-12 * eigs[-1]
+
+    def test_checks_read_the_ranges(self, kinetic21):
+        space = SCALAR_FIELDS["space-sinusoid"]
+        table = SCALAR_FIELDS["table-space-duplicate"]
+        low = fields.VectorField((SCALAR_FIELDS["constant"], SCALAR_FIELDS["table-time"]))
+        spec = make_spec(
+            kinetic21, a=fields.IsotropicMatrixField(space, 2), a_low=low, c=table, mu=4.0
+        )
+        assert ellipticity_check(spec) == (1.0 / (0.6 - 0.3), 0.6 + 0.3)
+        assert coefficient_bounds(spec) == (1.3, 0.0, 1.1)
+
+
+class TestFieldShapes:
+    """A table axis or a wave that does not fit the state is refused at construction."""
+
+    @pytest.mark.parametrize(
+        "coefficient, field, match",
+        [
+            ("a", fields.TabulatedField((0.0, 1.0), (1.0, 2.0), axis=3), "axis=3"),
+            ("c", fields.TabulatedField((0.0, 1.0), (1.0, 2.0), axis=-1), "axis=-1"),
+            ("b_low", fields.SpaceSinusoidField(1.0, 0.5, wave=(1.0, 0.0)), "wave=(1.0, 0.0)"),
+            ("a_low", fields.SpaceSinusoidField(1.0, 0.5, wave=(1.0,) * 4), "wave=(1.0, 1.0,"),
+        ],
+    )
+    def test_misfit_field_rejected(self, kinetic21, coefficient, field, match):
+        value = {
+            "a": fields.IsotropicMatrixField(field, 2),
+            "a_low": fields.VectorField((fields.ConstantField(0.0), field)),
+            "b_low": fields.VectorField((field, fields.ConstantField(0.0))),
+            "c": field,
+        }[coefficient]
+        with pytest.raises(CoefficientError) as exc:
+            make_spec(kinetic21, **{coefficient: value})
+        assert f"coefficient {coefficient}" in str(exc.value) and match in str(exc.value)
+        assert "3-d state" in str(exc.value)
+
+    def test_fitting_fields_accepted(self, kinetic21):
+        table = fields.TabulatedField((0.0, 1.0), (1.0, 2.0), axis=2)
+        wave = fields.SpaceSinusoidField(1.0, 0.5, wave=(1.0, 0.0, 0.5))
+        spec = make_spec(kinetic21, a=fields.IsotropicMatrixField(table, 2), c=wave, mu=2.0)
+        assert isinstance(spec, OperatorSpec)
 
 
 class TestConfigRoundTrip:

@@ -18,7 +18,7 @@ from kolmo import fields
 from kolmo.chain import HarnackConfig, build_chain, verify_chain
 from kolmo.control import ControlProblem, kappa_estimate, optimal_control, trajectory
 from kolmo.exceptions import GramianError
-from kolmo.gramian import _doubling_gramian, dilation_scaling_defect, quadratic_form
+from kolmo.gramian import _doubling_gramian, dilation_scaling_defect, gramian, quadratic_form
 from kolmo.model import (
     BlockStructure,
     OperatorSpec,
@@ -26,6 +26,7 @@ from kolmo.model import (
     dilation_matrix,
     dilation_scales,
     homogeneous_dimension,
+    kalman_rank,
     spec_from_config,
     spec_to_config,
     validate_structure,
@@ -117,6 +118,21 @@ def test_doubling_gramian_matches_van_loan(seed):
     for t in (1e-3, 0.01, 0.1, 0.5, 1.0, 3.0):
         ref = system.propagator.gramian(t)
         assert np.abs(_doubling_gramian(system, t) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_lost_definiteness_names_the_eigenvalues_not_the_coupling():
+    # Seed 0 has full Kalman rank, yet at tau = 20 rounding leaves C(tau)
+    # with a negative eigenvalue: the message reports the spectrum.
+    system, _ = random_system(0)
+    assert kalman_rank(system) == system.d
+    with pytest.raises(GramianError) as exc:
+        gramian(system, 20.0)
+    message = str(exc.value)
+    assert "rank-deficient" not in message
+    C = system.propagator.gramian(20.0)
+    eigs = np.linalg.eigvalsh(0.5 * (C + C.T))  # the symmetric part, as it is factored
+    assert f"{eigs[0]:.3e}" in message and f"{eigs[-1]:.3e}" in message
+    assert eigs[0] < 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)

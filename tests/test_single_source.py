@@ -7,8 +7,14 @@ from pathlib import Path
 
 import kolmo
 
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    tomllib = None
+
 SOURCES = sorted(Path(kolmo.__file__).parent.glob("*.py"))
-DEMOS = sorted((Path(kolmo.__file__).parents[2] / "demos").glob("*.py"))
+ROOT = Path(kolmo.__file__).parents[2]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _trees():
@@ -200,3 +206,38 @@ def test_every_export_has_a_caller():
         if export not in in_src and export not in in_demos
     ]
     assert uncalled == []
+
+
+def _draws(tree):
+    """``(enclosing top-level function or None, line)`` of every ``default_rng`` in a module."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if getattr(node, "attr", getattr(node, "id", None)) == "default_rng":
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_random_draws_only_in_simulation_and_equivalence_directions():
+    # The model's constants come from each field's closed-form range, so
+    # model.py and fields.py draw nothing: no coefficient sample grid.  The
+    # simulation seeds its own Philox streams; equivalence_constants draws
+    # its 64 fixed directions with default_rng.
+    trees = _trees()
+    for name in ("model.py", "fields.py"):
+        assert not any(
+            getattr(node, "attr", getattr(node, "id", None)) == "random"
+            for node in ast.walk(trees[name])
+        ), name
+    draws = {name: _draws(tree) for name, tree in trees.items()}
+    assert {name for name, found in draws.items() if found} <= {"mc.py", "gramian.py"}
+    assert {func for func, _ in draws["gramian.py"]} == {"equivalence_constants"}
+
+
+def test_pyproject_version_is_package_version():
+    text = (ROOT / "pyproject.toml").read_text()
+    if tomllib is not None:
+        version = tomllib.loads(text)["project"]["version"]
+    else:
+        version = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE).group(1)
+    assert version == kolmo.__version__
