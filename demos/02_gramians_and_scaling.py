@@ -47,5 +47,5 @@ rep = equivalence_constants(starful, tau_grid=[2.0**-k for k in range(1, 11)])
 print("\ndet C / det C0 along tau -> 0:")
 for tau, ratio in zip(rep.tau_grid, rep.det_ratio):
     print(f"  tau = {tau:8.6f}: ratio - 1 = {ratio - 1:.3e}")
-print("quadratic-form ratio range (k5, k6):", rep.k_quadratic)
+print("quadratic-form ratio range (k5, k6), exact:", rep.k_quadratic)
 print("dilation-norm eigenbounds (k1, k2):", rep.k_dilation)

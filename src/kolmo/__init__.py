@@ -7,7 +7,7 @@ equivalences, minimum-energy steering controls, Harnack-chain constructions,
 and Monte Carlo verification of two-sided Gaussian comparison bounds.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .chain import (
     HarnackChain,
@@ -46,12 +46,10 @@ from .gramian import (
 from .kernel import (
     GaussianKernel,
     aronson_upper_form,
-    cauchy_solution,
     chapman_kolmogorov_residual,
     eval_kernel,
     eval_log_kernel,
     lower_bound_form,
-    normalization_residual,
     pde_residual,
 )
 from .mc import (

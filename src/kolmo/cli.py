@@ -195,11 +195,13 @@ def _manifest(args, outputs, spec):
 
 
 def _parse_floats(text, option, count=None):
-    """The comma-separated numbers of ``option``; exactly ``count`` if given."""
+    """The comma-separated finite numbers of ``option``; exactly ``count`` if given."""
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError:
         raise _UsageError(f"{option} takes comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise _UsageError(f"{option} takes finite numbers, got {text!r}")
     if count is not None and len(vals) != count:
         raise _UsageError(f"{option} takes {count} numbers, got {text!r}")
     return vals
@@ -246,6 +248,14 @@ def _between(low, high):
 
 _POSITIVE = _between(0, math.inf)
 _FRACTION = _between(0, 1)
+
+
+def _parse_horizons(text):
+    """The ``--tau-grid`` horizons, each positive."""
+    taus = _parse_floats(text, "--tau-grid")
+    if not all(tau > 0 for tau in taus):
+        raise _UsageError(f"--tau-grid takes positive horizons, got {text!r}")
+    return taus
 
 
 def _parse_point(text, d, option):
@@ -303,7 +313,7 @@ def _cmd_validate(args, spec):
 
 def _cmd_gramian(args, spec):
     rows = []
-    for tau in _parse_floats(args.tau_grid, "--tau-grid"):
+    for tau in _parse_horizons(args.tau_grid):
         g = gramian(spec.system, tau)
         g0 = gramian_homogeneous(spec.system, tau)
         det_ratio = float(np.exp(g.logdet - g0.logdet))
@@ -473,7 +483,7 @@ def _cmd_verify_bounds(args, spec):
 
 
 def _cmd_equivalence(args, spec):
-    report = equivalence_constants(spec.system, _parse_floats(args.tau_grid, "--tau-grid"))
+    report = equivalence_constants(spec.system, _parse_horizons(args.tau_grid))
     rows = [[tau, ratio] for tau, ratio in zip(report.tau_grid, report.det_ratio)]
     summary = {
         "k_dilation": list(report.k_dilation),

@@ -76,8 +76,8 @@ class OptimalControl:
 def optimal_control(problem):
     """Solve the minimum-energy steering problem.
 
-    Raises `GramianError` when the covariance is singular (coupling rank
-    deficient), in which case not every target is reachable.
+    Raises `GramianError` when the covariance is too badly conditioned at
+    the horizon to factor.
     """
     tau = problem.horizon
     propagator = problem.system.propagator

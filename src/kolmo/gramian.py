@@ -169,8 +169,8 @@ class Propagator:
         """The `Gramian` of ``C(s)``, factored once per cached horizon.
 
         Raises `GramianError` where ``C(s)`` is not finite or not positive
-        definite (a rank-deficient coupling, or a horizon too badly conditioned
-        for floats), and ``ValueError`` for ``s <= 0``.
+        definite (a horizon whose covariance is too badly conditioned for
+        floats), and ``ValueError`` for ``s <= 0``.
         """
         return self._factor(float(s))
 
@@ -263,8 +263,8 @@ def gramian(system, t):
     ValueError
         If ``t <= 0``.
     GramianError
-        If the covariance is not finite, is not positive definite (rank-deficient
-        system, or an ill-conditioned horizon), or the two routes disagree.
+        If the covariance is not finite, is not positive definite (a horizon
+        too badly conditioned for floats), or the two routes disagree.
     """
     g = system.propagator.factor(t)
     if not np.abs(g.C - _doubling_gramian(system, t)).max() <= 1e-9 * np.abs(g.C).max():
@@ -393,10 +393,11 @@ def log_density(g, delta):
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Sampled comparison constants between ``C`` and its homogeneous part ``C0``.
+    """Comparison constants between ``C`` and its homogeneous part ``C0``.
 
-    ``det_ratio[i] = det C(tau_i) / det C0(tau_i)``; ``k_quadratic`` is the
-    extremal sampled ratio of the two quadratic forms; ``k_dilation`` the
+    ``det_ratio[i] = det C(tau_i) / det C0(tau_i)``; ``k_quadratic`` holds the
+    exact extremes over all ``z`` (and over the grid) of the ratio of the two
+    quadratic forms ``<C^-1 z, z> / <C0^-1 z, z>``; ``k_dilation`` the
     extreme eigenvalues of ``C0(1)^-1``, which bound the homogeneous form
     against the dilated Euclidean norm.
     """
@@ -416,26 +417,24 @@ class EquivalenceReport:
 
 
 def equivalence_constants(system, tau_grid):
-    """Fit the determinant and quadratic-form comparison constants on a grid.
+    """The determinant and quadratic-form comparison constants on a grid.
 
     Parameters
     ----------
     system : SystemMatrix
     tau_grid : sequence of float in (0, 1]
 
-    The quadratic-form ratios are sampled over the coordinate axes and 64
-    seeded unit directions.
+    With ``C0 = L0 L0^T``, the form ratio at ``z = L0 u`` is
+    ``<M^-1 u, u> / |u|^2`` for ``M = L0^-1 C L0^-T``, so its extremes over
+    all ``z`` are the reciprocals of the extreme eigenvalues of ``M``, those
+    of the pencil ``(C, C0)``.  ``M`` is read off the two cached factors by
+    triangular solves, with no factorization of its own.
     """
     tau_grid = tuple(float(v) for v in tau_grid)
     if len(tau_grid) == 0:
         raise ValueError("tau grid must be nonempty")
     if any(v <= 0 or v > 1 for v in tau_grid):
         raise ValueError("tau grid must lie in (0, 1]")
-    d = system.d
-    dirs = np.random.default_rng(7).normal(size=(64, d))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    direction_samples = np.vstack([np.eye(d), dirs])
-
     h_prop = homogeneous_system(system).propagator
     det_ratio = []
     k5, k6 = np.inf, -np.inf
@@ -443,9 +442,11 @@ def equivalence_constants(system, tau_grid):
         g = system.propagator.factor(tau)
         g0 = h_prop.factor(tau)
         det_ratio.append(float(np.exp(g.logdet - g0.logdet)))
-        ratios = quadratic_form(g, direction_samples) / quadratic_form(g0, direction_samples)
-        k5 = min(k5, ratios.min())
-        k6 = max(k6, ratios.max())
+        X = solve_triangular(g0.chol, g.C, lower=True)
+        M = solve_triangular(g0.chol, X.T, lower=True)
+        eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+        k5 = min(k5, 1.0 / eigs[-1])
+        k6 = max(k6, 1.0 / eigs[0])
     eigs = np.linalg.eigvalsh(h_prop.factor(1.0).C)
     k_dilation = (1.0 / eigs[-1], 1.0 / eigs[0])
     return EquivalenceReport(

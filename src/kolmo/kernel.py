@@ -28,20 +28,10 @@ __all__ = [
     "eval_kernel",
     "eval_log_kernel",
     "chapman_kolmogorov_residual",
-    "normalization_residual",
     "pde_residual",
-    "cauchy_solution",
     "aronson_upper_form",
     "lower_bound_form",
-    "payoff_polynomial",
 ]
-
-
-# Tensor Gauss-Legendre on the dilation-adapted box
-# ``|D((T-t)^(-1/2)) (z - mean)|_inf <= 8``, with 160 nodes per axis; the
-# Gaussian mass outside is negligible for diffusion strengths up to about 1.
-_BOX_RADIUS = 8.0
-_QUAD_NODES = 160
 
 
 class GaussianKernel:
@@ -50,8 +40,8 @@ class GaussianKernel:
     Parameters
     ----------
     system : SystemMatrix
-        Drift system; must satisfy the full-rank coupling condition, else
-        covariance construction raises `GramianError`.
+        Drift system; covariance construction raises `GramianError` at a
+        horizon where the covariance is too badly conditioned to factor.
     lam : float or scalar field
         Diffusion strength: a positive number, which gives covariance
         ``lam * C(T-t)``, or a constant, time-sinusoid or time-tabulated
@@ -97,11 +87,6 @@ class GaussianKernel:
         mean = self.flow(T - t) @ np.asarray(x, dtype=float)
         return log_density(self.covariance(t, T), np.atleast_2d(Y) - mean[None, :])
 
-    def log_batch_sources(self, t, X, T, y):
-        """Log density at a single target ``y`` from sources ``X`` (n, d)."""
-        delta = np.asarray(y, dtype=float)[None, :] - np.atleast_2d(X) @ self.flow(T - t).T
-        return log_density(self.covariance(t, T), delta)
-
 
 def eval_log_kernel(kernel, t, x, T, y):
     """Log of the Gaussian fundamental solution; stable arbitrarily far in the tail."""
@@ -113,47 +98,26 @@ def eval_kernel(kernel, t, x, T, y):
     return float(np.exp(eval_log_kernel(kernel, t, x, T, y)))
 
 
-def _dilated_box(system, center, scale):
-    """Gauss-Legendre nodes/weights on the dilation-adapted box around ``center``."""
-    nodes, wts = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    half = _BOX_RADIUS * dilation_scales(system.structure, scale)
-    axes = [center[i] + half[i] * nodes for i in range(system.d)]
-    waxes = [half[i] * wts for i in range(system.d)]
-    if system.d == 1:
-        return axes[0][:, None], waxes[0]
-    if system.d == 2:
-        Z1, Z2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        W = np.outer(waxes[0], waxes[1]).ravel()
-        return np.stack([Z1.ravel(), Z2.ravel()], axis=1), W
-    raise ValueError(f"quadrature supported for d <= 2, got d={system.d}")
-
-
-def chapman_kolmogorov_residual(kernel, t, x, T, y, s):
+def chapman_kolmogorov_residual(kernel, t, s, T):
     """Relative defect of the semigroup identity at intermediate time ``s``.
 
-    Computes ``|int G(t,x;s,z) G(s,z;T,y) dz - G(t,x;T,y)| / G(t,x;T,y)``
-    by tensor Gauss-Legendre over the dilated box of the first factor.
-    Supported in dimension at most 2.
+    Gaussian kernels compose into a Gaussian kernel: the means by the flow,
+    ``e^((T-s)B) e^((s-t)B) = e^((T-t)B)``, and the covariances by
+    ``C_w(t,T) = F C_w(t,s) F^T + C_w(s,T)`` with ``F = e^((T-s)B)``.
+    Returns the larger of the two max-norm defects, each relative to the
+    max norm of its right-hand side.  Holds in every dimension and for every
+    strength the kernel accepts.
     """
-    if not (t < s < T):
+    if not t < s < T:
         raise ValueError(f"need t < s < T, got t={t}, s={s}, T={T}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mean = kernel.flow(s - t) @ x
-    Z, W = _dilated_box(kernel.system, mean, np.sqrt(s - t))
-    f1 = np.exp(kernel.log_batch(t, x, s, Z))
-    f2 = np.exp(kernel.log_batch_sources(s, Z, T, y))
-    integral = float(np.sum(W * f1 * f2))
-    ref = eval_kernel(kernel, t, x, T, y)
-    return abs(integral - ref) / ref
-
-
-def normalization_residual(kernel, t, x, T):
-    """``|int G(t,x;T,y) dy - 1|`` by quadrature (d <= 2)."""
-    x = np.asarray(x, dtype=float)
-    mean = kernel.flow(T - t) @ x
-    Z, W = _dilated_box(kernel.system, mean, np.sqrt(T - t))
-    return abs(float(np.sum(W * np.exp(kernel.log_batch(t, x, T, Z)))) - 1.0)
+    F = kernel.flow(T - s)
+    C = kernel.covariance(t, T).C
+    composed = F @ kernel.covariance(t, s).C @ F.T + kernel.covariance(s, T).C
+    E = kernel.flow(T - t)
+    return max(
+        float(np.abs(composed - C).max() / np.abs(C).max()),
+        float(np.abs(F @ kernel.flow(s - t) - E).max() / np.abs(E).max()),
+    )
 
 
 def pde_residual(kernel, t, x, T, y, h=None, drift_matrix=None):
@@ -199,30 +163,6 @@ def pde_residual(kernel, t, x, T, y, h=None, drift_matrix=None):
 
     residual = 0.5 * kernel.lambda_at(t) * lap + float((B @ x) @ grad) + dt_g
     return abs(residual) / center
-
-
-def cauchy_solution(kernel, phi, t, x, T):
-    """Terminal-value representation ``u(t,x) = int G(t,x;T,y) phi(y) dy``.
-
-    ``phi`` must be bounded and continuous for the representation to solve
-    the terminal-value problem; `payoff_polynomial` is a serializable choice.
-    Quadrature supported for d <= 2.
-    """
-    x = np.asarray(x, dtype=float)
-    mean = kernel.flow(T - t) @ x
-    Z, W = _dilated_box(kernel.system, mean, np.sqrt(T - t))
-    vals = np.array([phi(z) for z in Z], dtype=float)
-    return float(np.sum(W * np.exp(kernel.log_batch(t, x, T, Z)) * vals))
-
-
-def payoff_polynomial(constant, linear, cap):
-    """Affine payoff ``clip(c0 + <linear, y>, -cap, cap)``."""
-    linear = np.asarray(linear, dtype=float)
-
-    def phi(y):
-        return float(np.clip(constant + linear @ np.asarray(y, dtype=float), -cap, cap))
-
-    return phi
 
 
 def _bound_offset(c, system, t, x, T, y):

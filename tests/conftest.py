@@ -177,6 +177,76 @@ def homogeneous_det_law_defect(system, tau):
     return float(abs(ld_tau - (Q * np.log(tau) + ld_1)))
 
 
+# Tensor Gauss-Legendre on the dilation-adapted box
+# ``|D((T-t)^(-1/2)) (z - mean)|_inf <= 8``, with 160 nodes per axis; the
+# Gaussian mass outside is negligible for diffusion strengths up to about 1.
+_BOX_RADIUS = 8.0
+_QUAD_NODES = 160
+
+
+def _dilated_box(system, center, scale):
+    """Gauss-Legendre nodes/weights on the dilation-adapted box around ``center``."""
+    nodes, wts = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    half = _BOX_RADIUS * dilation_scales(system.structure, scale)
+    axes = [center[i] + half[i] * nodes for i in range(system.d)]
+    waxes = [half[i] * wts for i in range(system.d)]
+    if system.d == 1:
+        return axes[0][:, None], waxes[0]
+    if system.d == 2:
+        Z1, Z2 = np.meshgrid(axes[0], axes[1], indexing="ij")
+        W = np.outer(waxes[0], waxes[1]).ravel()
+        return np.stack([Z1.ravel(), Z2.ravel()], axis=1), W
+    raise ValueError(f"quadrature supported for d <= 2, got d={system.d}")
+
+
+def chapman_kolmogorov_quadrature(kernel, t, x, T, y, s):
+    """Pointwise semigroup defect by quadrature: a test oracle (d <= 2).
+
+    Computes ``|int G(t,x;s,z) G(s,z;T,y) dz - G(t,x;T,y)| / G(t,x;T,y)``
+    by tensor Gauss-Legendre over the dilated box of the first factor.
+    """
+    if not (t < s < T):
+        raise ValueError(f"need t < s < T, got t={t}, s={s}, T={T}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    Z, W = _dilated_box(kernel.system, kernel.flow(s - t) @ x, np.sqrt(s - t))
+    f1 = np.exp(kernel.log_batch(t, x, s, Z))
+    # The second factor at one target from every node as a source.
+    f2 = np.exp(log_density(kernel.covariance(s, T), y[None, :] - Z @ kernel.flow(T - s).T))
+    integral = float(np.sum(W * f1 * f2))
+    ref = float(np.exp(kernel.log_batch(t, x, T, y[None, :])[0]))
+    return abs(integral - ref) / ref
+
+
+def normalization_residual(kernel, t, x, T):
+    """``|int G(t,x;T,y) dy - 1|`` by quadrature: a test oracle (d <= 2)."""
+    x = np.asarray(x, dtype=float)
+    Z, W = _dilated_box(kernel.system, kernel.flow(T - t) @ x, np.sqrt(T - t))
+    return abs(float(np.sum(W * np.exp(kernel.log_batch(t, x, T, Z)))) - 1.0)
+
+
+def cauchy_solution(kernel, phi, t, x, T):
+    """Terminal-value representation ``u(t,x) = int G(t,x;T,y) phi(y) dy``: a test oracle (d <= 2).
+
+    ``phi`` must be bounded and continuous for the representation to solve
+    the terminal-value problem.
+    """
+    x = np.asarray(x, dtype=float)
+    Z, W = _dilated_box(kernel.system, kernel.flow(T - t) @ x, np.sqrt(T - t))
+    vals = np.array([phi(z) for z in Z], dtype=float)
+    return float(np.sum(W * np.exp(kernel.log_batch(t, x, T, Z)) * vals))
+
+
+def payoff_polynomial(constant, linear, cap):
+    """Affine payoff ``clip(c0 + <linear, y>, -cap, cap)``."""
+    linear = np.asarray(linear, dtype=float)
+
+    def phi(y):
+        return float(np.clip(constant + linear @ np.asarray(y, dtype=float), -cap, cap))
+
+    return phi
+
+
 def mass_concentration_dual(kernel, t, T, y, R):
     """Source-side mass near the backward flow: quadrature check of the dual form.
 

@@ -23,16 +23,18 @@ from kolmo.control import (
     trajectory,
 )
 from kolmo.gramian import dilation_scaling_defect, gramian, quadratic_form
-from kolmo.kernel import (
-    GaussianKernel,
-    chapman_kolmogorov_residual,
-    normalization_residual,
-    pde_residual,
-)
+from kolmo.kernel import GaussianKernel, chapman_kolmogorov_residual, pde_residual
 from kolmo.mc import SimConfig, estimate_density, mass_concentration, simulate_paths, verify_bounds
 from kolmo.model import SpaceTimePoint, dilation_matrix, sigma_matrix, validate_structure
 
-from conftest import adaptive_simpson, homogeneous_det_law_defect, make_spec, sinusoid_spec
+from conftest import (
+    adaptive_simpson,
+    chapman_kolmogorov_quadrature,
+    homogeneous_det_law_defect,
+    make_spec,
+    normalization_residual,
+    sinusoid_spec,
+)
 
 LANGEVIN = validate_structure([[0.0, 0.0], [1.0, 0.0]], [1, 1])
 HEAT1D = validate_structure([[0.0]], [1])
@@ -123,9 +125,11 @@ def test_criterion_4_kernel_validity():
         ]
         orders = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
         assert all(1.7 <= o <= 2.3 for o in orders)
-        ck = chapman_kolmogorov_residual(k, 0.0, [0.0, 0.0], 1.0, [0.3, 0.1], 0.5)
+        ck = chapman_kolmogorov_quadrature(k, 0.0, [0.0, 0.0], 1.0, [0.3, 0.1], 0.5)
         assert ck <= 1e-5
         assert normalization_residual(k, 0.0, [0.2, -0.1], 1.0) <= 1e-7
+        for system in (HEAT1D, LANGEVIN, KINETIC21, DEEP221, STARFUL):
+            assert chapman_kolmogorov_residual(GaussianKernel(system, 1.0), 0.0, 0.5, 1.0) <= 1e-13
 
 
 def test_criterion_5_optimal_control():

@@ -715,6 +715,17 @@ class TestMalformedValues:
         "chain --to past tau": ("chain", ["--from", "0,0,0", "--to", "1.5,0,0"]),
     }
     CASES += [(sub, extra, case.split()[1]) for case, (sub, extra) in OUT_OF_RANGE.items()]
+    # Numbers that parse but are not finite, and horizons that are not
+    # positive: each once exited 1 as a computational failure.
+    CASES += [
+        ("kernel", ["--from=nan,0,0", "--to", "1,0,0"], "--from"),
+        ("control", ["--from", "0,0,0", "--to=1,inf,0"], "--to"),
+        ("chain", ["--from", "0,0,0", "--to=1,nan,0"], "--to"),
+        ("simulate", ["--from=0,nan,0", *SIMULATE[2:], "--horizon", "1"], "--from"),
+        ("gramian", ["--tau-grid", "nan"], "--tau-grid"),
+        ("gramian", ["--tau-grid", "-1"], "--tau-grid"),
+        ("equivalence", ["--tau-grid", "0.1,0"], "--tau-grid"),
+    ]
 
     @pytest.mark.parametrize("sub, extra, option", CASES)
     def test_usage_error_names_option(

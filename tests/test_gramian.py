@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from kolmo import fields
 from kolmo.control import ControlProblem, optimal_control
@@ -501,6 +501,24 @@ class TestEquivalenceConstants:
         np.testing.assert_allclose(rep.det_ratio, 1.0, rtol=1e-9)
         assert np.isclose(rep.k_quadratic[0], 1.0, rtol=1e-9)
         assert np.isclose(rep.k_quadratic[1], 1.0, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221"])
+    def test_homogeneous_drifts_give_one(self, name, request):
+        rep = equivalence_constants(request.getfixturevalue(name), [0.1, 0.5, 1.0])
+        np.testing.assert_allclose(rep.k_quadratic, 1.0, rtol=1e-12, atol=0)
+
+    def test_starful_is_the_pencil_extreme(self, starful):
+        # scipy's generalized solver is an independent route to the pencil
+        # (C, C0); the 64 directions of 0.10.0 sampled k5 as 0.3895.
+        taus = [0.1, 0.5, 1.0]
+        k5, k6 = equivalence_constants(starful, taus).k_quadratic
+        eigs = np.concatenate(
+            [eigh(gramian(starful, tau).C, gramian_homogeneous(starful, tau).C,
+                  eigvals_only=True) for tau in taus]
+        )
+        assert np.isclose(k5, 1.0 / eigs.max(), rtol=1e-12)
+        assert np.isclose(k6, 1.0 / eigs.min(), rtol=1e-12)
+        assert k5 < 0.3895
 
     def test_langevin_dilation_eigenvalues(self, langevin):
         # Eigenvalues of C0(1)^-1 = [[4, -6], [-6, 12]] are 8 -+ sqrt(52).

@@ -8,13 +8,10 @@ from kolmo.gramian import gramian, gramian_weighted, strength_at
 from kolmo.kernel import (
     GaussianKernel,
     aronson_upper_form,
-    cauchy_solution,
     chapman_kolmogorov_residual,
     eval_kernel,
     eval_log_kernel,
     lower_bound_form,
-    normalization_residual,
-    payoff_polynomial,
     pde_residual,
 )
 from kolmo.model import (
@@ -22,6 +19,13 @@ from kolmo.model import (
     dilation_matrix,
     group_compose,
     homogeneous_dimension,
+)
+
+from conftest import (
+    cauchy_solution,
+    chapman_kolmogorov_quadrature,
+    normalization_residual,
+    payoff_polynomial,
 )
 
 
@@ -198,26 +202,34 @@ class TestInvarianceProperties:
 
 
 class TestChapmanKolmogorov:
+    """The closed-form composition law, and the pointwise quadrature oracle in d <= 2."""
+
     def test_brownian_midpoint(self, heat1d):
         k = GaussianKernel(heat1d, 1.0)
-        res = chapman_kolmogorov_residual(k, 0.0, [0.0], 1.0, [0.4], 0.5)
-        assert res <= 1e-6
+        assert chapman_kolmogorov_quadrature(k, 0.0, [0.0], 1.0, [0.4], 0.5) <= 1e-6
+        assert chapman_kolmogorov_residual(k, 0.0, 0.5, 1.0) <= 1e-14
 
     def test_langevin_midpoint(self, langevin):
         k = GaussianKernel(langevin, 1.0)
-        res = chapman_kolmogorov_residual(k, 0.0, [0.0, 0.0], 1.0, [0.3, 0.1], 0.5)
-        assert res <= 1e-5
+        assert chapman_kolmogorov_quadrature(k, 0.0, [0.0, 0.0], 1.0, [0.3, 0.1], 0.5) <= 1e-5
+        assert chapman_kolmogorov_residual(k, 0.0, 0.5, 1.0) <= 1e-14
 
     def test_near_initial_time(self, langevin):
         k = GaussianKernel(langevin, 1.0)
-        res = chapman_kolmogorov_residual(k, 0.0, [0.0, 0.0], 1.0, [0.3, 0.1], 0.01)
-        assert res <= 1e-4
+        assert chapman_kolmogorov_quadrature(k, 0.0, [0.0, 0.0], 1.0, [0.3, 0.1], 0.01) <= 1e-4
+        assert chapman_kolmogorov_residual(k, 0.0, 0.01, 1.0) <= 1e-14
+
+    def test_closed_form_sees_a_wrong_covariance(self, langevin):
+        # A kernel whose covariance is the Gramian at twice the horizon does
+        # not compose: the law is not vacuous.
+        k = GaussianKernel(langevin, 1.0)
+        k._covariance = lambda t, T: langevin.propagator.factor(2.0 * (T - t))
+        assert chapman_kolmogorov_residual(k, 0.0, 0.5, 1.0) > 1e-2
 
     def test_bad_intermediate_time(self, heat1d):
-        with pytest.raises(ValueError):
-            chapman_kolmogorov_residual(
-                GaussianKernel(heat1d, 1.0), 0.0, [0.0], 1.0, [0.0], 1.5
-            )
+        for s in (1.5, 0.0, 1.0):
+            with pytest.raises(ValueError):
+                chapman_kolmogorov_residual(GaussianKernel(heat1d, 1.0), 0.0, s, 1.0)
 
 
 class TestPdeResidual:

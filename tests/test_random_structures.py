@@ -18,7 +18,14 @@ from kolmo import fields
 from kolmo.chain import HarnackConfig, build_chain, verify_chain
 from kolmo.control import ControlProblem, kappa_estimate, optimal_control, trajectory
 from kolmo.exceptions import GramianError
-from kolmo.gramian import _doubling_gramian, dilation_scaling_defect, gramian, quadratic_form
+from kolmo.gramian import (
+    _doubling_gramian,
+    dilation_scaling_defect,
+    equivalence_constants,
+    gramian,
+    quadratic_form,
+)
+from kolmo.kernel import GaussianKernel, chapman_kolmogorov_residual
 from kolmo.model import (
     BlockStructure,
     OperatorSpec,
@@ -26,6 +33,7 @@ from kolmo.model import (
     dilation_matrix,
     dilation_scales,
     homogeneous_dimension,
+    homogeneous_system,
     kalman_rank,
     spec_from_config,
     spec_to_config,
@@ -195,6 +203,62 @@ def test_batched_flows_are_flow_bit_for_bit(seed):
     assert prop._at.cache_info() == before
     for s, F in zip(grid, flows):
         np.testing.assert_array_equal(F, prop.flow(s))
+
+
+# A constant, a time sinusoid and a 4-point time table, positive on [0, 1].
+STRENGTHS = [
+    fields.ConstantField(0.8),
+    fields.TimeSinusoidField(1.25, 0.75, 1.3, 0.4),
+    fields.TabulatedField((0.0, 0.3, 0.6, 0.9), (0.5, 2.0, 1.0, 1.5)),
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chapman_kolmogorov_composition(seed):
+    system, _ = random_system(seed)
+    for lam in STRENGTHS:
+        assert chapman_kolmogorov_residual(GaussianKernel(system, lam), 0.05, 0.42, 0.97) <= 1e-13
+
+
+def test_chapman_kolmogorov_in_five_dimensions(deep221):
+    for lam in STRENGTHS:
+        assert chapman_kolmogorov_residual(GaussianKernel(deep221, lam), 0.05, 0.42, 0.97) <= 1e-13
+
+
+TAUS = (0.1, 0.5, 1.0)
+
+
+def _form_ratios(system, tau, Z):
+    """``<C^-1 z, z> / <C0^-1 z, z>`` at the rows of ``Z``."""
+    g0 = homogeneous_system(system).propagator.factor(tau)
+    return quadratic_form(system.propagator.factor(tau), Z) / quadratic_form(g0, Z)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_equivalence_constants_bound_every_direction(seed):
+    system, rng = random_system(seed)
+    k5, k6 = equivalence_constants(system, TAUS).k_quadratic
+    for tau in TAUS:
+        ratios = _form_ratios(system, tau, rng.normal(size=(10_000, system.d)))
+        assert ratios.min() >= k5 * (1 - 1e-9)
+        assert ratios.max() <= k6 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("seed", [seed for seed in SEEDS if seed not in DEEP_SEEDS])
+def test_pencil_eigenvectors_attain_the_constants(seed):
+    # With C0 = L0 L0^T, the eigenvectors u of L0^-1 C L0^-T give the
+    # directions z = L0 u where the ratio is extreme.
+    system, _ = random_system(seed)
+    k5, k6 = equivalence_constants(system, TAUS).k_quadratic
+    attained = []
+    for tau in TAUS:
+        L0 = homogeneous_system(system).propagator.factor(tau).chol
+        L0_inv = np.linalg.inv(L0)
+        _, U = np.linalg.eigh(L0_inv @ system.propagator.gramian(tau) @ L0_inv.T)
+        attained.append(_form_ratios(system, tau, (L0 @ U).T))
+    attained = np.concatenate(attained)
+    assert abs(attained.min() - k5) <= 1e-12 * k5
+    assert abs(attained.max() - k6) <= 1e-12 * k6
 
 
 @functools.lru_cache(maxsize=None)

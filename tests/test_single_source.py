@@ -33,7 +33,9 @@ def test_expm_imported_only_where_needed():
     assert importers == {"gramian.py"}
 
 
-_QUADRATURE = re.compile(r"simpson|romberg|trapz|trapezoid|(^|_)quad($|_)", re.IGNORECASE)
+_QUADRATURE = re.compile(
+    r"simpson|romberg|trapz|trapezoid|leggauss|(^|_)quad($|_)", re.IGNORECASE
+)
 
 
 def _is_quadrature(node):
@@ -53,10 +55,10 @@ def _is_quadrature(node):
 
 
 def test_no_quadrature_routine_in_src():
-    # Every covariance is read off exponentials, and the checked gramian's
-    # cross-check is a Taylor series with semigroup doublings; the Simpson
-    # oracle lives in tests/conftest.py.  (The kernel identity checks sum
-    # fixed Gauss-Legendre nodes, which is not a routine.)
+    # Every covariance is read off exponentials, the checked gramian's
+    # cross-check is a Taylor series with semigroup doublings, and the
+    # kernel's semigroup check is the covariance composition law; the
+    # Simpson and Gauss-Legendre oracles live in tests/conftest.py.
     found = [
         (name, node.lineno)
         for name, tree in _trees().items()
@@ -208,30 +210,18 @@ def test_every_export_has_a_caller():
     assert uncalled == []
 
 
-def _draws(tree):
-    """``(enclosing top-level function or None, line)`` of every ``default_rng`` in a module."""
-    found = []
-    for top in tree.body:
-        for node in ast.walk(top):
-            if getattr(node, "attr", getattr(node, "id", None)) == "default_rng":
-                found.append((getattr(top, "name", None), node.lineno))
-    return found
-
-
-def test_random_draws_only_in_simulation_and_equivalence_directions():
-    # The model's constants come from each field's closed-form range, so
-    # model.py and fields.py draw nothing: no coefficient sample grid.  The
-    # simulation seeds its own Philox streams; equivalence_constants draws
-    # its 64 fixed directions with default_rng.
-    trees = _trees()
-    for name in ("model.py", "fields.py"):
-        assert not any(
-            getattr(node, "attr", getattr(node, "id", None)) == "random"
-            for node in ast.walk(trees[name])
-        ), name
-    draws = {name: _draws(tree) for name, tree in trees.items()}
-    assert {name for name, found in draws.items() if found} <= {"mc.py", "gramian.py"}
-    assert {func for func, _ in draws["gramian.py"]} == {"equivalence_constants"}
+def test_random_draws_only_in_mc():
+    # The model's constants come from each field's closed-form range and
+    # the equivalence constants from a pencil's eigenvalues, so no other
+    # module mentions ``random`` or ``default_rng``: the simulation seeds its
+    # own Philox streams.
+    mentions = {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if getattr(node, "attr", getattr(node, "id", None)) in ("random", "default_rng")
+    }
+    assert mentions == {"mc.py"}
 
 
 def test_pyproject_version_is_package_version():
