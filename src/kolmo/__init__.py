@@ -7,7 +7,7 @@ equivalences, minimum-energy steering controls, Harnack-chain constructions,
 and Monte Carlo verification of two-sided Gaussian comparison bounds.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .chain import (
     HarnackChain,
@@ -59,6 +59,7 @@ from .mc import (
     estimate_density,
     mass_concentration,
     simulate_paths,
+    summarize_paths,
     verify_bounds,
 )
 from .model import (

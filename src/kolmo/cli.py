@@ -40,7 +40,7 @@ from .control import (
 from .exceptions import CoefficientError, KolmoError, SettingError, StructureError
 from .gramian import equivalence_constants, gramian, gramian_homogeneous
 from .kernel import GaussianKernel, aronson_upper_form, lower_bound_form
-from .mc import SimConfig, estimate_density, simulate_paths, verify_bounds
+from .mc import SimConfig, summarize_paths, verify_bounds
 from .model import (
     coefficient_bounds,
     dilation_scales,
@@ -250,11 +250,12 @@ _POSITIVE = _between(0, math.inf)
 _FRACTION = _between(0, 1)
 
 
-def _parse_horizons(text):
-    """The ``--tau-grid`` horizons, each positive."""
+def _parse_horizons(text, most=math.inf):
+    """The ``--tau-grid`` horizons, each positive and at most ``most``."""
     taus = _parse_floats(text, "--tau-grid")
-    if not all(tau > 0 for tau in taus):
-        raise _UsageError(f"--tau-grid takes positive horizons, got {text!r}")
+    if not all(0 < tau <= most for tau in taus):
+        kind = "positive horizons" if most == math.inf else f"horizons in (0, {most:g}]"
+        raise _UsageError(f"--tau-grid takes {kind}, got {text!r}")
     return taus
 
 
@@ -409,19 +410,17 @@ def _cmd_chain(args, spec):
 def _cmd_simulate(args, spec):
     d = spec.system.d
     t, x, T = _start_and_horizon(args, d)
+    y = None
     if args.density_at is not None:
         y = np.array(_parse_floats(args.density_at, "--density-at", d))
     config = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
-    endpoints = simulate_paths(spec, t, x, T, config)
-    mean = endpoints.mean(axis=0)
-    cov = np.cov(endpoints.T).reshape(d, d)
+    mean, cov, est = summarize_paths(spec, t, x, T, config, y, args.bandwidth)
     rows = [["mean", *mean.tolist()]]
     for i in range(d):
         rows.append([f"cov_{i}", *cov[i].tolist()])
     header = ["stat"] + [f"x{i}" for i in range(d)]
     summary = {"n_paths": args.paths, "n_steps": args.steps, "seed": args.seed}
-    if args.density_at is not None:
-        est = estimate_density(endpoints, y, args.bandwidth, spec.structure, T - t)
+    if est is not None:
         summary["density"] = {
             "y": y.tolist(),
             "value": est.value,
@@ -483,7 +482,8 @@ def _cmd_verify_bounds(args, spec):
 
 
 def _cmd_equivalence(args, spec):
-    report = equivalence_constants(spec.system, _parse_horizons(args.tau_grid))
+    # The equivalence constants are defined on horizons in (0, 1].
+    report = equivalence_constants(spec.system, _parse_horizons(args.tau_grid, most=1.0))
     rows = [[tau, ratio] for tau, ratio in zip(report.tau_grid, report.det_ratio)]
     summary = {
         "k_dilation": list(report.k_dilation),
@@ -503,8 +503,11 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add(name, help, *, to=False, sim=False):
-        """A subcommand; ``to`` adds ``--from --to``, ``sim`` the simulation options."""
+    def add(name, help, *, to=False, sim=False, min_paths=1):
+        """A subcommand; ``to`` adds ``--from --to``, ``sim`` the simulation options.
+
+        ``min_paths`` is the least ``--paths`` the subcommand accepts.
+        """
         p = sub.add_parser(name, help=help)
         # A point such as -0.2,0,0 is a value, not an option: argparse's own
         # negative-number test accepts only a bare number.
@@ -517,7 +520,7 @@ def _build_parser():
             p.add_argument("--to", required=True, help="T,y1,...,yd")
         if sim:
             p.add_argument("--horizon", type=float, required=True)
-            p.add_argument("--paths", type=_at_least(1), default=100000)
+            p.add_argument("--paths", type=_at_least(min_paths), default=100000)
             p.add_argument("--steps", type=_at_least(1), default=16)
             p.add_argument("--seed", type=int, required=True)
             p.add_argument("--bandwidth", type=_POSITIVE, default=0.2)
@@ -544,7 +547,8 @@ def _build_parser():
     p.add_argument("--kappa", type=_POSITIVE, default=None, help="default: estimated")
     p.add_argument("--c-harnack", type=_POSITIVE, default=10.0)
 
-    p = add("simulate", "endpoint simulation", sim=True)
+    # A sample covariance needs two paths.
+    p = add("simulate", "endpoint simulation", sim=True, min_paths=2)
     p.add_argument("--density-at", default=None, help="y1,...,yd")
 
     p = add("verify-bounds", "two-sided bound verification", sim=True)

@@ -35,6 +35,14 @@ Blocks run on lanes: as many as the usable CPUs (``KOLMO_THREADS`` overrides
 the count), never more than there are blocks.  The calling thread is one of
 the lanes; each lane takes the next block from one ordered source, and an
 error in any lane stops the others and is raised to the caller.
+
+`simulate_paths` returns every endpoint.  `summarize_paths` keeps none: each
+lane draws a chunk into one chunk-sized buffer of its own and reduces it
+there, while it is still in cache, to its row count, mean, centred scatter
+and box hits.  The chunks' results are kept by chunk index and merged in
+chunk order by the pairwise update of Chan, Golub and LeVeque (1983), so
+they are the same for every lane count, and memory does not grow with the
+path count.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ __all__ = [
     "DensityEstimate",
     "BoundReport",
     "simulate_paths",
+    "summarize_paths",
     "estimate_density",
     "mass_concentration",
     "verify_bounds",
@@ -123,6 +132,82 @@ def simulate_paths(spec, t, x, T, config):
         last stepped slice when every end time lies on the uniform grid of
         ``n_steps`` steps to ``T[-1]``.
     """
+    horizons, run_chunk = _chunk_runner(spec, t, x, T, config)
+    n = config.n_paths
+    out = np.empty((len(horizons), n, spec.system.d))
+    chunks = [(c, out[:, c * _CHUNK : (c + 1) * _CHUNK]) for c in range(-(-n // _CHUNK))]
+    _run_lanes(run_chunk, chunks, _lane_count(len(chunks)))
+    return out if np.ndim(T) else out[0]
+
+
+def summarize_paths(spec, t, x, T, config, y=None, bandwidth=0.2):
+    """Sample mean, sample covariance and box density of the endpoints at ``T``.
+
+    The paths are those of ``simulate_paths(spec, t, x, T, config)``, but no
+    endpoint matrix is built: each lane reduces the chunk it just drew, in
+    one chunk-sized buffer of its own, to its row count, mean, centred
+    scatter and box hits at ``y``.  The chunks' results are merged in chunk
+    order by the pairwise update of Chan, Golub and LeVeque, so they do not
+    depend on the lane count.  ``T`` is one end time.
+
+    Returns ``(mean, cov, density)``: ``cov`` divides the scatter by
+    ``n_paths - 1``, and ``density`` is the `DensityEstimate` at the target
+    ``y`` (``(d,)``) with box side ``bandwidth``, as `estimate_density` of
+    the endpoints gives it, or None without ``y``.  The hit count is that
+    of `estimate_density`; the mean and covariance agree with ``np.mean``
+    and ``np.cov`` of the endpoints to rounding.
+    """
+    if np.ndim(T):
+        raise ValueError(f"need one end time T, got {T}")
+    if config.n_paths < 2:
+        raise ValueError(f"a sample covariance needs n_paths >= 2, got {config.n_paths}")
+    _, run_chunk = _chunk_runner(spec, t, x, T, config)
+    d = spec.system.d
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        if y.shape != (d,):
+            raise ValueError(f"need a ({d},) target, got {y.shape}")
+        if bandwidth <= 0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        scale = dilation_scales(spec.structure, (T - t) ** -0.5)
+    n = config.n_paths
+    n_chunks = -(-n // _CHUNK)
+    parts = [None] * n_chunks
+    lane = threading.local()
+
+    def reduce_chunk(chunk_index):
+        if not hasattr(lane, "buffer"):
+            lane.buffer = np.empty((1, _CHUNK, d))
+        rows = lane.buffer[:, : min(_CHUNK, n - chunk_index * _CHUNK)]
+        run_chunk(chunk_index, rows)
+        X = rows[0]
+        hits = 0 if y is None else _box_hits(X, y, scale, bandwidth)
+        mean = X.mean(axis=0)
+        X -= mean
+        parts[chunk_index] = (len(X), mean, X.T @ X, hits)
+
+    _run_lanes(reduce_chunk, [(c,) for c in range(n_chunks)], _lane_count(n_chunks))
+    count, mean, scatter, hits = parts[0]
+    for m, mean_m, scatter_m, hits_m in parts[1:]:
+        delta = mean_m - mean
+        mean = mean + delta * (m / (count + m))
+        scatter = scatter + scatter_m + np.outer(delta, delta) * (count * m / (count + m))
+        count += m
+        hits += hits_m
+    density = None if y is None else _box_estimate(hits, n, bandwidth, spec.structure, T - t)
+    return mean, scatter / (n - 1), density
+
+
+def _chunk_runner(spec, t, x, T, config):
+    """The end times and ``run_chunk(chunk_index, rows)`` of a simulation.
+
+    Checks that the end times increase from ``t``, that the zeroth-order
+    coefficient vanishes and that ``x`` has shape ``(d,)``, and picks the
+    route: one shot where every end time has an exact Gaussian law, stepped
+    elsewhere.  ``run_chunk`` fills the ``rows[i]`` view, ``(k, d)`` with
+    ``k <= 2**14``, with the first ``k`` paths of the chunk at end time
+    ``i``; the same chunk index always gives the same paths.
+    """
     horizons = np.atleast_1d(np.asarray(T, dtype=float)).tolist()
     if np.ndim(T) > 1 or not horizons or not all(
         a < b for a, b in zip([t, *horizons], horizons)
@@ -137,20 +222,15 @@ def simulate_paths(spec, t, x, T, config):
 
     laws = [_gaussian_endpoint(spec, t, x, h) for h in horizons]
     if laws[0] is None:
-        run_chunk = _stepped_chunk_runner(spec, t, x, horizons, config)
-    else:
+        return horizons, _stepped_chunk_runner(spec, t, x, horizons, config)
 
-        def run_chunk(chunk_index, rows):
-            Z = _chunk_generator(config.seed, chunk_index).standard_normal((rows.shape[1], d))
-            for (mean, cov), slab in zip(laws, rows):
-                np.matmul(Z, cov.chol.T, out=slab)
-                slab += mean
+    def run_chunk(chunk_index, rows):
+        Z = _chunk_generator(config.seed, chunk_index).standard_normal((rows.shape[1], d))
+        for (mean, cov), slab in zip(laws, rows):
+            np.matmul(Z, cov.chol.T, out=slab)
+            slab += mean
 
-    n = config.n_paths
-    out = np.empty((len(horizons), n, d))
-    chunks = [(c, out[:, c * _CHUNK : (c + 1) * _CHUNK]) for c in range(-(-n // _CHUNK))]
-    _run_lanes(run_chunk, chunks, _lane_count(len(chunks)))
-    return out if np.ndim(T) else out[0]
+    return horizons, run_chunk
 
 
 def _lane_count(n_chunks):
@@ -400,13 +480,22 @@ def estimate_density(endpoints, y, h, structure, horizon):
             [_box_hits(ordered[a:b], row, scale, h) for a, b, row in zip(starts, stops, y)],
             dtype=np.int64,
         )
-    Q = homogeneous_dimension(structure)
-    volume = h**d * horizon ** (Q / 2.0)
+    return _box_estimate(hits, n, h, structure, horizon)
+
+
+def _box_estimate(hits, n, h, structure, horizon):
+    """The `DensityEstimate` of ``hits`` endpoints of ``n`` in the box of side ``h``.
+
+    The box's volume in original coordinates is ``h**d * horizon**(Q/2)``;
+    the value is the hit fraction over it and the stderr is binomial.
+    ``hits`` is one count or an array of counts, one per target.
+    """
+    volume = h**structure.d * horizon ** (homogeneous_dimension(structure) / 2.0)
     p = hits / n
     stderr = np.sqrt(p * (1.0 - p) / n) / volume
     return DensityEstimate(
         value=p / volume,
-        stderr=stderr if y.ndim == 2 else float(stderr),
+        stderr=float(stderr) if np.ndim(hits) == 0 else stderr,
         n_hits=hits,
         bandwidth=h,
     )

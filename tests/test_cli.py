@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ def sinusoid_cfg():
         "mu": 4.0,
         "M": 0.0,
     }
+
+
+def deep221_cfg(a):
+    """The three-level cascade m = [2, 2, 1] with diffusion coefficient ``a``."""
+    B = np.zeros((5, 5))
+    B[2:4, 0:2] = np.eye(2)
+    B[4, 2:4] = [1.0, 0.0]
+    return {"blocks": [2, 2, 1], "B": B.tolist(), "coefficients": {"a": a}, "mu": 4.0, "M": 0.0}
+
+
+DEEP221_TSIN = {"kind": "time-sinusoid", "base": 0.625, "amplitude": 0.375}
+DEEP221_SSIN = {
+    "kind": "space-sinusoid", "base": 0.5, "amplitude": 0.1, "wave": [0.5, 0, 0, 0, 0.25]
+}
 
 
 def read_csv(path):
@@ -325,6 +340,44 @@ class TestSubcommands:
         summary = json.loads(open(out1 + ".json").read())
         est = summary["density"]
         assert abs(est["value"] - 0.3989) <= 3 * est["stderr"] + 5e-3
+
+    # One-shot (time sinusoid) and stepped (space sinusoid); a partial last chunk.
+    @pytest.mark.parametrize("a", [DEEP221_TSIN, DEEP221_SSIN], ids=["one-shot", "stepped"])
+    def test_simulate_outputs_independent_of_lane_count(self, tmp_path, monkeypatch, a):
+        model = write_model(tmp_path, deep221_cfg(a))
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("KOLMO_THREADS", threads)
+            out = str(tmp_path / f"s{threads}")
+            code = main(
+                [
+                    "simulate", "--model", model, "--from", "0,0.1,0,0,0,0", "--horizon", "0.7",
+                    "--paths", str(3 * 2**14 + 5), "--steps", "4", "--seed", "5",
+                    "--density-at", "0.1,0,0,0,0", "--out", out,
+                ]
+            )
+            assert code == EXIT_OK
+            outputs.append([open(out + ext, "rb").read() for ext in (".csv", ".json")])
+        assert outputs[0] == outputs[1]
+
+    def test_simulate_memory_does_not_grow_with_paths(self, tmp_path, monkeypatch):
+        # An endpoint matrix of 987,654 paths in d = 5 alone is 39.5 MB; each
+        # lane holds a few chunk-sized buffers of 0.66 MB instead.
+        monkeypatch.setenv("KOLMO_THREADS", "2")
+        model = write_model(tmp_path, deep221_cfg(DEEP221_TSIN))
+        argv = [
+            "simulate", "--model", model, "--from", "0,0.1,0,0,0,0", "--horizon", "0.7",
+            "--paths", "987654", "--seed", "5", "--density-at", "0,0,0,0,0",
+            "--out", str(tmp_path / "s"),
+        ]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 8e6
 
     def test_verify_bounds_exact_route(self, tmp_path):
         model = write_model(tmp_path, sinusoid_cfg())
@@ -725,6 +778,13 @@ class TestMalformedValues:
         ("gramian", ["--tau-grid", "nan"], "--tau-grid"),
         ("gramian", ["--tau-grid", "-1"], "--tau-grid"),
         ("equivalence", ["--tau-grid", "0.1,0"], "--tau-grid"),
+    ]
+    # Later rows go last, so every earlier row keeps its id.  A sample
+    # covariance needs two paths, and the equivalence constants are defined
+    # on horizons up to 1 (`gramian` takes any positive horizon).
+    CASES += [
+        ("simulate", [*SIMULATE, "--horizon", "1", "--paths", "1"], "--paths"),
+        ("equivalence", ["--tau-grid", "1.5"], "--tau-grid"),
     ]
 
     @pytest.mark.parametrize("sub, extra, option", CASES)

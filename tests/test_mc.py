@@ -20,6 +20,7 @@ from kolmo.mc import (
     estimate_density,
     mass_concentration,
     simulate_paths,
+    summarize_paths,
     verify_bounds,
 )
 
@@ -435,6 +436,76 @@ class TestLanes:
                 simulate_paths(spec, 0.0, [0.0, 0.0], 4.0, config)
             messages.add(str(err.value))
         assert len(messages) == 1
+
+
+class TestSummarizePaths:
+    """Chunk reductions merged in chunk order: the statistics of `simulate_paths`' endpoints."""
+
+    ROUTES = {
+        "one-shot-deep221-sinusoid": ("deep221", sinusoid_spec),
+        "one-shot-langevin-constant": ("langevin", make_spec),
+        "stepped-kinetic21-space": ("kinetic21", space_spec),
+    }
+
+    # 200,003 paths end in a partial chunk; 5,000 are less than one chunk.
+    @pytest.mark.parametrize("n", [200_003, 5_000])
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_matches_the_endpoint_matrix(self, request, monkeypatch, route, n):
+        name, spec_of = self.ROUTES[route]
+        spec = spec_of(request.getfixturevalue(name))
+        d = spec.system.d
+        t, T, x, config = 0.1, 0.8, np.linspace(0.1, -0.2, d), SimConfig(n, 16, seed=47)
+        X = simulate_paths(spec, t, x, T, config)
+        y = X[0] + 0.05
+        mean_ref, cov_ref = X.mean(axis=0), np.cov(X.T)
+        density_ref = estimate_density(X, y, 0.3, spec.structure, T - t)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("KOLMO_THREADS", threads)
+            runs.append(summarize_paths(spec, t, x, T, config, y, bandwidth=0.3))
+        for mean, cov, density in runs:
+            sd = np.sqrt(np.diag(cov_ref))
+            np.testing.assert_allclose(mean, mean_ref, rtol=1e-12, atol=1e-12 * sd.max())
+            np.testing.assert_allclose(cov, cov_ref, rtol=1e-12, atol=1e-12 * np.abs(cov_ref).max())
+            assert density.n_hits == density_ref.n_hits > 0
+            assert density == density_ref
+        # The merge runs in chunk order, so the lane count changes no bit.
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0][:2], runs[1][:2]))
+
+    def test_lane_buffers_under_contention(self, heat1d, monkeypatch):
+        # More lanes than cores and a short switch interval: a buffer shared
+        # between lanes, or a chunk's result lost, would change the result.
+        spec, config = make_spec(heat1d), SimConfig(40 * 2**14 - 7, 1, seed=49)
+        monkeypatch.setenv("KOLMO_THREADS", "1")
+        reference = summarize_paths(spec, 0.0, [0.2], 1.0, config, y=[0.3])
+        monkeypatch.setenv("KOLMO_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            contended = summarize_paths(spec, 0.0, [0.2], 1.0, config, y=[0.3])
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(reference[:2], contended[:2]))
+        assert contended[2] == reference[2]
+
+    def test_without_target_no_density(self, langevin):
+        mean, cov, density = summarize_paths(
+            make_spec(langevin), 0.0, [0.1, -0.2], 1.0, SimConfig(3000, 1, seed=48)
+        )
+        assert density is None and mean.shape == (2,) and cov.shape == (2, 2)
+
+    def test_rejects_what_has_no_summary(self, langevin):
+        spec, x = make_spec(langevin), [0.0, 0.0]
+        with pytest.raises(ValueError, match="n_paths >= 2"):
+            summarize_paths(spec, 0.0, x, 1.0, SimConfig(1, 1, seed=1))
+        with pytest.raises(ValueError, match="one end time"):
+            summarize_paths(spec, 0.0, x, [0.5, 1.0], SimConfig(10, 1, seed=1))
+        with pytest.raises(ValueError, match="increasing end times"):
+            summarize_paths(spec, 0.0, x, 0.0, SimConfig(10, 1, seed=1))
+        with pytest.raises(ValueError, match="target"):
+            summarize_paths(spec, 0.0, x, 1.0, SimConfig(10, 1, seed=1), y=[0.0])
+        with pytest.raises(ValueError, match="bandwidth"):
+            summarize_paths(spec, 0.0, x, 1.0, SimConfig(10, 1, seed=1), y=x, bandwidth=0.0)
 
 
 def full_scan_hits(endpoints, y, h, structure, horizon):
