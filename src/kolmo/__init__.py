@@ -7,7 +7,7 @@ equivalences, minimum-energy steering controls, Harnack-chain constructions,
 and Monte Carlo verification of two-sided Gaussian comparison bounds.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .chain import (
     HarnackChain,

@@ -31,6 +31,12 @@ by the seed, so endpoints are bit-identical for a given seed regardless of
 worker count or path count.  One-shot blocks draw only the rows they keep;
 stepped blocks simulate all ``2**14`` paths.
 
+Blocks are held coordinate-major, ``(d, k)``: one row per coordinate, the
+paths along it.  The passes over a block (the affine map of its normals,
+the stepped flow, the mean, the centring and the box test) then run along
+rows ``k`` long instead of ``d``.  The normals are drawn ``(k, d)``,
+path by path, so the layout changes no draw.
+
 Blocks run on lanes: as many as the usable CPUs (``KOLMO_THREADS`` overrides
 the count), never more than there are blocks.  The calling thread is one of
 the lanes; each lane takes the next block from one ordered source, and an
@@ -135,7 +141,9 @@ def simulate_paths(spec, t, x, T, config):
     horizons, run_chunk = _chunk_runner(spec, t, x, T, config)
     n = config.n_paths
     out = np.empty((len(horizons), n, spec.system.d))
-    chunks = [(c, out[:, c * _CHUNK : (c + 1) * _CHUNK]) for c in range(-(-n // _CHUNK))]
+    chunks = [
+        (c, out[:, c * _CHUNK : (c + 1) * _CHUNK].swapaxes(1, 2)) for c in range(-(-n // _CHUNK))
+    ]
     _run_lanes(run_chunk, chunks, _lane_count(len(chunks)))
     return out if np.ndim(T) else out[0]
 
@@ -177,14 +185,14 @@ def summarize_paths(spec, t, x, T, config, y=None, bandwidth=0.2):
 
     def reduce_chunk(chunk_index):
         if not hasattr(lane, "buffer"):
-            lane.buffer = np.empty((1, _CHUNK, d))
-        rows = lane.buffer[:, : min(_CHUNK, n - chunk_index * _CHUNK)]
+            lane.buffer = np.empty((1, d, _CHUNK))
+        rows = lane.buffer[:, :, : min(_CHUNK, n - chunk_index * _CHUNK)]
         run_chunk(chunk_index, rows)
         X = rows[0]
         hits = 0 if y is None else _box_hits(X, y, scale, bandwidth)
-        mean = X.mean(axis=0)
-        X -= mean
-        parts[chunk_index] = (len(X), mean, X.T @ X, hits)
+        mean = X.mean(axis=1)
+        X -= mean[:, None]
+        parts[chunk_index] = (X.shape[1], mean, X @ X.T, hits)
 
     _run_lanes(reduce_chunk, [(c,) for c in range(n_chunks)], _lane_count(n_chunks))
     count, mean, scatter, hits = parts[0]
@@ -204,9 +212,10 @@ def _chunk_runner(spec, t, x, T, config):
     Checks that the end times increase from ``t``, that the zeroth-order
     coefficient vanishes and that ``x`` has shape ``(d,)``, and picks the
     route: one shot where every end time has an exact Gaussian law, stepped
-    elsewhere.  ``run_chunk`` fills the ``rows[i]`` view, ``(k, d)`` with
+    elsewhere.  ``run_chunk`` fills the ``rows[i]`` view, ``(d, k)`` with
     ``k <= 2**14``, with the first ``k`` paths of the chunk at end time
-    ``i``; the same chunk index always gives the same paths.
+    ``i``, one row per coordinate; the same chunk index always gives the
+    same paths.
     """
     horizons = np.atleast_1d(np.asarray(T, dtype=float)).tolist()
     if np.ndim(T) > 1 or not horizons or not all(
@@ -225,10 +234,10 @@ def _chunk_runner(spec, t, x, T, config):
         return horizons, _stepped_chunk_runner(spec, t, x, horizons, config)
 
     def run_chunk(chunk_index, rows):
-        Z = _chunk_generator(config.seed, chunk_index).standard_normal((rows.shape[1], d))
+        Z = _chunk_generator(config.seed, chunk_index).standard_normal((rows.shape[2], d))
         for (mean, cov), slab in zip(laws, rows):
-            np.matmul(Z, cov.chol.T, out=slab)
-            slab += mean
+            np.matmul(cov.chol, Z.T, out=slab)
+            slab += mean[:, None]
 
     return horizons, run_chunk
 
@@ -359,8 +368,10 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
     covariance ``C(dt)`` and ``a = alpha I`` at the step start (a constant
     matrix ``a`` folds ``2 a`` into ``L`` instead).  Returns
     ``run_chunk(chunk_index, rows)``, which fills the ``rows[i]`` view with
-    that chunk's states at ``horizons[i]``.  Every chunk simulates ``2**14``
-    paths.
+    that chunk's states at ``horizons[i]``, one row per coordinate.  Every
+    chunk simulates ``2**14`` paths, held as ``(d, 2**14)`` with the paths
+    along the rows; its normals are drawn path by path, ``(2**14, d)``, so
+    the stream does not depend on the layout.
     """
     system = spec.system
     m0 = system.m0
@@ -393,37 +404,40 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
     def run_chunk(chunk_index, rows):
         rng = _chunk_generator(config.seed, chunk_index)
         # One set of buffers per chunk; each step overwrites them in place.
-        X = np.tile(x, (_CHUNK, 1))
-        X_next, Z, noise, pushed = (np.empty_like(X) for _ in range(4))
-        drift = np.empty((_CHUNK, len(spec.a_low.components)))
+        X = np.tile(x[:, None], (1, _CHUNK))
+        X_next, noise, pushed = (np.empty_like(X) for _ in range(3))
+        Z = np.empty((_CHUNK, len(x)))
+        drift = np.empty((len(spec.a_low.components), _CHUNK))
         for k, (s_k, dt) in enumerate(zip(step_times, step_lengths), start=1):
             A, J, L = step_ops[dt]
             rng.standard_normal(out=Z)
-            np.matmul(Z, L.T, out=noise)
-            # Divergence correction plus first-order coefficients, (n, m0).
+            np.matmul(L, Z.T, out=noise)
+            # Divergence correction plus first-order coefficients, (m0, n).
             for j, (c_a, c_b) in enumerate(
                 zip(spec.a_low.components, spec.b_low.components, strict=True)
             ):
-                drift[:, j] = fields.batch_scalar(c_a, s_k, X)
-                drift[:, j] += fields.batch_scalar(c_b, s_k, X)
+                drift[j] = fields.batch_scalar(c_a, s_k, X.T)
+                drift[j] += fields.batch_scalar(c_b, s_k, X.T)
             if strength is not None:
                 if space_dep:
-                    alpha, grad = fields.batch_value_and_gradient(strength, X, m0)
-                    drift += grad
+                    alpha, grad = fields.batch_value_and_gradient(strength, X.T, m0)
+                    drift += grad.T
                 else:
-                    alpha = fields.batch_scalar(strength, s_k, X)
-                if np.any(alpha <= 0):
-                    raise CoefficientError(f"diffusion strength not positive at s={s_k}")
+                    alpha = fields.batch_scalar(strength, s_k, X.T)
+                if not np.all(alpha > 0):
+                    raise CoefficientError(
+                        f"diffusion strength not positive or not finite at s={s_k}"
+                    )
                 alpha *= 2.0
                 np.sqrt(alpha, out=alpha)
-                noise *= alpha[:, None]
-            np.matmul(X, A.T, out=X_next)
-            np.matmul(drift, J.T, out=pushed)
+                noise *= alpha
+            np.matmul(A, X, out=X_next)
+            np.matmul(J, drift, out=pushed)
             X_next += pushed
             X_next += noise
             X, X_next = X_next, X
             if k in snapshot_of:
-                rows[snapshot_of[k]] = X[: rows.shape[1]]
+                rows[snapshot_of[k]] = X[:, : rows.shape[2]]
 
     return run_chunk
 
@@ -464,11 +478,11 @@ def estimate_density(endpoints, y, h, structure, horizon):
         raise ValueError(f"need a ({d},) target or (k, {d}) target rows, got {y.shape}")
     scale = dilation_scales(structure, horizon**-0.5)
     if y.ndim == 1:
-        hits = _box_hits(endpoints, y, scale, h)
+        hits = _box_hits(endpoints.T, y, scale, h)
     else:
-        order = np.argsort(endpoints[:, 0])
-        keys = endpoints[order, 0]
-        ordered = endpoints[order]
+        # Sorted and coordinate-major: one row per coordinate, the first the keys.
+        ordered = np.take(endpoints.T, np.argsort(endpoints[:, 0]), axis=1)
+        keys = ordered[0]
         # A row that passes the rounded first-coordinate test lies within
         # ``reach`` of y0, whose slack covers the few roundings of the test and
         # of ``reach``.  Rounding is monotone, so a row within ``reach`` also
@@ -477,7 +491,7 @@ def estimate_density(endpoints, y, h, structure, horizon):
         starts = np.searchsorted(keys, y[:, 0] - reach, side="left")
         stops = np.searchsorted(keys, y[:, 0] + reach, side="right")
         hits = np.array(
-            [_box_hits(ordered[a:b], row, scale, h) for a, b, row in zip(starts, stops, y)],
+            [_box_hits(ordered[:, a:b], row, scale, h) for a, b, row in zip(starts, stops, y)],
             dtype=np.int64,
         )
     return _box_estimate(hits, n, h, structure, horizon)
@@ -501,20 +515,21 @@ def _box_estimate(hits, n, h, structure, horizon):
     )
 
 
-def _box_hits(rows, y, scale, h):
-    """The number of ``rows`` with ``|(X_j - y_j) s_j| <= h/2`` in every coordinate.
+def _box_hits(columns, y, scale, h):
+    """The number of ``columns`` with ``|(X_j - y_j) s_j| <= h/2`` in every coordinate.
 
-    The first coordinate's test picks the candidate rows and only they take
-    the full test; both evaluate the same expression, so the count is that
-    of a full test of every row.
+    ``columns`` is ``(d, n)``, one point per column.  The first coordinate's
+    test picks the candidate columns and only they take the full test; both
+    evaluate the same expression, so the count is that of a full test of
+    every column.
     """
-    first = rows[:, 0] - y[0]
+    first = columns[0] - y[0]
     first *= scale[0]
     np.abs(first, out=first)
-    scaled = rows[first <= h / 2.0] - y[None, :]
-    scaled *= scale
+    scaled = np.compress(first <= h / 2.0, columns, axis=1) - y[:, None]
+    scaled *= scale[:, None]
     np.abs(scaled, out=scaled)
-    return int(np.count_nonzero(np.all(scaled <= h / 2.0, axis=1)))
+    return int(np.count_nonzero(np.all(scaled <= h / 2.0, axis=0)))
 
 
 def mass_concentration(endpoints, flow_point, R, structure, horizon):

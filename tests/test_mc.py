@@ -14,6 +14,8 @@ from kolmo.kernel import GaussianKernel
 from kolmo.model import dilation_scales, sigma_matrix, validate_structure
 from kolmo.mc import (
     SimConfig,
+    _chunk_generator,
+    _gaussian_endpoint,
     _lane_count,
     _run_lanes,
     _step_grid,
@@ -196,6 +198,18 @@ class TestSimulatePaths:
         mean = np.array([x[0] + tau * b, x[1] + tau * x[0] + tau**2 / 2 * b])
         se = np.sqrt(np.diag(langevin.propagator.gramian(tau)) / len(X))
         assert np.all(np.abs(X.mean(axis=0) - mean) <= 4 * se)
+
+    def test_stepped_strength_not_finite_rejected(self, langevin):
+        # Far out the sinusoid's phase overflows and the strength is NaN,
+        # which a test for values not above zero would let through.
+        a = fields.IsotropicMatrixField(
+            fields.SpaceSinusoidField(base=0.5, amplitude=0.1, wave=(0.5, 0.25)), 1
+        )
+        spec = make_spec(langevin, a=a, mu=2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(CoefficientError, match="not finite at s=0.0"):
+                simulate_paths(spec, 0.0, [1e308, 1e308], 1.0, SimConfig(100, 4, seed=3))
 
     def test_one_shot_strength_negative_between_steps(self, heat1d):
         # 0.05 + sin(2 pi s + pi/2) is positive at s = 0 and negative at s = 0.5.
@@ -472,21 +486,61 @@ class TestSummarizePaths:
         # The merge runs in chunk order, so the lane count changes no bit.
         assert all(np.array_equal(a, b) for a, b in zip(runs[0][:2], runs[1][:2]))
 
-    def test_lane_buffers_under_contention(self, heat1d, monkeypatch):
+    @pytest.mark.parametrize(
+        "route",
+        [
+            ("one-shot-heat1d", "heat1d", make_spec),
+            ("stepped-kinetic21-space", "kinetic21", space_spec),
+        ],
+        ids=lambda route: route[0],
+    )
+    def test_lane_buffers_under_contention(self, request, monkeypatch, route):
         # More lanes than cores and a short switch interval: a buffer shared
         # between lanes, or a chunk's result lost, would change the result.
-        spec, config = make_spec(heat1d), SimConfig(40 * 2**14 - 7, 1, seed=49)
+        _, name, spec_of = route
+        spec = spec_of(request.getfixturevalue(name))
+        config = SimConfig(40 * 2**14 - 7, 1, seed=49)
+        x, y = [0.2] * spec.system.d, [0.3] * spec.system.d
         monkeypatch.setenv("KOLMO_THREADS", "1")
-        reference = summarize_paths(spec, 0.0, [0.2], 1.0, config, y=[0.3])
+        reference = summarize_paths(spec, 0.0, x, 1.0, config, y=y)
         monkeypatch.setenv("KOLMO_THREADS", "8")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            contended = summarize_paths(spec, 0.0, [0.2], 1.0, config, y=[0.3])
+            contended = summarize_paths(spec, 0.0, x, 1.0, config, y=y)
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(a, b) for a, b in zip(reference[:2], contended[:2]))
         assert contended[2] == reference[2]
+
+    # Less than one chunk, and two chunks the second of which is partly kept.
+    @pytest.mark.parametrize("n", [1_000, 2**14 + 77])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_shot_random_structures(self, seed, n):
+        # Constant isotropic diffusion over the horizon 1: every path is
+        # ``mean + chol Z`` from its chunk's own normals, whatever the layout
+        # the lanes hold the chunk in.
+        system, rng = random_system(seed)
+        spec, d = make_spec(system), system.d
+        x, config = rng.uniform(-1.0, 1.0, d), SimConfig(n, 1, seed=50 + seed)
+        mean, cov = _gaussian_endpoint(spec, 0.0, x, 1.0)
+        X = simulate_paths(spec, 0.0, x, 1.0, config)
+        for c in range(-(-n // 2**14)):
+            Z = _chunk_generator(config.seed, c).standard_normal((min(2**14, n - c * 2**14), d))
+            # A d-term sum rounds by at most (d + 1) eps of its summed
+            # magnitudes, and d <= 8.
+            bound = 1e-14 * (np.abs(mean) + np.abs(Z) @ np.abs(cov.chol).T)
+            block = X[c * 2**14 : (c + 1) * 2**14]
+            assert np.all(np.abs(block - (mean + Z @ cov.chol.T)) <= bound)
+        y = X[0] + 0.05
+        summary = summarize_paths(spec, 0.0, x, 1.0, config, y, bandwidth=1.0)
+        mean_ref, cov_ref = X.mean(axis=0), np.cov(X.T)
+        sd = np.sqrt(np.diag(cov_ref))
+        np.testing.assert_allclose(summary[0], mean_ref, rtol=1e-12, atol=1e-12 * sd.max())
+        np.testing.assert_allclose(
+            summary[1], cov_ref, rtol=1e-12, atol=1e-12 * np.abs(cov_ref).max()
+        )
+        assert summary[2] == estimate_density(X, y, 1.0, spec.structure, 1.0)
 
     def test_without_target_no_density(self, langevin):
         mean, cov, density = summarize_paths(
