@@ -7,7 +7,7 @@ equivalences, minimum-energy steering controls, Harnack-chain constructions,
 and Monte Carlo verification of two-sided Gaussian comparison bounds.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .chain import (
     HarnackChain,
@@ -47,8 +47,6 @@ from .kernel import (
     GaussianKernel,
     aronson_upper_form,
     chapman_kolmogorov_residual,
-    eval_kernel,
-    eval_log_kernel,
     lower_bound_form,
     pde_residual,
 )

@@ -3,9 +3,10 @@
 For a comparison operator with diffusion strength ``lambda``, the
 fundamental solution is the Gaussian with mean ``e^((T-t)B) x`` and the
 time-weighted covariance `kolmo.gramian.gramian_weighted`: ``lambda C(T-t)``
-for a constant strength, a closed form for one that varies in time.  All
-density work happens in log space; ratios of kernels are exponent
-differences, so tails never overflow.
+for a constant strength, a closed form for one that varies in time; a
+matrix strength and a drift give `kolmo.mc` its exact laws.  All density
+work happens in log space; ratios of kernels are exponent differences, so
+tails never overflow.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .gramian import (
     gramian_weighted,
+    input_response,
     is_time_field,
     log_density,
     quadratic_form,
@@ -25,8 +27,6 @@ from .model import dilation_scales, homogeneous_dimension
 
 __all__ = [
     "GaussianKernel",
-    "eval_kernel",
-    "eval_log_kernel",
     "chapman_kolmogorov_residual",
     "pde_residual",
     "aronson_upper_form",
@@ -35,31 +35,37 @@ __all__ = [
 
 
 class GaussianKernel:
-    """Gaussian fundamental solution of a comparison operator.
+    """Gaussian fundamental solution of a comparison operator, or of any time-only one.
 
     Parameters
     ----------
     system : SystemMatrix
         Drift system; covariance construction raises `GramianError` at a
         horizon where the covariance is too badly conditioned to factor.
-    lam : float or scalar field
-        Diffusion strength: a positive number, which gives covariance
-        ``lam * C(T-t)``, or a constant, time-sinusoid or time-tabulated
-        scalar field, which gives the exact time-weighted covariance.  A
-        strength that is not positive somewhere on ``[t, T]`` raises
-        `GramianError` there; a field that depends on space, or a strength
-        of any other type, raises `CoefficientError` here.
+    lam : float, scalar field or (m0, m0) array_like
+        Diffusion strength: a positive, finite number (covariance
+        ``lam * C(T-t)``); a constant, time-sinusoid or time-tabulated scalar
+        field (the exact time-weighted covariance); or a matrix (the noise
+        ``sigma lam sigma^T``).  A strength that is not positive somewhere on
+        ``[t, T]`` raises `GramianError` there; a field that depends on
+        space, or a strength of any other type, raises `CoefficientError`.
+    drift : (m0,) array_like, optional
+        A constant input on the diffusion block, which shifts the `mean`.
 
     Flows come from the system's propagator.  The covariances of the last
     32 ``(t, T)`` pairs are cached with their Cholesky factors; the cache is
     safe to share between threads.
     """
 
-    def __init__(self, system, lam=1.0):
+    def __init__(self, system, lam=1.0, drift=None):
+        m0 = system.m0
         self.system = system
-        self.lam = lam
-        if not is_time_field(lam) and strength_at(lam, 0.0) <= 0:
-            raise ValueError(f"diffusion strength must be positive, got {lam}")
+        self.lam = np.asarray(lam, dtype=float) if np.ndim(lam) == 2 else lam
+        self.drift = np.zeros(m0) if drift is None else np.asarray(drift, dtype=float)
+        if np.shape(self.lam) not in ((), (m0, m0)) or self.drift.shape != (m0,):
+            raise ValueError(f"need an ({m0}, {m0}) strength and an ({m0},) drift")
+        if np.ndim(lam) == 0 and not is_time_field(lam) and not 0 < strength_at(lam, 0.0) < np.inf:
+            raise ValueError(f"diffusion strength must be positive and finite, got {lam}")
         self._covariance = lru_cache(maxsize=32)(self._build_covariance)
 
     @property
@@ -67,11 +73,18 @@ class GaussianKernel:
         return self.system.d
 
     def lambda_at(self, t):
-        """Diffusion strength at time ``t``."""
+        """Diffusion strength at time ``t``; a matrix strength raises `CoefficientError`."""
         return strength_at(self.lam, t)
 
     def flow(self, dt):
         return self.system.propagator.flow(dt)
+
+    def mean(self, t, x, T):
+        """``e^((T-t)B) x + J(T-t) drift``, ``J`` the input response of `input_response`."""
+        mean = self.flow(T - t) @ np.asarray(x, dtype=float)
+        if np.any(self.drift):
+            mean = mean + input_response(self.system, T - t)[1] @ self.drift
+        return mean
 
     def covariance(self, t, T):
         """The covariance Gramian of the transition from ``t`` to ``T``."""
@@ -80,22 +93,14 @@ class GaussianKernel:
         return self._covariance(float(t), float(T))
 
     def _build_covariance(self, t, T):
+        if np.ndim(self.lam) == 2:
+            return self.system.diffusion_propagator(self.lam).factor(T - t)
         return gramian_weighted(self.system, self.lam, t, T)
 
     def log_batch(self, t, x, T, Y):
         """Log density at targets ``Y`` (n, d) from a single source ``(t, x)``."""
-        mean = self.flow(T - t) @ np.asarray(x, dtype=float)
+        mean = self.mean(t, x, T)
         return log_density(self.covariance(t, T), np.atleast_2d(Y) - mean[None, :])
-
-
-def eval_log_kernel(kernel, t, x, T, y):
-    """Log of the Gaussian fundamental solution; stable arbitrarily far in the tail."""
-    return float(kernel.log_batch(t, x, T, np.asarray(y, dtype=float)[None, :])[0])
-
-
-def eval_kernel(kernel, t, x, T, y):
-    """Gaussian fundamental solution value, computed as ``exp`` of the log form."""
-    return float(np.exp(eval_log_kernel(kernel, t, x, T, y)))
 
 
 def chapman_kolmogorov_residual(kernel, t, s, T):
@@ -123,9 +128,9 @@ def chapman_kolmogorov_residual(kernel, t, s, T):
 def pde_residual(kernel, t, x, T, y, h=None, drift_matrix=None):
     """Centered finite-difference residual of the kernel's own equation.
 
-    Evaluates ``(lam(t)/2) sum_i d^2_{x_i} G + <B x, D G> + d_t G`` at
-    ``(t, x)``, normalized by ``G``.  The time step is ``h**2`` and the step
-    for a coordinate in block ``j`` is ``h**(2j+1)``, matching the
+    Evaluates ``(lam(t)/2) sum_i d^2_{x_i} G + <B x + sigma drift, D G> + d_t G``
+    at ``(t, x)``, normalized by ``G``.  The time step is ``h**2`` and the
+    step for a coordinate in block ``j`` is ``h**(2j+1)``, matching the
     anisotropic smoothness scale; the default ``h`` is
     ``1e-3 * sqrt(T - t)``.  ``drift_matrix`` overrides the drift used in
     the operator (not in the kernel), for negative-control experiments.
@@ -161,7 +166,8 @@ def pde_residual(kernel, t, x, T, y, h=None, drift_matrix=None):
         if i < m0:
             lap += (gp - 2.0 * center + gm) / (hi * hi)
 
-    residual = 0.5 * kernel.lambda_at(t) * lap + float((B @ x) @ grad) + dt_g
+    transport = float((B @ x) @ grad + kernel.drift @ grad[:m0])
+    residual = 0.5 * kernel.lambda_at(t) * lap + transport + dt_g
     return abs(residual) / center
 
 

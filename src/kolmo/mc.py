@@ -62,7 +62,7 @@ import numpy as np
 
 from . import fields
 from .exceptions import CoefficientError, GramianError, SettingError
-from .gramian import gramian_weighted, input_response, log_density
+from .gramian import input_response
 from .kernel import GaussianKernel
 from .model import dilation_scales, ellipticity_check, homogeneous_dimension
 
@@ -108,7 +108,7 @@ def _chunk_generator(seed, chunk_index):
 def simulate_paths(spec, t, x, T, config):
     """Sample endpoint states of the operator's diffusion at time ``T``.
 
-    Where the endpoint law is exactly Gaussian (see `_gaussian_endpoint`)
+    Where the endpoint law is exactly Gaussian (see `_exact_law`)
     each path draws its endpoint in one shot and ``config.n_steps`` is not
     used; elsewhere paths take ``config.n_steps`` frozen-coefficient steps
     (see `_step_grid`).
@@ -229,14 +229,18 @@ def _chunk_runner(spec, t, x, T, config):
     if x.shape != (d,):
         raise ValueError(f"initial state must have shape ({d},), got {x.shape}")
 
-    laws = [_gaussian_endpoint(spec, t, x, h) for h in horizons]
-    if laws[0] is None:
+    law = _exact_law(spec)
+    if law is None:
         return horizons, _stepped_chunk_runner(spec, t, x, horizons, config)
+    try:
+        draws = [(law.mean(t, x, h), law.covariance(t, h).chol) for h in horizons]
+    except GramianError as exc:  # a strength not positive on [t, T]
+        raise CoefficientError(f"diffusion strength: {exc}") from exc
 
     def run_chunk(chunk_index, rows):
         Z = _chunk_generator(config.seed, chunk_index).standard_normal((rows.shape[2], d))
-        for (mean, cov), slab in zip(laws, rows):
-            np.matmul(cov.chol, Z.T, out=slab)
+        for (mean, chol), slab in zip(draws, rows):
+            np.matmul(chol, Z.T, out=slab)
             slab += mean[:, None]
 
     return horizons, run_chunk
@@ -302,35 +306,22 @@ def _run_lanes(run_chunk, chunks, lanes):
         raise min(errors, key=lambda error: error[0])[1]
 
 
-def _gaussian_endpoint(spec, t, x, T):
-    """Mean and covariance `Gramian` of the endpoint law where it is exactly Gaussian.
+def _exact_law(spec):
+    """The `GaussianKernel` of the endpoint law where it is exactly Gaussian, else None.
 
     It is where the diffusion does not depend on space and every lower-order
     coefficient is a constant, summing to ``b``: the endpoint is then
-    ``N(e^(tau B) x + J(tau) b, C_w)`` with ``J`` from `input_response` and
-    ``C_w`` the covariance of the linear diffusion with squared coefficient
-    ``2 a`` on the leading block.  Elsewhere returns None.  `simulate_paths`
-    samples this law and the exact route of `verify_bounds` reads its
-    density.
+    ``N(e^(tau B) x + J(tau) b, C_w)``, the kernel of strength ``2 a`` and
+    drift ``b``.  `simulate_paths` samples this law and the exact route of
+    `verify_bounds` reads its density.
     """
     a = spec.a
     low = spec.a_low.components + spec.b_low.components
     if a.space_dependent or not all(isinstance(c, fields.ConstantField) for c in low):
         return None
-    system = spec.system
-    tau = T - t
-    if isinstance(a, fields.ConstantMatrixField):
-        cov = system.diffusion_propagator(2.0 * a.matrix).factor(tau)
-    else:
-        try:
-            cov = gramian_weighted(system, _doubled(a.scalar), t, T)
-        except GramianError as exc:  # a strength not positive on [t, T]
-            raise CoefficientError(f"diffusion strength: {exc}") from exc
-    mean = system.propagator.flow(tau) @ x
+    strength = 2.0 * a.matrix if isinstance(a, fields.ConstantMatrixField) else _doubled(a.scalar)
     b = np.add([c.value for c in spec.a_low.components], [c.value for c in spec.b_low.components])
-    if np.any(b):
-        mean = mean + input_response(system, tau)[1] @ b
-    return mean, cov
+    return GaussianKernel(spec.system, strength, b)
 
 
 def _step_grid(t, horizons, n_steps):
@@ -551,8 +542,8 @@ class BoundReport:
     holds on the grid by construction whenever both are positive and finite.
     Monte Carlo estimates widen the ratios by three standard errors.
     ``exact`` is true where the density is the exact Gaussian law of
-    `_gaussian_endpoint` (diffusion that does not depend on space, no
-    lower-order terms).  ``diagonal_c`` holds ``G(t, x; t+h, e^(hB) x)
+    `_exact_law` (diffusion that does not depend on space, no lower-order
+    terms).  ``diagonal_c`` holds ``G(t, x; t+h, e^(hB) x)
     h**(Q/2)`` at ``diagonal_horizons``, the density at the flow image, and
     ``diagonal_c_fit`` its least value.
     """
@@ -601,7 +592,7 @@ def verify_bounds(
     When the operator's diffusion does not depend on space (a constant
     matrix, or a time-only multiple of the identity) and it has no
     lower-order terms, the density is the exact Gaussian endpoint law that
-    `simulate_paths` samples (`_gaussian_endpoint`); otherwise it is
+    `simulate_paths` samples (`_exact_law`); otherwise it is
     estimated by simulation (``sim_config`` required) and the fitted
     constants are widened by three standard errors.  Also fits the
     on-diagonal constant ``c`` in ``G(t, x; t+h, e^(hB) x) >= c * h**(-Q/2)``,
@@ -641,7 +632,7 @@ def verify_bounds(
 
     law = None
     if _is_zero_scalar(spec.c) and spec.a_low.is_zero() and spec.b_low.is_zero():
-        law = _gaussian_endpoint(spec, t, x, T)
+        law = _exact_law(spec)
     # The on-diagonal fit reads G(t, x; s, .) at the flow image e^((s-t)B) x,
     # for end times s a quarter, a half and all of the way to T.
     diag_ends = [t + f * tau for f in _DIAGONAL_FRACTIONS[:-1]] + [T]
@@ -649,20 +640,19 @@ def verify_bounds(
     psd_margins = ()
     zero_hits = ()
     if law is not None:
-        mean, cov = law
-        gamma = np.exp(log_density(cov, y_grid - mean[None, :]))
+        gamma = np.exp(law.log_batch(t, x, T, y_grid))
+        diag_gamma = [
+            float(np.exp(law.log_batch(t, x, s, y[None, :])[0]))
+            for s, y in zip(diag_ends, diag_points)
+        ]
         stderr = np.zeros_like(gamma)
         gamma_lo_conf, gamma_hi_conf = gamma, gamma
+        C_w = law.covariance(t, T).C
         C_base = system.propagator.gramian(tau)
         psd_margins = (
-            float(np.linalg.eigvalsh(cov.C - lambda_minus * C_base).min()),
-            float(np.linalg.eigvalsh(lambda_plus * C_base - cov.C).min()),
+            float(np.linalg.eigvalsh(C_w - lambda_minus * C_base).min()),
+            float(np.linalg.eigvalsh(lambda_plus * C_base - C_w).min()),
         )
-        laws = [_gaussian_endpoint(spec, t, x, s) for s in diag_ends[:-1]] + [law]
-        diag_gamma = [
-            float(np.exp(log_density(cov_h, (y - mean_h)[None, :])[0]))
-            for (mean_h, cov_h), y in zip(laws, diag_points)
-        ]
     else:
         if sim_config is None:
             raise ValueError("sim_config is required when no exact kernel is available")

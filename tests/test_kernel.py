@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import multivariate_normal
 
 from kolmo import fields
 from kolmo.exceptions import CoefficientError, GramianError
@@ -9,8 +10,6 @@ from kolmo.kernel import (
     GaussianKernel,
     aronson_upper_form,
     chapman_kolmogorov_residual,
-    eval_kernel,
-    eval_log_kernel,
     lower_bound_form,
     pde_residual,
 )
@@ -19,6 +18,7 @@ from kolmo.model import (
     dilation_matrix,
     group_compose,
     homogeneous_dimension,
+    sigma_matrix,
 )
 
 from conftest import (
@@ -35,36 +35,36 @@ FIXTURES = ["heat1d", "langevin", "kinetic21", "deep221", "starful"]
 class TestEvalKernel:
     def test_standard_normal_peak(self, heat1d):
         k = GaussianKernel(heat1d, 1.0)
-        assert np.isclose(eval_kernel(k, 0.0, [0.0], 1.0, [0.0]), 1 / np.sqrt(2 * np.pi))
+        assert np.isclose(np.exp(k.log_batch(0.0, [0.0], 1.0, [0.0]))[0], 1 / np.sqrt(2 * np.pi))
 
     def test_langevin_peak(self, langevin):
         # det C(1) = 1/12, so the on-flow value is sqrt(12)/(2 pi).
         k = GaussianKernel(langevin, 1.0)
-        val = eval_kernel(k, 0.0, [0.0, 0.0], 1.0, [0.0, 0.0])
+        val = np.exp(k.log_batch(0.0, [0.0, 0.0], 1.0, [0.0, 0.0]))[0]
         assert np.isclose(val, np.sqrt(12.0) / (2 * np.pi), rtol=1e-12)
 
     def test_lambda_two_off_peak(self, heat1d):
         k = GaussianKernel(heat1d, 2.0)
-        val = eval_kernel(k, 0.0, [0.0], 1.0, [1.0])
+        val = np.exp(k.log_batch(0.0, [0.0], 1.0, [1.0]))[0]
         assert np.isclose(val, np.exp(-0.25) / np.sqrt(4 * np.pi), rtol=1e-12)
 
     def test_slow_kernel_exceeds_fast_at_peak(self, heat1d):
         # At the peak the slow kernel exceeds the fast one, which is why the
         # two-sided bound needs its constants C- and C+.
-        slow = eval_kernel(GaussianKernel(heat1d, 0.5), 0.0, [0.0], 1.0, [0.0])
-        fast = eval_kernel(GaussianKernel(heat1d, 2.0), 0.0, [0.0], 1.0, [0.0])
+        slow = np.exp(GaussianKernel(heat1d, 0.5).log_batch(0.0, [0.0], 1.0, [0.0]))[0]
+        fast = np.exp(GaussianKernel(heat1d, 2.0).log_batch(0.0, [0.0], 1.0, [0.0]))[0]
         assert np.isclose(slow, 1 / np.sqrt(np.pi), rtol=1e-12)
         assert np.isclose(fast, 1 / np.sqrt(4 * np.pi), rtol=1e-12)
         assert slow > fast
 
     def test_fast_kernel_dominates_in_tail(self, heat1d):
-        slow = eval_kernel(GaussianKernel(heat1d, 0.5), 0.0, [0.0], 1.0, [8.0])
-        fast = eval_kernel(GaussianKernel(heat1d, 2.0), 0.0, [0.0], 1.0, [8.0])
+        slow = np.exp(GaussianKernel(heat1d, 0.5).log_batch(0.0, [0.0], 1.0, [8.0]))[0]
+        fast = np.exp(GaussianKernel(heat1d, 2.0).log_batch(0.0, [0.0], 1.0, [8.0]))[0]
         assert fast > slow
 
     def test_reversed_times_rejected(self, heat1d):
         with pytest.raises(ValueError):
-            eval_kernel(GaussianKernel(heat1d, 1.0), 1.0, [0.0], 0.5, [0.0])
+            GaussianKernel(heat1d, 1.0).log_batch(1.0, [0.0], 0.5, [0.0])
 
     def test_rank_deficient_system_rejected(self):
         from kolmo.exceptions import GramianError
@@ -72,7 +72,7 @@ class TestEvalKernel:
 
         broken = SystemMatrix(np.zeros((2, 2)), BlockStructure((1, 1)))
         with pytest.raises(GramianError):
-            eval_kernel(GaussianKernel(broken, 1.0), 0.0, [0, 0], 1.0, [0, 0])
+            GaussianKernel(broken, 1.0).log_batch(0.0, [0, 0], 1.0, [0, 0])
 
 
 class TestTimeFieldStrength:
@@ -137,6 +137,84 @@ class TestTimeFieldStrength:
             strength_at(field, 0.5)
 
 
+class TestMatrixStrengthAndDrift:
+    """A diffusion matrix on the leading block, and a constant input that shifts the mean."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_isotropic_matrix_is_the_number(self, name, request):
+        # lam I goes through the diffusion propagator, lam through the
+        # weighted Gramian: two exponentials of one covariance.
+        system = request.getfixturevalue(name)
+        d, lam = system.d, 1.3
+        by_matrix = GaussianKernel(system, lam * np.eye(system.m0))
+        by_number = GaussianKernel(system, lam)
+        x = np.linspace(-0.5, 0.5, d)
+        # The far targets reach |log G| ~ 1e9 on DEEP221 at 0.05, where the
+        # absolute difference is ~5e-6: the bound is relative.
+        Y = x + np.array([np.zeros(d), np.full(d, 0.3), np.linspace(1.0, -1.0, d)])
+        for T in (0.05, 0.6, 1.0):
+            C = by_number.covariance(0.0, T).C
+            assert np.abs(by_matrix.covariance(0.0, T).C - C).max() <= 1e-14 * np.abs(C).max()
+            np.testing.assert_allclose(
+                by_matrix.log_batch(0.0, x, T, Y), by_number.log_batch(0.0, x, T, Y), rtol=1e-12
+            )
+
+    def test_matrix_covariance_is_the_diffusion_propagators(self, kinetic21):
+        a = np.array([[1.2, 0.4], [0.4, 0.8]])
+        k = GaussianKernel(kinetic21, a)
+        np.testing.assert_array_equal(
+            k.covariance(0.3, 1.1).C, kinetic21.diffusion_propagator(a).factor(0.8).C
+        )
+        assert chapman_kolmogorov_residual(k, 0.3, 0.6, 1.1) <= 1e-14
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_drift_mean_matches_quadrature(self, name, request):
+        # e^(tau B) x + int_t^T e^((T-s)B) sigma b ds, by 64-point Gauss-Legendre.
+        system = request.getfixturevalue(name)
+        rng = np.random.default_rng(27)
+        x, b = rng.normal(size=system.d), rng.normal(size=system.m0)
+        t, T = 0.2, 1.1
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        s = 0.5 * (T - t) * nodes + 0.5 * (T + t)
+        pushed = sum(w * expm((T - si) * system.B) for w, si in zip(weights, s))
+        pushed = 0.5 * (T - t) * pushed @ sigma_matrix(system.structure) @ b
+        ref = expm((T - t) * system.B) @ x + pushed
+        mean = GaussianKernel(system, 1.0, drift=b).mean(t, x, T)
+        assert np.abs(mean - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_zero_drift_mean_is_the_flow(self, langevin):
+        x = np.array([0.4, -0.2])
+        for k in (GaussianKernel(langevin, 1.0), GaussianKernel(langevin, 1.0, drift=[0.0])):
+            np.testing.assert_array_equal(k.mean(0.1, x, 0.9), langevin.propagator.flow(0.8) @ x)
+
+    def test_drift_shifts_log_batch(self, langevin):
+        k = GaussianKernel(langevin, 1.0, drift=[0.7])
+        x, y = np.array([0.4, -0.2]), np.array([0.1, 0.5])
+        law = multivariate_normal(k.mean(0.0, x, 1.0), k.covariance(0.0, 1.0).C)
+        assert np.isclose(k.log_batch(0.0, x, 1.0, [y])[0], law.logpdf(y), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "lam, drift",
+        [
+            (np.eye(2), None),
+            (np.ones((1, 2)), None),
+            (np.ones(3), None),
+            (1.0, [0.1, 0.2]),
+            (1.0, [[0.1]]),
+            ([[1.0]], 0.5),
+        ],
+        ids=["square-too-big", "not-square", "one-d", "drift-too-long", "drift-2d", "drift-scalar"],
+    )
+    def test_shapes_rejected(self, langevin, lam, drift):
+        with pytest.raises(ValueError, match="strength and an"):
+            GaussianKernel(langevin, lam, drift)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_number_not_positive_and_finite_rejected(self, heat1d, lam):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GaussianKernel(heat1d, lam)
+
+
 class TestLogKernel:
     def test_matches_log_of_value(self, langevin):
         k = GaussianKernel(langevin, 1.0)
@@ -146,8 +224,9 @@ class TestLogKernel:
             ((0.1, [1.0, 1.0]), (0.9, [-1.0, 2.0])),
         ]
         for (t, x), (T, y) in cases:
-            lg = eval_log_kernel(k, t, x, T, y)
-            assert np.isclose(lg, np.log(eval_kernel(k, t, x, T, y)), atol=1e-10)
+            lg = k.log_batch(t, x, T, [y])[0]
+            law = multivariate_normal(k.flow(T - t) @ x, k.covariance(t, T).C)
+            assert np.isclose(lg, law.logpdf(y), atol=1e-10)
 
     def test_on_flow_is_normalization_only(self, langevin):
         k = GaussianKernel(langevin, 1.0)
@@ -155,15 +234,15 @@ class TestLogKernel:
         y = k.flow(1.0) @ x
         cov = k.covariance(0.0, 1.0)
         expected = -0.5 * (2 * np.log(2 * np.pi) + cov.logdet)
-        assert np.isclose(eval_log_kernel(k, 0.0, x, 1.0, y), expected, rtol=1e-12)
+        assert np.isclose(k.log_batch(0.0, x, 1.0, [y])[0], expected, rtol=1e-12)
 
     def test_deep_tail_never_overflows(self, heat1d):
         # Quadratic form ~ 1e4 and beyond stays finite in log space.
         k = GaussianKernel(heat1d, 1.0)
-        lg = eval_log_kernel(k, 0.0, [0.0], 1.0, [100.0])
+        lg = k.log_batch(0.0, [0.0], 1.0, [100.0])[0]
         assert np.isfinite(lg)
         assert np.isclose(lg, -5000.0 - 0.5 * np.log(2 * np.pi), rtol=1e-10)
-        assert np.isfinite(eval_log_kernel(k, 0.0, [0.0], 1.0, [1000.0]))
+        assert np.isfinite(k.log_batch(0.0, [0.0], 1.0, [1000.0])[0])
 
 
 class TestInvarianceProperties:
@@ -176,8 +255,8 @@ class TestInvarianceProperties:
             x, y = rng.normal(size=2), rng.normal(size=2)
             z1 = group_compose(zeta, SpaceTimePoint(t, x), langevin)
             z2 = group_compose(zeta, SpaceTimePoint(T, y), langevin)
-            ref = eval_log_kernel(k, t, x, T, y)
-            shifted = eval_log_kernel(k, z1.t, z1.x, z2.t, z2.x)
+            ref = k.log_batch(t, x, T, [y])[0]
+            shifted = k.log_batch(z1.t, z1.x, z2.t, [z2.x])[0]
             assert np.isclose(shifted, ref, atol=1e-10)
 
     def test_dilation_homogeneity_star_free(self, langevin):
@@ -189,8 +268,8 @@ class TestInvarianceProperties:
             for _ in range(5):
                 t, T = 0.1, 0.8
                 x, y = rng.normal(size=2), rng.normal(size=2)
-                ref = eval_kernel(k, t, x, T, y)
-                scaled = eval_kernel(k, r**2 * t, D @ x, r**2 * T, D @ y)
+                ref = np.exp(k.log_batch(t, x, T, [y]))[0]
+                scaled = np.exp(k.log_batch(r**2 * t, D @ x, r**2 * T, [D @ y]))[0]
                 assert np.isclose(scaled, r ** (-Q) * ref, rtol=1e-10)
 
     def test_normalization(self, langevin, heat1d):
@@ -260,6 +339,22 @@ class TestPdeResidual:
     def test_horizon_too_small(self, heat1d):
         with pytest.raises(ValueError):
             pde_residual(GaussianKernel(heat1d, 1.0), 0.0, [0.0], 1e-5, [0.0], h=1e-2)
+
+    def test_quadratic_convergence_with_drift(self, langevin):
+        # The drift's transport term <sigma b, D G> is part of the equation:
+        # without it the residual stays near 0.63 at every h.
+        k = GaussianKernel(langevin, 1.0, drift=[0.7])
+        rs = [
+            pde_residual(k, 0.0, [0.2, -0.1], 1.0, [0.0, 0.0], h=h)
+            for h in (1e-2, 5e-3, 2.5e-3)
+        ]
+        orders = [np.log2(rs[i] / rs[i + 1]) for i in range(2)]
+        assert all(1.7 <= o <= 2.3 for o in orders)
+        assert rs[-1] <= 1e-4
+
+    def test_matrix_strength_has_no_scalar_equation(self, langevin):
+        with pytest.raises(CoefficientError, match="ndarray"):
+            pde_residual(GaussianKernel(langevin, [[1.0]]), 0.0, [0.2, -0.1], 1.0, [0.0, 0.0])
 
 
 class TestCauchySolution:
@@ -362,7 +457,7 @@ class TestBoundForms:
             y = rng.normal(size=2) * 1.5
             ys.append(y)
             zs.append(float(np.sum((D @ y) ** 2)))
-            vals.append(eval_kernel(k, 0.0, [0.0, 0.0], tau, y))
+            vals.append(np.exp(k.log_batch(0.0, [0.0, 0.0], tau, [y]))[0])
         G = np.array(vals) * tau ** (Q / 2)
         zs = np.array(zs)
         c_D = 0.99 * float(G.min())

@@ -15,7 +15,7 @@ from kolmo.model import dilation_scales, sigma_matrix, validate_structure
 from kolmo.mc import (
     SimConfig,
     _chunk_generator,
-    _gaussian_endpoint,
+    _exact_law,
     _lane_count,
     _run_lanes,
     _step_grid,
@@ -219,6 +219,13 @@ class TestSimulatePaths:
         spec = make_spec(heat1d, a=a, mu=40.0)
         with pytest.raises(CoefficientError):
             simulate_paths(spec, 0.0, [0.0], 1.0, SimConfig(10, 1, seed=1))
+
+    def test_one_shot_matrix_not_positive_definite(self, kinetic21):
+        # A matrix strength's law fails to factor as a time-only one does.
+        a = fields.ConstantMatrixField(np.array([[0.5, 0.0], [0.0, -0.1]]))
+        spec = make_spec(kinetic21, a=a, mu=10.0)
+        with pytest.raises(CoefficientError, match="diffusion strength"):
+            simulate_paths(spec, 0.0, np.zeros(3), 1.0, SimConfig(10, 1, seed=1))
 
     def test_stepped_and_one_shot_routes_agree(self, heat1d):
         # A zero-amplitude space sinusoid is a constant the stepped route runs.
@@ -523,7 +530,8 @@ class TestSummarizePaths:
         system, rng = random_system(seed)
         spec, d = make_spec(system), system.d
         x, config = rng.uniform(-1.0, 1.0, d), SimConfig(n, 1, seed=50 + seed)
-        mean, cov = _gaussian_endpoint(spec, 0.0, x, 1.0)
+        law = _exact_law(spec)
+        mean, cov = law.mean(0.0, x, 1.0), law.covariance(0.0, 1.0)
         X = simulate_paths(spec, 0.0, x, 1.0, config)
         for c in range(-(-n // 2**14)):
             Z = _chunk_generator(config.seed, c).standard_normal((min(2**14, n - c * 2**14), d))

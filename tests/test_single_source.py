@@ -231,3 +231,29 @@ def test_pyproject_version_is_package_version():
     else:
         version = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE).group(1)
     assert version == kolmo.__version__
+
+
+def _call_sites(callee):
+    """``(module, top-level definition)`` of every call to ``callee`` in the package."""
+    return {
+        (name, getattr(top, "name", None))
+        for name, tree in _trees().items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == callee
+    }
+
+
+def test_one_gaussian_law():
+    # Every Gaussian law, the operator's exact one included, is a
+    # GaussianKernel: it alone reads densities and shifts means by the
+    # input response, which otherwise only the stepped runner's steps and
+    # the least-norm oracle's steps take.
+    assert _call_sites("log_density") == {("kernel.py", "GaussianKernel")}
+    assert _call_sites("input_response") == {
+        ("kernel.py", "GaussianKernel"),
+        ("mc.py", "_stepped_chunk_runner"),
+        ("control.py", "discrete_least_norm_control"),
+    }
+    assert "mc.py" not in {module for module, _ in _call_sites("gramian_weighted")}
