@@ -58,7 +58,7 @@ class HarnackConfig:
     kappa: float
 
     def __post_init__(self):
-        if self.C_harnack < 1:
+        if not self.C_harnack >= 1:
             raise ValueError(f"need C >= 1, got {self.C_harnack}")
         if not 0 < self.beta < 1:
             raise ValueError(f"need 0 < beta < 1, got {self.beta}")
@@ -66,7 +66,7 @@ class HarnackConfig:
             raise ValueError(f"need 0 < r < 1, got {self.r}")
         if not 0 < self.tau <= 1:
             raise ValueError(f"need 0 < tau <= 1, got {self.tau}")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError(f"need kappa > 0, got {self.kappa}")
         if self.r**2 > self.beta or self.beta + self.r**2 > 1:
             raise ValueError(
@@ -124,9 +124,10 @@ def build_chain(problem, config):
     The energy left, its rate and the trajectory point
     ``e^(-(T-s)B) (y - C(T-s) w)`` at each iterate all come from one
     exponential of the system's propagator.  Times within
-    ``1e-9 * (T - t)`` of ``T`` snap to ``T``.  When the whole horizon fits a
-    single time budget and the total energy is within one cost budget, the
-    single-step fast path is taken verbatim.
+    ``1e-9 * (T - t)`` of ``T`` snap to ``T``.  A horizon that fits one time
+    budget with its whole energy within one cost budget is one ``terminal``
+    step, its cost ``w^T C(T - t) w``, taking no exponential beyond the
+    steering solve's where the Taylor model is exact.
 
     Raises
     ------
@@ -169,36 +170,29 @@ def build_chain(problem, config):
     times = [t]
     points = [problem.x]
     steps = []
-
-    if T <= t + step_cap + _TIME_TOL and V <= eps:
-        times.append(T)
-        points.append(problem.y)
-        steps.append(StepRecord(t, T, V, "terminal"))
-    else:
-        max_steps = math.ceil(exponent) + 8
-        at_j = state(t)
-        while times[-1] < T:
-            if len(steps) > max_steps:
-                raise ChainError(
-                    f"chain exceeded {max_steps} steps; stopping rule is not advancing"
-                )
-            t_j = times[-1]
-            right = min(t_j + step_cap, T)
-            first = _model_root(forms, at_j[2], eps, t_j, right)
-            t_next, at_next = _stopping_time(state, t_j, at_j, right, eps, first)
-            step_cost = at_j[0] - at_next[0]
-            if t_next == right and step_cost < eps:
-                clause = "terminal" if right >= T - snap else "time-budget"
-            else:
-                clause = "cost-budget"
-            if T - t_next <= snap:
-                t_next = T
-                clause = "terminal"
-                step_cost = at_j[0]
-            times.append(t_next)
-            points.append(problem.y if t_next == T else at_next[3])
-            steps.append(StepRecord(t_j, t_next, step_cost, clause))
-            at_j = at_next
+    max_steps = math.ceil(exponent) + 8
+    # The steering solve cached the exponential at T - t.
+    at_j = state(t)
+    while times[-1] < T:
+        if len(steps) > max_steps:
+            raise ChainError(f"chain exceeded {max_steps} steps; stopping rule is not advancing")
+        t_j = times[-1]
+        right = min(t_j + step_cap, T)
+        first = _model_root(forms, at_j[2], eps, t_j, right)
+        t_next, at_next = _stopping_time(state, t_j, at_j, right, eps, first)
+        step_cost = at_j[0] - at_next[0]
+        if t_next == right and step_cost < eps:
+            clause = "terminal" if right >= T - snap else "time-budget"
+        else:
+            clause = "cost-budget"
+        if T - t_next <= snap:
+            t_next = T
+            clause = "terminal"
+            step_cost = at_j[0]
+        times.append(t_next)
+        points.append(problem.y if t_next == T else at_next[3])
+        steps.append(StepRecord(t_j, t_next, step_cost, clause))
+        at_j = at_next
 
     chain = HarnackChain(
         problem=problem,

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import json
@@ -447,13 +448,7 @@ def _cmd_chain(args, spec):
         "J": chain.J,
         "exponent": chain.exponent,
         "verified": bool(verified),
-        "config": {
-            "C_harnack": config.C_harnack,
-            "beta": config.beta,
-            "r": config.r,
-            "tau": config.tau,
-            "kappa": config.kappa,
-        },
+        "config": dataclasses.asdict(config),
     }
     return summary, (header, rows)
 
@@ -472,13 +467,7 @@ def _cmd_simulate(args, spec):
     header = ["stat"] + [f"x{i}" for i in range(d)]
     summary = {"n_paths": args.paths, "n_steps": args.steps, "seed": args.seed}
     if est is not None:
-        summary["density"] = {
-            "y": y.tolist(),
-            "value": est.value,
-            "stderr": est.stderr,
-            "n_hits": est.n_hits,
-            "bandwidth": est.bandwidth,
-        }
+        summary["density"] = {"y": y.tolist(), **dataclasses.asdict(est)}
     return summary, (header, rows)
 
 
@@ -492,19 +481,10 @@ def _cmd_verify_bounds(args, spec):
         spec, t, x, T, ys, args.lambda_minus, args.lambda_plus,
         sim_config=config, bandwidth=args.bandwidth,
     )
-    rows = []
-    for i, yi in enumerate(report.y_grid):
-        rows.append(
-            [
-                *yi.tolist(),
-                report.gamma[i],
-                report.stderr[i],
-                report.gamma_minus[i],
-                report.gamma_plus[i],
-                report.ratio_minus[i],
-                report.ratio_plus[i],
-            ]
-        )
+    rows = np.column_stack((
+        report.y_grid, report.gamma, report.stderr, report.gamma_minus, report.gamma_plus,
+        report.ratio_minus, report.ratio_plus,
+    )).tolist()
     header = [f"y{i}" for i in range(d)] + [
         "gamma_est", "stderr", "gamma_lambda_minus", "gamma_lambda_plus",
         "ratio_minus", "ratio_plus",
@@ -634,6 +614,10 @@ def main(argv=None):
         with _one_blas_thread():
             spec = load_model(args.model)
             summary, table = handler(args, spec)
+        # Strict JSON has no NaN or infinity: every payload is checked before
+        # it is printed or any file is opened (the CSV rows before theirs), so
+        # a failure prints and leaves nothing.
+        _check_finite(summary)
         if args.out is None:
             print(json.dumps(summary, sort_keys=True))
             return EXIT_OK
@@ -643,10 +627,6 @@ def main(argv=None):
         if summary is not None:
             outputs["json"] = args.out + ".json"
         manifest = _manifest(args, outputs, spec)
-        # Strict JSON has no NaN or infinity: both payloads are checked before
-        # any file is opened (the CSV rows before theirs), so a failure leaves
-        # no file.
-        _check_finite(summary)
         _check_finite(manifest)
         if table is not None:
             _write_csv(outputs["csv"], *table)

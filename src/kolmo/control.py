@@ -171,9 +171,10 @@ def kappa_estimate(system):
     for the uniform step, for any drift, and the top eigenvalues from one
     batched ``eigvalsh``.
     """
-    s_grid = np.arange(1, 1025) / 1024.0
+    h, n = 1.0 / 1024, 1024
+    s_grid = h * np.arange(1, n + 1)
     scale = dilation_scales(system.structure, s_grid**-0.5)
-    dilated = scale[:, :, None] * system.propagator.gramians(s_grid) * scale[:, None, :]
+    dilated = scale[:, :, None] * system.propagator.gramians(h, n) * scale[:, None, :]
     top = np.linalg.eigvalsh(dilated)[:, -1].max()
     return 1.1 * float(np.sqrt(max(top, 0.0)))
 
@@ -194,7 +195,7 @@ class ConeSpec:
     def __post_init__(self):
         if not 0 < self.beta <= 1:
             raise ValueError(f"need 0 < beta <= 1, got {self.beta}")
-        if self.r <= 0 or self.R <= 0:
+        if not (self.r > 0 and self.R > 0):
             raise ValueError("cone radii must be positive")
 
 

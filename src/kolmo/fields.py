@@ -198,10 +198,12 @@ class VectorField:
     def __call__(self, t, x):
         return np.array([c(t, x) for c in self.components], dtype=float)
 
-    def is_zero(self):
-        return all(
-            isinstance(c, ConstantField) and c.value == 0.0 for c in self.components
-        )
+
+def is_zero(field):
+    """Whether a coefficient vanishes: None, a zero `ConstantField` or a `VectorField` of them."""
+    if isinstance(field, VectorField):
+        return all(map(is_zero, field.components))
+    return field is None or (isinstance(field, ConstantField) and field.value == 0.0)
 
 
 def batch_scalar(field, t, X):

@@ -9,8 +9,8 @@ by the augmented block-exponential identity (Van Loan, IEEE TAC 23(3), 1978)
 which is exact up to the accuracy of the matrix exponential.  Each system
 owns one `Propagator` (``system.propagator``) that reads the inverse flow,
 the flow and ``C(t)`` off that single exponential and keeps the last few
-horizons in a small bounded cache; a grid of horizons costs one exponential
-per distinct step through the semigroup identity
+horizons in a small bounded cache; a uniform grid of horizons costs one
+exponential, at its step, through the semigroup identity
 ``C(s + h) = C(h) + e(hB) C(s) e(hB^T)``.
 
 The propagator also keeps the factored `Gramian` of each cached horizon
@@ -112,8 +112,9 @@ class Propagator:
     top-left block), ``e^(sB)`` (its bottom-right block, transposed) and the
     covariance.  The last 64 horizons are cached and their arrays returned
     read-only, and so are the last 64 factored covariances; both caches are
-    safe to share between threads.  A system's own propagator, with
-    ``Q = sigma sigma^T``, is ``system.propagator``.
+    safe to share between threads.  A uniform grid ``h, 2h, ..., nh``
+    (`gramians`) costs the one exponential at ``h``.  A system's own
+    propagator, with ``Q = sigma sigma^T``, is ``system.propagator``.
     """
 
     def __init__(self, B, Q):
@@ -174,36 +175,22 @@ class Propagator:
         """
         return self._factor(float(s))
 
-    def gramians(self, s_grid):
-        """``C(s)`` at every horizon of a grid, as an ``(n, d, d)`` array.
+    def gramians(self, h, n):
+        """``C(kh)`` for ``k = 1, ..., n``, as an ``(n, d, d)`` array.
 
-        Walks the sorted distinct horizons with the semigroup identity
-        ``C(s + h) = C(h) + e^(hB) C(s) e^(hB^T)``, so the grid costs one
-        exponential per distinct step between consecutive horizons.  A
-        uniform grid ``h, 2h, ..., nh`` unrolls the walk into the batched sum
-        ``C(kh) = sum_(i<k) e^(ihB) C(h) e^(ihB^T)``.
+        One exponential at ``h``: the powers ``e^(ihB)`` come by doubling and
+        ``C(kh) = sum_(i<k) e^(ihB) C(h) e^(ihB^T)`` by a cumulative sum.
         """
-        knots, where = np.unique(np.asarray(s_grid, dtype=float), return_inverse=True)
-        steps, step_of = np.unique(np.diff(knots, prepend=0.0), return_inverse=True)
-        pieces = [self.at(h)[1:] for h in steps]
-        d = self._M.shape[0] // 2
-        n = len(knots)
+        _, E, C_h = self.at(h)
+        d = len(E)
         out = np.empty((n, d, d))
-        if len(steps) == 1:
-            E, C_h = pieces[0]
-            out[0] = np.eye(d)
-            k = 1
-            while k < n:  # powers e^(ihB) by doubling
-                m = min(k, n - k)
-                out[k : k + m] = out[:m] @ (out[k - 1] @ E)
-                k += m
-            return np.cumsum(out @ C_h @ out.swapaxes(1, 2), axis=0)[where]
-        C = np.zeros((d, d))
-        for k, j in enumerate(step_of):
-            E, C_h = pieces[j]
-            C = C_h + E @ C @ E.T
-            out[k] = C
-        return out[where]
+        out[0] = np.eye(d)
+        k = 1
+        while k < n:  # powers e^(ihB) by doubling
+            m = min(k, n - k)
+            out[k : k + m] = out[:m] @ (out[k - 1] @ E)
+            k += m
+        return np.cumsum(out @ C_h @ out.swapaxes(1, 2), axis=0)
 
 
 def input_response(system, s):
@@ -354,8 +341,8 @@ def gramian_weighted(system, lam, t, T):
         weights = [lam(t, None), lam(T, None)] + [lam.base - abs(lam.amplitude)] * bool(passes)
     else:
         edges, weights = _stretches(lam, t, T)
-        Cs = system.propagator.gramians(T - edges[:-1])
-        C = np.einsum("k,kij->ij", weights, Cs - np.concatenate((Cs[1:], np.zeros_like(Cs[:1]))))
+        Cs = [system.propagator.gramian(T - e) for e in edges[:-1]] + [0.0]
+        C = sum(w * (C_e - C_next) for w, C_e, C_next in zip(weights, Cs, Cs[1:]))
     if not all(w > 0 and np.isfinite(w) for w in weights):
         low = np.min(weights)
         raise GramianError(f"weight must be positive and finite on [{t}, {T}], least {low}")

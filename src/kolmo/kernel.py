@@ -76,12 +76,9 @@ class GaussianKernel:
         """Diffusion strength at time ``t``; a matrix strength raises `CoefficientError`."""
         return strength_at(self.lam, t)
 
-    def flow(self, dt):
-        return self.system.propagator.flow(dt)
-
     def mean(self, t, x, T):
         """``e^((T-t)B) x + J(T-t) drift``, ``J`` the input response of `input_response`."""
-        mean = self.flow(T - t) @ np.asarray(x, dtype=float)
+        mean = self.system.propagator.flow(T - t) @ np.asarray(x, dtype=float)
         if np.any(self.drift):
             mean = mean + input_response(self.system, T - t)[1] @ self.drift
         return mean
@@ -115,13 +112,14 @@ def chapman_kolmogorov_residual(kernel, t, s, T):
     """
     if not t < s < T:
         raise ValueError(f"need t < s < T, got t={t}, s={s}, T={T}")
-    F = kernel.flow(T - s)
+    flow = kernel.system.propagator.flow
+    F = flow(T - s)
     C = kernel.covariance(t, T).C
     composed = F @ kernel.covariance(t, s).C @ F.T + kernel.covariance(s, T).C
-    E = kernel.flow(T - t)
+    E = flow(T - t)
     return max(
         float(np.abs(composed - C).max() / np.abs(C).max()),
-        float(np.abs(F @ kernel.flow(s - t) - E).max() / np.abs(E).max()),
+        float(np.abs(F @ flow(s - t) - E).max() / np.abs(E).max()),
     )
 
 

@@ -99,10 +99,6 @@ class SimConfig:
             raise ValueError("need n_paths >= 1 and n_steps >= 1")
 
 
-def _is_zero_scalar(f):
-    return f is None or (isinstance(f, fields.ConstantField) and f.value == 0.0)
-
-
 def _chunk_generator(seed, chunk_index):
     # Each chunk owns counter block [0, 0, chunk, 0]: streams never overlap.
     bg = np.random.Philox(key=int(seed) & ((1 << 64) - 1), counter=[0, 0, chunk_index, 0])
@@ -179,7 +175,7 @@ def summarize_paths(spec, t, x, T, config, y=None, bandwidth=0.2):
         y = np.asarray(y, dtype=float)
         if y.shape != (d,):
             raise ValueError(f"need a ({d},) target, got {y.shape}")
-        if bandwidth <= 0:
+        if not bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         scale = dilation_scales(spec.structure, (T - t) ** -0.5)
     n = config.n_paths
@@ -226,7 +222,7 @@ def _chunk_runner(spec, t, x, T, config):
         a < b for a, b in zip([t, *horizons], horizons)
     ):
         raise ValueError(f"need increasing end times T > t, got t={t}, T={T}")
-    if not _is_zero_scalar(spec.c):
+    if not fields.is_zero(spec.c):
         raise ValueError("simulation requires a vanishing zeroth-order coefficient")
     d = spec.system.d
     x = np.asarray(x, dtype=float)
@@ -465,7 +461,7 @@ def estimate_density(endpoints, y, h, structure, horizon):
     endpoints = np.asarray(endpoints, dtype=float)
     if endpoints.ndim != 2 or endpoints.shape[0] == 0:
         raise ValueError("need a nonempty (n, d) endpoint matrix")
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     n, d = endpoints.shape
     y = np.asarray(y, dtype=float)
@@ -529,7 +525,7 @@ def _box_hits(columns, y, scale, h):
 
 def mass_concentration(endpoints, flow_point, R, structure, horizon):
     """Fraction of endpoints in the dilated ball of radius ``R`` at the flow image."""
-    if R <= 0:
+    if not R > 0:
         raise ValueError(f"radius must be positive, got {R}")
     endpoints = np.asarray(endpoints, dtype=float)
     scale = dilation_scales(structure, horizon**-0.5)
@@ -635,7 +631,7 @@ def verify_bounds(
     g_plus = np.exp(log_g_plus)
 
     law = None
-    if _is_zero_scalar(spec.c) and spec.a_low.is_zero() and spec.b_low.is_zero():
+    if all(map(fields.is_zero, (spec.c, spec.a_low, spec.b_low))):
         law = _exact_law(spec)
     # The on-diagonal fit reads G(t, x; s, .) at the flow image e^((s-t)B) x,
     # for end times s a quarter, a half and all of the way to T.

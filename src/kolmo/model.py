@@ -326,10 +326,10 @@ class OperatorSpec:
     M_bound: float
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise CoefficientError(f"ellipticity constant must be positive, got {self.mu}")
-        if self.M_bound < 0:
-            raise CoefficientError(f"coefficient bound must be >= 0, got {self.M_bound}")
+        if not 0 < self.mu < math.inf:
+            raise CoefficientError(f"ellipticity constant must be finite and > 0, got {self.mu}")
+        if not 0 <= self.M_bound < math.inf:
+            raise CoefficientError(f"coefficient bound must be finite, >= 0, got {self.M_bound}")
         d = self.system.d
         for name, field in _scalar_fields(self):
             axis, wave = getattr(field, "axis", "time"), getattr(field, "wave", range(d))

@@ -209,10 +209,11 @@ def chapman_kolmogorov_quadrature(kernel, t, x, T, y, s):
         raise ValueError(f"need t < s < T, got t={t}, s={s}, T={T}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    Z, W = _dilated_box(kernel.system, kernel.flow(s - t) @ x, np.sqrt(s - t))
+    flow = kernel.system.propagator.flow
+    Z, W = _dilated_box(kernel.system, flow(s - t) @ x, np.sqrt(s - t))
     f1 = np.exp(kernel.log_batch(t, x, s, Z))
     # The second factor at one target from every node as a source.
-    f2 = np.exp(log_density(kernel.covariance(s, T), y[None, :] - Z @ kernel.flow(T - s).T))
+    f2 = np.exp(log_density(kernel.covariance(s, T), y[None, :] - Z @ flow(T - s).T))
     integral = float(np.sum(W * f1 * f2))
     ref = float(np.exp(kernel.log_batch(t, x, T, y[None, :])[0]))
     return abs(integral - ref) / ref
@@ -221,7 +222,7 @@ def chapman_kolmogorov_quadrature(kernel, t, x, T, y, s):
 def normalization_residual(kernel, t, x, T):
     """``|int G(t,x;T,y) dy - 1|`` by quadrature: a test oracle (d <= 2)."""
     x = np.asarray(x, dtype=float)
-    Z, W = _dilated_box(kernel.system, kernel.flow(T - t) @ x, np.sqrt(T - t))
+    Z, W = _dilated_box(kernel.system, kernel.system.propagator.flow(T - t) @ x, np.sqrt(T - t))
     return abs(float(np.sum(W * np.exp(kernel.log_batch(t, x, T, Z)))) - 1.0)
 
 
@@ -232,7 +233,7 @@ def cauchy_solution(kernel, phi, t, x, T):
     the terminal-value problem.
     """
     x = np.asarray(x, dtype=float)
-    Z, W = _dilated_box(kernel.system, kernel.flow(T - t) @ x, np.sqrt(T - t))
+    Z, W = _dilated_box(kernel.system, kernel.system.propagator.flow(T - t) @ x, np.sqrt(T - t))
     vals = np.array([phi(z) for z in Z], dtype=float)
     return float(np.sum(W * np.exp(kernel.log_batch(t, x, T, Z)) * vals))
 

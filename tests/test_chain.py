@@ -57,6 +57,9 @@ class TestHarnackConfig:
             heat_config(C_harnack=0.5)
         with pytest.raises(ValueError):
             heat_config(beta=1.0)
+        for name, shown in (("C_harnack", "C"), ("kappa", "kappa")):
+            with pytest.raises(ValueError, match=f"need {shown}"):
+                heat_config(**{name: math.nan})
 
 
 class TestBuildChainDeterministic:
@@ -327,3 +330,13 @@ class TestExponentialCount:
     def test_langevin_chain_per_step(self, langevin, index, expm_calls):
         problem, cfg = overshoot_chain(langevin, index)
         self.assert_one_exponential_per_step(problem, cfg, expm_calls)
+
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "deep221"])
+    def test_one_step_chain_takes_only_the_steering_exponential(self, name, request, expm_calls):
+        system = request.getfixturevalue(name)
+        problem = ControlProblem(system, 0.0, 0.4, np.zeros(system.d), np.full(system.d, 1e-3))
+        expm_calls.clear()
+        chain = build_chain(problem, heat_config())
+        assert expm_calls == [1]
+        assert chain.J == 1 and chain.steps[0].clause == "terminal"
+        assert chain.steps[0].cost == pytest.approx(chain.V, rel=1e-12)

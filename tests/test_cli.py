@@ -156,6 +156,19 @@ class TestLoadModel:
         assert main(["validate", "--model", path]) == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("mu", "NaN"), ("M", "NaN"), ("mu", "Infinity")])
+    @pytest.mark.parametrize("subcommand", ["validate", "kernel"])
+    def test_non_finite_declared_constant_rejected(self, tmp_path, capsys, key, value, subcommand):
+        text = json.dumps({**heat_cfg(), key: 1.0}).replace("1.0", value)
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        argv = [subcommand, "--model", str(path)]
+        if subcommand == "kernel":
+            argv += ["--from", "0,0", "--to", "1,0", "--out", str(tmp_path / "k")]
+        assert main(argv) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
     def test_undeclared_ellipticity_rejected(self, tmp_path, capsys):
         cfg = langevin_config()
         cfg["mu"] = 1.0  # a = I/2 needs mu >= 2
@@ -234,6 +247,14 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["kalman_rank"] == 2
         assert sorted(os.listdir(tmp_path)) == before  # no --out: printed, not written
+
+    def test_validate_prints_only_strict_json(self, langevin_model_path, monkeypatch, capsys):
+        # A NaN constant passes the loader's comparisons; the summary check stops it.
+        monkeypatch.setattr(cli, "ellipticity_check", lambda spec: (float("nan"), 1.0))
+        assert main(["validate", "--model", langevin_model_path]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite value nan for key 'mu_sampled'" in captured.err
 
     def test_gramian_csv(self, langevin_model_path, tmp_path):
         out = str(tmp_path / "g")

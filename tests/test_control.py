@@ -257,6 +257,9 @@ class TestConeMembership:
     def test_invalid_cone(self):
         with pytest.raises(ValueError):
             ConeSpec(1.5, 0.25, 1.0, SpaceTimePoint(0.0, [0.0]))
+        for r, R in ((np.nan, 1.0), (0.25, np.nan)):
+            with pytest.raises(ValueError, match="radii"):
+                ConeSpec(0.5, r, R, SpaceTimePoint(0.0, [0.0]))
 
 
 class TestCostScaling:

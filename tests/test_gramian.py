@@ -109,28 +109,16 @@ class TestPropagator:
         )
 
     @pytest.mark.parametrize("name", ["langevin", "kinetic21", "deep221", "starful"])
-    @pytest.mark.parametrize("uniform", [True, False])
-    def test_grid_matches_per_point(self, name, uniform, request):
+    def test_grid_matches_per_point(self, name, request, expm_calls):
         system = request.getfixturevalue(name)
-        rng = np.random.default_rng(11)
-        if uniform:
-            grid = np.concatenate([np.arange(1, 301) / 256.0, [0.5]])
-        else:
-            grid = np.concatenate([rng.uniform(0.01, 1.0, 40), [0.5, 0.5, 1.0]])
-        rng.shuffle(grid)
         sig = sigma_matrix(system.structure)
         fresh = Propagator(system.B, sig @ sig.T)
-        stacked = fresh.gramians(grid)
-        for s, C in zip(grid, stacked):
-            ref = system.propagator.gramian(s)
-            assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    def test_grid_costs_one_exponential_per_distinct_step(self, langevin, expm_calls):
-        langevin.propagator.gramians([0.75, 0.25, 0.5, 1.0, 0.25])
+        stacked = fresh.gramians(1 / 256, 300)
         assert expm_calls[0] == 1
-        # Steps 0.125, 0.25, 0.125, 0.125: only 0.125 is new.
-        langevin.propagator.gramians([0.625, 0.125, 0.375, 0.5])
-        assert expm_calls[0] == 2
+        assert stacked.shape == (300, system.d, system.d)
+        for k, C in enumerate(stacked, start=1):
+            ref = system.propagator.gramian(k / 256)
+            assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
     def test_batched_flows_are_flow_bit_for_bit(self, name, request, expm_calls):

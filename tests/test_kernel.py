@@ -225,13 +225,13 @@ class TestLogKernel:
         ]
         for (t, x), (T, y) in cases:
             lg = k.log_batch(t, x, T, [y])[0]
-            law = multivariate_normal(k.flow(T - t) @ x, k.covariance(t, T).C)
+            law = multivariate_normal(k.system.propagator.flow(T - t) @ x, k.covariance(t, T).C)
             assert np.isclose(lg, law.logpdf(y), atol=1e-10)
 
     def test_on_flow_is_normalization_only(self, langevin):
         k = GaussianKernel(langevin, 1.0)
         x = np.array([0.4, -0.2])
-        y = k.flow(1.0) @ x
+        y = k.system.propagator.flow(1.0) @ x
         cov = k.covariance(0.0, 1.0)
         expected = -0.5 * (2 * np.log(2 * np.pi) + cov.logdet)
         assert np.isclose(k.log_batch(0.0, x, 1.0, [y])[0], expected, rtol=1e-12)

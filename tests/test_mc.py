@@ -566,8 +566,9 @@ class TestSummarizePaths:
             summarize_paths(spec, 0.0, x, 0.0, SimConfig(10, 1, seed=1))
         with pytest.raises(ValueError, match="target"):
             summarize_paths(spec, 0.0, x, 1.0, SimConfig(10, 1, seed=1), y=[0.0])
-        with pytest.raises(ValueError, match="bandwidth"):
-            summarize_paths(spec, 0.0, x, 1.0, SimConfig(10, 1, seed=1), y=x, bandwidth=0.0)
+        for h in (0.0, np.nan):
+            with pytest.raises(ValueError, match="bandwidth"):
+                summarize_paths(spec, 0.0, x, 1.0, SimConfig(10, 1, seed=1), y=x, bandwidth=h)
 
 
 def full_scan_hits(endpoints, y, h, structure, horizon):
@@ -623,8 +624,9 @@ class TestEstimateDensity:
     def test_input_validation(self, heat1d):
         with pytest.raises(ValueError):
             estimate_density(np.empty((0, 1)), [0.0], 0.1, heat1d.structure, 1.0)
-        with pytest.raises(ValueError):
-            estimate_density(np.zeros((5, 1)), [0.0], 0.0, heat1d.structure, 1.0)
+        for h in (0.0, np.nan):
+            with pytest.raises(ValueError, match="bandwidth"):
+                estimate_density(np.zeros((5, 1)), [0.0], h, heat1d.structure, 1.0)
 
     @pytest.mark.parametrize("horizon", [1.0, 0.25, 0.37])
     @pytest.mark.parametrize("name", FIXTURES)
@@ -751,8 +753,9 @@ class TestMassConcentration:
         assert np.isclose(val, erf(3.0 / np.sqrt(2.0)), rtol=1e-8)
 
     def test_invalid_radius(self, heat1d):
-        with pytest.raises(ValueError):
-            mass_concentration(np.zeros((5, 1)), [0.0], 0.0, heat1d.structure, 1.0)
+        for R in (0.0, np.nan):
+            with pytest.raises(ValueError, match="radius"):
+                mass_concentration(np.zeros((5, 1)), [0.0], R, heat1d.structure, 1.0)
 
 
 class TestVerifyBounds:

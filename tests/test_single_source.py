@@ -274,3 +274,9 @@ def test_one_gaussian_law():
         ("control.py", "discrete_least_norm_control"),
     }
     assert "mc.py" not in {module for module, _ in _call_sites("gramian_weighted")}
+
+
+def test_uniform_gramian_grid_only_for_kappa():
+    # Every other C(s) is read from the propagator's cached exponential at s;
+    # the batched uniform grid serves only the kappa estimate's 1024 horizons.
+    assert _call_sites("gramians") == {("control.py", "kappa_estimate")}
