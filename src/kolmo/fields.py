@@ -3,8 +3,11 @@
 Coefficients are supplied as a closed enumeration of serializable forms —
 constant, time-sinusoid, space-sinusoid, and tabulated with nearest-point
 lookup — rather than arbitrary measurable functions, which cannot round-trip
-through a config file.  Every field is evaluated pointwise at ``(t, x)``, and
-each kind gives the exact range of its values over all ``(t, x)``.
+through a config file.  Every field is evaluated at ``(t, x)`` at one state
+or at rows: ``x`` is a state ``(d,)``, rows ``(n, d)`` or, for a field of time
+only, None.  A field of space gives each row its value at that row alone, bit
+for bit; one of time gives one number, which broadcasts.  Each kind gives the
+exact range of its values over all ``(t, x)``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ __all__ = [
     "IsotropicMatrixField",
     "ConstantMatrixField",
     "VectorField",
-    "batch_scalar",
-    "batch_value_and_gradient",
     "json_value",
     "scalar_field_from_config",
     "scalar_field_to_config",
@@ -80,10 +81,31 @@ class SpaceSinusoidField:
 
     space_dependent = True
 
+    def _arg(self, x):
+        """``2 pi <wave, x> + phase``, the inner product summed coordinate by coordinate.
+
+        Unlike a matrix product, whose rounding depends on the layout and the
+        row count, this gives each row its value alone.
+        """
+        x = np.asarray(x, dtype=float)
+        inner = x[..., 0] * self.wave[0]
+        for i in range(1, len(self.wave)):
+            inner = inner + x[..., i] * self.wave[i]
+        return 2.0 * np.pi * inner + self.phase
+
     def __call__(self, t, x):
-        k = np.asarray(self.wave, dtype=float)
-        return self.base + self.amplitude * np.sin(
-            2.0 * np.pi * float(k @ np.asarray(x, dtype=float)) + self.phase
+        return self.base + self.amplitude * np.sin(self._arg(x))
+
+    def value_and_gradient(self, X, m):
+        """The values at rows ``X``, bit for bit ``self(t, X)``, and the gradient ``(m, n)``.
+
+        The gradient runs over the leading ``m`` coordinates, one row each; the
+        phase is computed once for both.
+        """
+        arg = self._arg(X)
+        k = np.asarray(self.wave[:m], dtype=float)
+        return self.base + self.amplitude * np.sin(arg), np.multiply.outer(
+            k, self.amplitude * 2.0 * np.pi * np.cos(arg)
         )
 
     def value_range(self):
@@ -130,9 +152,10 @@ class TabulatedField:
         return self.axis != "time"
 
     def __call__(self, t, x):
-        coord = t if self.axis == "time" else np.asarray(x, dtype=float)[self.axis]
+        coord = t if self.axis == "time" else np.asarray(x, dtype=float)[..., self.axis]
         pts = np.asarray(self.points, dtype=float)
-        return float(np.asarray(self.values, dtype=float)[np.argmin(np.abs(pts - coord))])
+        nearest = np.argmin(np.abs(pts - np.asarray(coord)[..., None]), axis=-1)
+        return np.asarray(self.values, dtype=float)[nearest]
 
     def value_range(self):
         """The first value at each distinct point: ``argmin`` never returns a later duplicate."""
@@ -191,55 +214,13 @@ class VectorField:
 
     components: tuple
 
-    @property
-    def space_dependent(self):
-        return any(c.space_dependent for c in self.components)
-
-    def __call__(self, t, x):
-        return np.array([c(t, x) for c in self.components], dtype=float)
 
 
 def is_zero(field):
-    """Whether a coefficient vanishes: None, a zero `ConstantField` or a `VectorField` of them."""
+    """Whether a coefficient vanishes: a zero `ConstantField` or a `VectorField` of them."""
     if isinstance(field, VectorField):
         return all(map(is_zero, field.components))
-    return field is None or (isinstance(field, ConstantField) and field.value == 0.0)
-
-
-def batch_scalar(field, t, X):
-    """Evaluate a scalar field at one time and many states, vectorized where possible."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(field, ConstantField):
-        return np.full(len(X), field.value)
-    if isinstance(field, TimeSinusoidField):
-        return np.full(len(X), float(field(t, None)))
-    if isinstance(field, SpaceSinusoidField):
-        k = np.asarray(field.wave, dtype=float)
-        return field.base + field.amplitude * np.sin(2.0 * np.pi * (X @ k) + field.phase)
-    if isinstance(field, TabulatedField):
-        if field.axis == "time":
-            return np.full(len(X), float(field(t, np.zeros(X.shape[1]))))
-        pts = np.asarray(field.points, dtype=float)
-        vals = np.asarray(field.values, dtype=float)
-        idx = np.argmin(np.abs(pts[None, :] - X[:, field.axis][:, None]), axis=1)
-        return vals[idx]
-    raise CoefficientError(f"no batch evaluation for {type(field).__name__}")
-
-
-def batch_value_and_gradient(field, X, m):
-    """A space-sinusoid field and its gradient in the leading ``m`` coordinates, at many states.
-
-    The phase ``2 pi <wave, x> + phase`` is computed once for both; the
-    values are `batch_scalar`'s float expression.  The gradient is ``(m, n)``
-    for ``n`` states, one row per coordinate.
-    """
-    if not isinstance(field, SpaceSinusoidField):
-        raise CoefficientError(f"no space gradient for {type(field).__name__}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    k = np.asarray(field.wave, dtype=float)
-    arg = 2.0 * np.pi * (X @ k) + field.phase
-    value = field.base + field.amplitude * np.sin(arg)
-    return value, np.multiply.outer(k[:m], field.amplitude * 2.0 * np.pi * np.cos(arg))
+    return isinstance(field, ConstantField) and field.value == 0.0
 
 
 _SCALAR_KINDS = {

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import expm, solve_triangular
 
 from .exceptions import CoefficientError, GramianError
-from .fields import ConstantField, TabulatedField, TimeSinusoidField
+from .fields import _SCALAR_KINDS, ConstantField, TabulatedField, TimeSinusoidField
 from .model import (
     dilation_matrix,
     homogeneous_system,
@@ -52,8 +52,6 @@ __all__ = [
     "gramian_weighted",
     "gramian_homogeneous",
     "input_response",
-    "is_time_field",
-    "strength_at",
     "quadratic_form",
     "log_density",
     "equivalence_constants",
@@ -259,32 +257,19 @@ def gramian(system, t):
     return g
 
 
-def is_time_field(lam):
-    """Whether a diffusion strength is a scalar coefficient field of ``(t, x)``.
+def _time_strength(lam):
+    """A diffusion strength as a scalar field of time only: a number becomes a `ConstantField`.
 
-    Such a field is read at ``x = None``, so it must not depend on space: a
-    field that does raises `CoefficientError` naming it.  A number gives
-    False.
+    Anything but a number or a constant, time-sinusoid or time-axis table
+    raises `CoefficientError` naming its type.
     """
-    if not hasattr(lam, "space_dependent"):
-        return False
-    if lam.space_dependent:
-        raise CoefficientError(f"diffusion strength must depend on time only, got {lam!r}")
-    return True
-
-
-def strength_at(lam, s):
-    """A diffusion strength at time ``s``.
-
-    ``lam`` is a number or a scalar coefficient field of ``(t, x)`` that
-    depends on time only (see `is_time_field`); anything else raises
-    `CoefficientError` naming its type.
-    """
-    if is_time_field(lam):
-        return float(lam(s, None))
     if isinstance(lam, numbers.Real):
-        return float(lam)
-    raise CoefficientError(f"unsupported diffusion strength of type {type(lam).__name__}")
+        return ConstantField(float(lam))
+    if type(lam) in _SCALAR_KINDS.values() and not lam.space_dependent:
+        return lam
+    raise CoefficientError(
+        f"diffusion strength must be a number or a field of time only, got {type(lam).__name__}"
+    )
 
 
 def _stretches(lam, t, T):
@@ -293,16 +278,13 @@ def _stretches(lam, t, T):
     A time table splits where its nearest point changes; each value is read
     at its stretch's midpoint.
     """
-    if isinstance(lam, TabulatedField) and is_time_field(lam):
+    if isinstance(lam, TabulatedField):
         pts = np.unique(np.asarray(lam.points, dtype=float))
         mids = 0.5 * (pts[1:] + pts[:-1])
         edges = np.concatenate(([t], mids[(mids > t) & (mids < T)], [T]))
-    elif isinstance(lam, (ConstantField, numbers.Real)):
-        edges = np.array([t, T], dtype=float)
     else:
-        is_time_field(lam)  # a field that depends on space is named as such
-        raise CoefficientError(f"no closed form for a strength of type {type(lam).__name__}")
-    return edges, [strength_at(lam, s) for s in 0.5 * (edges[1:] + edges[:-1])]
+        edges = np.array([t, T], dtype=float)
+    return edges, [float(lam(s, None)) for s in 0.5 * (edges[1:] + edges[:-1])]
 
 
 def gramian_weighted(system, lam, t, T):
@@ -320,13 +302,14 @@ def gramian_weighted(system, lam, t, T):
     Raises
     ------
     ValueError
-        If ``T <= t``.
+        Unless ``T > t`` (a NaN end included).
     CoefficientError
         If ``lam`` is a field that depends on space, or of any other type.
     GramianError
         If the weight is not positive and finite everywhere on ``[t, T]``.
     """
-    if T <= t:
+    lam = _time_strength(lam)
+    if not T > t:
         raise ValueError(f"need T > t, got t={t}, T={T}")
     if isinstance(lam, TimeSinusoidField):
         omega = 2.0 * np.pi * lam.frequency
@@ -420,7 +403,7 @@ def equivalence_constants(system, tau_grid):
     tau_grid = tuple(float(v) for v in tau_grid)
     if len(tau_grid) == 0:
         raise ValueError("tau grid must be nonempty")
-    if any(v <= 0 or v > 1 for v in tau_grid):
+    if not all(0 < v <= 1 for v in tau_grid):
         raise ValueError("tau grid must lie in (0, 1]")
     h_prop = homogeneous_system(system).propagator
     det_ratio = []

@@ -11,17 +11,18 @@ tails never overflow.
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
 
+from .exceptions import CoefficientError
 from .gramian import (
+    _time_strength,
     gramian_weighted,
     input_response,
-    is_time_field,
     log_density,
     quadratic_form,
-    strength_at,
 )
 from .model import dilation_scales, homogeneous_dimension
 
@@ -43,12 +44,13 @@ class GaussianKernel:
         Drift system; covariance construction raises `GramianError` at a
         horizon where the covariance is too badly conditioned to factor.
     lam : float, scalar field or (m0, m0) array_like
-        Diffusion strength: a positive, finite number (covariance
-        ``lam * C(T-t)``); a constant, time-sinusoid or time-tabulated scalar
-        field (the exact time-weighted covariance); or a matrix (the noise
-        ``sigma lam sigma^T``).  A strength that is not positive somewhere on
-        ``[t, T]`` raises `GramianError` there; a field that depends on
-        space, or a strength of any other type, raises `CoefficientError`.
+        Diffusion strength: a positive, finite number, kept as a
+        `ConstantField` (covariance ``lam * C(T-t)``); a constant,
+        time-sinusoid or time-tabulated scalar field (the exact time-weighted
+        covariance); or a matrix (the noise ``sigma lam sigma^T``).  A
+        strength that is not positive somewhere on ``[t, T]`` raises
+        `GramianError` there; a field that depends on space, or a strength of
+        any other type, raises `CoefficientError`.
     drift : (m0,) array_like, optional
         A constant input on the diffusion block, which shifts the `mean`.
 
@@ -60,12 +62,12 @@ class GaussianKernel:
     def __init__(self, system, lam=1.0, drift=None):
         m0 = system.m0
         self.system = system
-        self.lam = np.asarray(lam, dtype=float) if np.ndim(lam) == 2 else lam
+        if isinstance(lam, numbers.Real) and not 0 < lam < np.inf:
+            raise ValueError(f"diffusion strength must be positive and finite, got {lam}")
+        self.lam = np.asarray(lam, dtype=float) if np.ndim(lam) else _time_strength(lam)
         self.drift = np.zeros(m0) if drift is None else np.asarray(drift, dtype=float)
         if np.shape(self.lam) not in ((), (m0, m0)) or self.drift.shape != (m0,):
             raise ValueError(f"need an ({m0}, {m0}) strength and an ({m0},) drift")
-        if np.ndim(lam) == 0 and not is_time_field(lam) and not 0 < strength_at(lam, 0.0) < np.inf:
-            raise ValueError(f"diffusion strength must be positive and finite, got {lam}")
         self._covariance = lru_cache(maxsize=32)(self._build_covariance)
 
     @property
@@ -74,7 +76,9 @@ class GaussianKernel:
 
     def lambda_at(self, t):
         """Diffusion strength at time ``t``; a matrix strength raises `CoefficientError`."""
-        return strength_at(self.lam, t)
+        if np.ndim(self.lam) == 2:
+            raise CoefficientError(f"no scalar strength for a {type(self.lam).__name__} strength")
+        return float(self.lam(t, None))
 
     def mean(self, t, x, T):
         """``e^((T-t)B) x + J(T-t) drift``, ``J`` the input response of `input_response`."""

@@ -367,17 +367,13 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
     system = spec.system
     m0 = system.m0
     a_field = spec.a
+    # Only an isotropic coefficient can depend on space.
     space_dep = a_field.space_dependent
-    if space_dep:
-        if isinstance(getattr(a_field, "scalar", None), fields.TabulatedField):
-            raise CoefficientError(
-                "tabulated space-dependent diffusion is piecewise constant; "
-                "the scheme has no convergence guarantees there"
-            )
-        if not isinstance(a_field, fields.IsotropicMatrixField):
-            raise CoefficientError(
-                "space-dependent diffusion must be an isotropic scalar field"
-            )
+    if space_dep and isinstance(a_field.scalar, fields.TabulatedField):
+        raise CoefficientError(
+            "tabulated space-dependent diffusion is piecewise constant; "
+            "the scheme has no convergence guarantees there"
+        )
 
     if isinstance(a_field, fields.ConstantMatrixField):
         propagator = system.diffusion_propagator(2.0 * a_field.matrix)
@@ -407,21 +403,19 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
             for j, (c_a, c_b) in enumerate(
                 zip(spec.a_low.components, spec.b_low.components, strict=True)
             ):
-                drift[j] = fields.batch_scalar(c_a, s_k, X.T)
-                drift[j] += fields.batch_scalar(c_b, s_k, X.T)
+                drift[j] = c_a(s_k, X.T)
+                drift[j] += c_b(s_k, X.T)
             if strength is not None:
                 if space_dep:
-                    alpha, grad = fields.batch_value_and_gradient(strength, X.T, m0)
+                    alpha, grad = strength.value_and_gradient(X.T, m0)
                     drift += grad
                 else:
-                    alpha = fields.batch_scalar(strength, s_k, X.T)
+                    alpha = strength(s_k, X.T)
                 if not np.all(alpha > 0):
                     raise CoefficientError(
                         f"diffusion strength not positive or not finite at s={s_k}"
                     )
-                alpha *= 2.0
-                np.sqrt(alpha, out=alpha)
-                noise *= alpha
+                noise *= np.sqrt(2.0 * alpha)
             np.matmul(A, X, out=X_next)
             np.matmul(J, drift, out=pushed)
             X_next += pushed

@@ -260,7 +260,7 @@ def homogeneous_dimension(structure):
 
 def dilation_matrix(structure, r):
     """Diagonal anisotropic dilation ``diag(r I_{m0}, r^3 I_{m1}, ...)``."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError(f"dilation parameter must be positive, got {r}")
     return np.diag(dilation_scales(structure, r))
 
@@ -290,7 +290,7 @@ def scaled_system(system, r):
     Block ``(i, j)`` is multiplied by ``r**(2(j - i + 1))``: subdiagonal
     blocks are untouched and the scaling is the identity at ``r = 1``.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError(f"scaling parameter must be positive, got {r}")
     jblk = system.structure.coordinate_blocks()
     powers = 2.0 * (jblk[None, :] - jblk[:, None] + 1)
@@ -315,6 +315,11 @@ class OperatorSpec:
     ``c`` the zeroth-order coefficient.  ``mu`` is the declared ellipticity
     constant (``mu**-1 |xi|^2 <= <a xi, xi> <= mu |xi|^2``) and ``M_bound``
     the declared sup-norm bound on the lower-order coefficients.
+
+    Unknown kinds are refused when the spec is built, and later code trusts
+    that: ``a`` must be an isotropic or a constant matrix field and every
+    scalar coefficient one of `kolmo.fields`' kinds, and a table axis or a
+    wave must fit the state; else `CoefficientError` names the coefficient.
     """
 
     system: SystemMatrix
@@ -330,8 +335,13 @@ class OperatorSpec:
             raise CoefficientError(f"ellipticity constant must be finite and > 0, got {self.mu}")
         if not 0 <= self.M_bound < math.inf:
             raise CoefficientError(f"coefficient bound must be finite, >= 0, got {self.M_bound}")
+        if not isinstance(self.a, (fields.IsotropicMatrixField, fields.ConstantMatrixField)):
+            raise CoefficientError(f"coefficient a: unknown field kind {type(self.a).__name__}")
         d = self.system.d
         for name, field in _scalar_fields(self):
+            if type(field) not in fields._SCALAR_KINDS.values():
+                kind = type(field).__name__
+                raise CoefficientError(f"coefficient {name}: unknown field kind {kind}")
             axis, wave = getattr(field, "axis", "time"), getattr(field, "wave", range(d))
             if not (axis == "time" or 0 <= axis < d) or len(wave) != d:
                 raise CoefficientError(f"coefficient {name}: {field} does not fit a {d}-d state")
@@ -357,13 +367,9 @@ def _scalar_fields(spec):
 def _range(name, field):
     """The exact ``(lo, hi)`` of coefficient ``name``: its values, or its eigenvalues for ``a``.
 
-    Raises `CoefficientError` naming the coefficient for a field of no known
-    kind or a range that is not finite.
+    A range that is not finite raises `CoefficientError` naming the coefficient.
     """
-    bounds = getattr(field, "eigenvalue_range" if name == "a" else "value_range", None)
-    if bounds is None:
-        raise CoefficientError(f"coefficient {name}: no range for {type(field).__name__}")
-    lo, hi = bounds()
+    lo, hi = field.eigenvalue_range() if name == "a" else field.value_range()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise CoefficientError(f"non-finite coefficient {name}")
     return float(lo), float(hi)
@@ -381,8 +387,7 @@ def ellipticity_check(spec):
     Raises
     ------
     CoefficientError
-        If the coefficient ``a`` is non-finite, nonsymmetric, not positive
-        definite, or of no known kind.
+        If the coefficient ``a`` is non-finite, nonsymmetric or not positive definite.
     """
     lo, hi = _range("a", spec.a)
     if not lo > 0:

@@ -326,8 +326,9 @@ class TestWeightedGramian:
         np.testing.assert_allclose(g.C, [[1.25]], rtol=1e-10)
 
     def test_empty_horizon_rejected(self, heat1d):
-        with pytest.raises(ValueError):
-            gramian_weighted(heat1d, 1.0, 1.0, 1.0)
+        for T in (1.0, 0.5, float("nan")):
+            with pytest.raises(ValueError, match="need T > t"):
+                gramian_weighted(heat1d, 1.0, 1.0, T)
 
     def test_nonpositive_weight_rejected(self, heat1d):
         with pytest.raises(GramianError):
@@ -547,5 +548,6 @@ class TestEquivalenceConstants:
             equivalence_constants(langevin, [])
 
     def test_out_of_range_tau_rejected(self, langevin):
-        with pytest.raises(ValueError):
-            equivalence_constants(langevin, [1.5])
+        for tau in (1.5, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="tau grid must lie"):
+                equivalence_constants(langevin, [tau])

@@ -5,7 +5,7 @@ from scipy.stats import multivariate_normal
 
 from kolmo import fields
 from kolmo.exceptions import CoefficientError, GramianError
-from kolmo.gramian import gramian, gramian_weighted, strength_at
+from kolmo.gramian import gramian, gramian_weighted
 from kolmo.kernel import (
     GaussianKernel,
     aronson_upper_form,
@@ -94,6 +94,14 @@ class TestTimeFieldStrength:
         np.testing.assert_array_equal(cov.C, ref.C)
         np.testing.assert_array_equal(cov.chol, ref.chol)
 
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_number_is_a_constant_field(self, name, request):
+        system = request.getfixturevalue(name)
+        by_number = GaussianKernel(system, 1.3).covariance(0.1, 0.7)
+        by_field = GaussianKernel(system, fields.ConstantField(1.3)).covariance(0.1, 0.7)
+        assert np.array_equal(by_number.C, by_field.C)
+        assert np.array_equal(by_number.chol, by_field.chol)
+
     @pytest.mark.parametrize("form", ["field", "table"])
     def test_heat_covariance_is_the_mean_strength(self, form, heat1d):
         # int_0^1 (1.25 + 0.75 sin(2 pi s)) ds = 1.25, as for the table.
@@ -133,8 +141,6 @@ class TestTimeFieldStrength:
     def test_space_field_rejected_up_front(self, field, heat1d):
         with pytest.raises(CoefficientError, match=type(field).__name__):
             GaussianKernel(heat1d, field)
-        with pytest.raises(CoefficientError, match=type(field).__name__):
-            strength_at(field, 0.5)
 
 
 class TestMatrixStrengthAndDrift:

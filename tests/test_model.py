@@ -120,8 +120,9 @@ class TestDilations:
             assert np.isclose(np.linalg.det(dilation_matrix(s, r)), r**Q, rtol=1e-12)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            dilation_matrix(BlockStructure((1, 1)), 0.0)
+        for r in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="must be positive"):
+                dilation_matrix(BlockStructure((1, 1)), r)
 
 
 class TestGroupOps:
@@ -192,6 +193,11 @@ class TestScaledSystem:
         out = scaled_system(starful, 2.0)
         validate_structure(out.B, out.structure.m)
 
+    def test_nonpositive_rejected(self, langevin):
+        for r in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="must be positive"):
+                scaled_system(langevin, r)
+
 
 class TestEllipticityCheck:
     def test_identity_coefficient(self, heat1d):
@@ -255,39 +261,49 @@ class TestEllipticityCheck:
         with pytest.raises(CoefficientError, match=r"coefficient b_low\[1\]"):
             coefficient_bounds(make_spec(kinetic21, b_low=low))
 
-    def test_unknown_field_type_named(self, langevin):
-        class Doubled:  # a field of no known kind
-            time_dependent = space_dependent = False
+    def test_unknown_field_type_named(self, kinetic21):
+        # A field of no known kind is refused when the spec is built, with
+        # the coefficient and the type named.
+        class Doubled:
+            space_dependent = False
 
             def __call__(self, t, x):
-                return 2.0 * np.eye(1)
+                return 2.0
 
-        with pytest.raises(CoefficientError, match="Doubled"):
-            ellipticity_check(make_spec(langevin, a=Doubled()))
-        with pytest.raises(CoefficientError, match="Doubled"):
-            fields.batch_scalar(Doubled(), 0.0, np.zeros((3, 2)))
-        with pytest.raises(CoefficientError, match="TimeSinusoidField"):
-            fields.batch_value_and_gradient(
-                fields.TimeSinusoidField(1.0, 0.5), np.zeros((3, 2)), 1
-            )
+            def value_range(self):
+                return 2.0, 2.0
+
+            eigenvalue_range = value_range
+
+        zero = fields.ConstantField(0.0)
+        cases = [
+            ("a", Doubled(), "a"),
+            ("a", fields.IsotropicMatrixField(Doubled(), 2), "a"),
+            ("a_low", fields.VectorField((zero, Doubled())), r"a_low\[1\]"),
+            ("b_low", fields.VectorField((Doubled(), zero)), r"b_low\[0\]"),
+            ("c", Doubled(), "c"),
+        ]
+        for coefficient, value, name in cases:
+            with pytest.raises(CoefficientError, match=f"coefficient {name}: .*Doubled"):
+                make_spec(kinetic21, **{coefficient: value})
 
 
 def brute_force_range(field, d, seed):
     """The least and largest value of a scalar field, found without its closed form.
 
-    ``batch_scalar`` at 100 times and 1,000 states drawn uniformly from
+    The field at 100 times and 1,000 state rows drawn uniformly from
     ``[-10, 10]``: 1e5 points ``(t, x)``.  The best sample of each sign is
     then polished by Nelder-Mead over ``(t, x)``.  Returns the sampled
     values and the two polished extremes.
     """
     rng = np.random.default_rng(seed)
     ts, X = rng.uniform(-10.0, 10.0, 100), rng.uniform(-10.0, 10.0, (1000, d))
-    values = np.array([fields.batch_scalar(field, t, X) for t in ts])
+    values = np.array([np.broadcast_to(field(t, X), len(X)) for t in ts])
     extremes = []
     for sign in (-1.0, 1.0):
         i, j = np.unravel_index(np.argmax(sign * values), values.shape)
         res = minimize(
-            lambda z: -sign * fields.batch_scalar(field, z[0], z[None, 1:])[0],
+            lambda z: -sign * float(field(z[0], z[1:])),
             np.concatenate([[ts[i]], X[j]]),
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 20000},
@@ -317,6 +333,30 @@ SCALAR_FIELDS = {
         (-0.5, 0.0, 0.0, 0.5), (0.7, 1.1, 9.0, -0.4), axis=2
     ),
 }
+
+
+class TestRowsAndStates:
+    """Each kind evaluates rows ``(n, d)`` bit for bit as it does each row alone."""
+
+    @pytest.mark.parametrize("kind", sorted(fields._SCALAR_KINDS))
+    def test_rows_are_single_states(self, kind):
+        examples = [f for f in SCALAR_FIELDS.values() if type(f) is fields._SCALAR_KINDS[kind]]
+        assert examples, f"no example of the kind {kind!r}"
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-10.0, 10.0, (200, 3))
+        for field in examples:
+            for t in rng.uniform(-10.0, 10.0, 5):
+                rows = np.broadcast_to(field(t, X), len(X))
+                # The runner's layout: a transposed view of coordinate-major states.
+                view = np.broadcast_to(field(t, np.ascontiguousarray(X.T).T), len(X))
+                single = np.array([field(t, x) for x in X])
+                assert rows.tobytes() == single.tobytes() == view.tobytes()
+                if not field.space_dependent:
+                    assert np.ndim(field(t, X)) == 0 and field(t, None) == field(t, X)
+
+    def test_tables_cover_both_axes(self):
+        axes = {f.axis for f in SCALAR_FIELDS.values() if isinstance(f, fields.TabulatedField)}
+        assert "time" in axes and axes - {"time"}
 
 
 class TestExactRanges:
@@ -395,16 +435,14 @@ class TestSpaceGradient:
     def test_gradient_is_central_difference(self, m):
         field = fields.SpaceSinusoidField(base=0.6, amplitude=0.3, wave=(0.7, -1.3, 0.4), phase=0.2)
         X = np.random.default_rng(3).uniform(-2.0, 2.0, (50, 3))
-        value, grad = fields.batch_value_and_gradient(field, X, m)
-        np.testing.assert_array_equal(value, fields.batch_scalar(field, 0.0, X))
+        value, grad = field.value_and_gradient(X, m)
+        np.testing.assert_array_equal(value, field(0.0, X))
         assert grad.shape == (m, 50)
         h = 1e-6
         for i in range(m):
             step = np.zeros(3)
             step[i] = h
-            diff = fields.batch_scalar(field, 0.0, X + step) - fields.batch_scalar(
-                field, 0.0, X - step
-            )
+            diff = field(0.0, X + step) - field(0.0, X - step)
             np.testing.assert_allclose(grad[i], diff / (2 * h), rtol=0, atol=1e-8)
 
 
