@@ -44,7 +44,7 @@ from .control import (
 from .exceptions import CoefficientError, KolmoError, SettingError, StructureError
 from .gramian import equivalence_constants, gramian, gramian_homogeneous
 from .kernel import GaussianKernel, aronson_upper_form, lower_bound_form
-from .mc import SimConfig, summarize_paths, verify_bounds
+from .mc import SimConfig, route, summarize_paths, verify_bounds
 from .model import (
     coefficient_bounds,
     dilation_scales,
@@ -352,6 +352,7 @@ def _grid_points(system, t, x, T, radius, n):
 
 
 def _cmd_validate(args, spec):
+    law, exact, refusal = route(spec)
     summary = {
         "blocks": list(spec.structure.m),
         "d": spec.system.d,
@@ -359,6 +360,11 @@ def _cmd_validate(args, spec):
         "mu_declared": spec.mu,
         # The exact constants, under the key that earlier versions filled from samples.
         "mu_sampled": list(ellipticity_check(spec)),
+        "route": {
+            "refusal": None if refusal is None else str(refusal),
+            "simulate": "refused" if refusal else "stepped" if law is None else "one-shot",
+            "verify_bounds": "refused" if refusal else "exact" if exact else "monte-carlo",
+        },
         "valid": True,
     }
     return summary, None

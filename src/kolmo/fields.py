@@ -288,8 +288,6 @@ def matrix_field_from_config(cfg, dim):
         raise CoefficientError("diffusion coefficient 'a' is required")
     if isinstance(cfg, dict) and cfg.get("kind") == "constant" and np.ndim(cfg["value"]) == 2:
         m = json_value(lambda v: np.array(v, dtype=float), cfg["value"], "value")
-        if m.shape != (dim, dim):
-            raise CoefficientError(f"'a' must be {dim}x{dim}, got {m.shape}")
         return ConstantMatrixField(m)
     return IsotropicMatrixField(scalar_field_from_config(cfg), dim)
 
@@ -311,8 +309,6 @@ def vector_field_from_config(cfg, dim):
         comps = tuple(ConstantField(json_value(float, v, "value")) for v in cfg["value"])
     else:
         comps = tuple(scalar_field_from_config(cfg) for _ in range(dim))
-    if len(comps) != dim:
-        raise CoefficientError(f"vector field needs {dim} components, got {len(comps)}")
     return VectorField(comps)
 
 

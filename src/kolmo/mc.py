@@ -4,20 +4,16 @@ The simulated diffusion matches the operator written in divergence form: the
 squared diffusion coefficient on the first ``m0`` coordinates is ``2 a`` (for
 a comparison operator with strength ``lambda``, ``a = (lambda/2) I`` gives the
 factor ``sqrt(lambda)``), and the drift picks up the divergence correction
-``sum_j d_j a_ij`` plus the first-order coefficients.  Paths take one of
-two routes:
+``sum_j d_j a_ij`` plus the first-order coefficients.  `route` decides,
+once per operator, which of two routes paths take, or that none does:
 
-- *One shot.*  Where the diffusion depends on time only and every
-  lower-order coefficient is a constant, the endpoint law is exactly
-  Gaussian, ``N(e^(tau B) x + J(tau) b, C_w)`` with ``C_w`` the time-weighted
-  covariance in closed form; each path draws its endpoint from ``d``
-  normals, and the step count is not used.
-- *Stepped.*  Elsewhere (space-dependent diffusion, lower-order
-  coefficients that vary), linear drift and additive noise are integrated
-  exactly within each step with coefficients frozen at the step start: the
-  noise of a step of length ``dt`` has covariance ``2 alpha C(dt)`` for an
-  isotropic coefficient ``a = alpha I``, from ``d`` normals per path.  The
-  scheme coincides with Euler-Maruyama at weak order one.
+- *One shot.*  Each path draws its endpoint from ``d`` normals of the
+  exactly Gaussian endpoint law, and the step count is not used.
+- *Stepped.*  Linear drift and additive noise are integrated exactly within
+  each step with coefficients frozen at the step start: the noise of a step
+  of length ``dt`` has covariance ``2 alpha C(dt)`` for an isotropic
+  coefficient ``a = alpha I``, from ``d`` normals per path.  The scheme
+  coincides with Euler-Maruyama at weak order one.
 
 One run serves several end times: one-shot paths reuse their normal draws
 at each, and stepped paths are copied out as they pass each, which the step
@@ -61,6 +57,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +68,7 @@ from .kernel import GaussianKernel
 from .model import dilation_scales, ellipticity_check, homogeneous_dimension
 
 __all__ = [
+    "route",
     "SimConfig",
     "DensityEstimate",
     "BoundReport",
@@ -108,16 +106,13 @@ def _chunk_generator(seed, chunk_index):
 def simulate_paths(spec, t, x, T, config):
     """Sample endpoint states of the operator's diffusion at time ``T``.
 
-    Where the endpoint law is exactly Gaussian (see `_exact_law`)
-    each path draws its endpoint in one shot and ``config.n_steps`` is not
-    used; elsewhere paths take ``config.n_steps`` frozen-coefficient steps
-    (see `_step_grid`).
+    `route` picks how: one shot, where ``config.n_steps`` is not used, or
+    ``config.n_steps`` frozen-coefficient steps (see `_step_grid`); an
+    operator it refuses raises its refusal.
 
     Parameters
     ----------
     spec : OperatorSpec
-        Operator with vanishing zeroth-order coefficient (a potential term
-        breaks the transition-density interpretation of the samples).
     t : float
         Start time.
     x : (d,) array_like
@@ -209,10 +204,9 @@ def summarize_paths(spec, t, x, T, config, y=None, bandwidth=0.2):
 def _chunk_runner(spec, t, x, T, config):
     """The end times and ``run_chunk(chunk_index, rows)`` of a simulation.
 
-    Checks that the end times increase from ``t``, that the zeroth-order
-    coefficient vanishes and that ``x`` has shape ``(d,)``, and picks the
-    route: one shot where every end time has an exact Gaussian law, stepped
-    elsewhere.  ``run_chunk`` fills the ``rows[i]`` view, ``(d, k)`` with
+    Checks that the end times increase from ``t``, that `route` does not
+    refuse the operator and that ``x`` has shape ``(d,)``, and runs the
+    route it picks.  ``run_chunk`` fills the ``rows[i]`` view, ``(d, k)`` with
     ``k <= 2**14``, with the first ``k`` paths of the chunk at end time
     ``i``, one row per coordinate; the same chunk index always gives the
     same paths.
@@ -222,14 +216,14 @@ def _chunk_runner(spec, t, x, T, config):
         a < b for a, b in zip([t, *horizons], horizons)
     ):
         raise ValueError(f"need increasing end times T > t, got t={t}, T={T}")
-    if not fields.is_zero(spec.c):
-        raise ValueError("simulation requires a vanishing zeroth-order coefficient")
+    law, _, refusal = route(spec)
+    if refusal is not None:
+        raise refusal
     d = spec.system.d
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"initial state must have shape ({d},), got {x.shape}")
 
-    law = _exact_law(spec)
     if law is None:
         return horizons, _stepped_chunk_runner(spec, t, x, horizons, config)
     try:
@@ -306,22 +300,40 @@ def _run_lanes(run_chunk, chunks, lanes):
         raise min(errors, key=lambda error: error[0])[1]
 
 
-def _exact_law(spec):
-    """The `GaussianKernel` of the endpoint law where it is exactly Gaussian, else None.
+class Route(NamedTuple):
+    """`route`'s decision: the one-shot law or None, whether it is exact, the refusal or None."""
 
-    It is where the diffusion does not depend on space and every lower-order
-    coefficient is a constant, summing to ``b``: the endpoint is then
+    law: object
+    exact: bool
+    refusal: Exception | None
+
+
+def route(spec):
+    """How `simulate_paths` and `verify_bounds` run the operator, decided once.
+
+    Refused: a zeroth-order coefficient that does not vanish (the samples
+    are then no transition density) and a space-axis table in the diffusion.
+    One shot where the diffusion does not depend on space and the
+    lower-order coefficients are constants, summing to ``b``: ``law`` is
     ``N(e^(tau B) x + J(tau) b, C_w)``, the kernel of strength ``2 a`` and
-    drift ``b``.  `simulate_paths` samples this law and the exact route of
-    `verify_bounds` reads its density.
+    drift ``b``, ``exact`` (read by `verify_bounds`) where ``a_low`` and
+    ``b_low`` are each zero, not merely their sum.  Stepped elsewhere.
     """
-    a = spec.a
+    a, refusal = spec.a, None
+    if not fields.is_zero(spec.c):
+        refusal = ValueError("simulation requires a vanishing zeroth-order coefficient")
+    elif a.space_dependent and isinstance(a.scalar, fields.TabulatedField):
+        refusal = CoefficientError(
+            "tabulated space-dependent diffusion is piecewise constant; "
+            "the scheme has no convergence guarantees there"
+        )
     low = spec.a_low.components + spec.b_low.components
-    if a.space_dependent or not all(isinstance(c, fields.ConstantField) for c in low):
-        return None
+    if refusal or a.space_dependent or not all(isinstance(c, fields.ConstantField) for c in low):
+        return Route(None, False, refusal)
     strength = 2.0 * a.matrix if isinstance(a, fields.ConstantMatrixField) else _doubled(a.scalar)
     b = np.add([c.value for c in spec.a_low.components], [c.value for c in spec.b_low.components])
-    return GaussianKernel(spec.system, strength, b)
+    exact = fields.is_zero(spec.a_low) and fields.is_zero(spec.b_low)
+    return Route(GaussianKernel(spec.system, strength, b), exact, None)
 
 
 def _step_grid(t, horizons, n_steps):
@@ -369,11 +381,6 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
     a_field = spec.a
     # Only an isotropic coefficient can depend on space.
     space_dep = a_field.space_dependent
-    if space_dep and isinstance(a_field.scalar, fields.TabulatedField):
-        raise CoefficientError(
-            "tabulated space-dependent diffusion is piecewise constant; "
-            "the scheme has no convergence guarantees there"
-        )
 
     if isinstance(a_field, fields.ConstantMatrixField):
         propagator = system.diffusion_propagator(2.0 * a_field.matrix)
@@ -394,15 +401,13 @@ def _stepped_chunk_runner(spec, t, x, horizons, config):
         X = np.tile(x[:, None], (1, _CHUNK))
         X_next, noise, pushed = (np.empty_like(X) for _ in range(3))
         Z = np.empty((_CHUNK, len(x)))
-        drift = np.empty((len(spec.a_low.components), _CHUNK))
+        drift = np.empty((m0, _CHUNK))
         for k, (s_k, dt) in enumerate(zip(step_times, step_lengths), start=1):
             A, J, L = step_ops[dt]
             rng.standard_normal(out=Z)
             np.matmul(L, Z.T, out=noise)
             # Divergence correction plus first-order coefficients, (m0, n).
-            for j, (c_a, c_b) in enumerate(
-                zip(spec.a_low.components, spec.b_low.components, strict=True)
-            ):
+            for j, (c_a, c_b) in enumerate(zip(spec.a_low.components, spec.b_low.components)):
                 drift[j] = c_a(s_k, X.T)
                 drift[j] += c_b(s_k, X.T)
             if strength is not None:
@@ -535,9 +540,8 @@ class BoundReport:
     ``C_plus`` the largest against the fast one, so the two-sided sandwich
     holds on the grid by construction whenever both are positive and finite.
     Monte Carlo estimates widen the ratios by three standard errors.
-    ``exact`` is true where the density is the exact Gaussian law of
-    `_exact_law` (diffusion that does not depend on space, no lower-order
-    terms).  ``diagonal_c`` holds ``G(t, x; t+h, e^(hB) x)
+    ``exact`` is true where the density is the exact Gaussian law, as
+    `route` decides.  ``diagonal_c`` holds ``G(t, x; t+h, e^(hB) x)
     h**(Q/2)`` at ``diagonal_horizons``, the density at the flow image, and
     ``diagonal_c_fit`` its least value.
     """
@@ -583,12 +587,10 @@ def verify_bounds(
 ):
     """Fit two-sided comparison constants on a target grid.
 
-    When the operator's diffusion does not depend on space (a constant
-    matrix, or a time-only multiple of the identity) and it has no
-    lower-order terms, the density is the exact Gaussian endpoint law that
-    `simulate_paths` samples (`_exact_law`); otherwise it is
-    estimated by simulation (``sim_config`` required) and the fitted
-    constants are widened by three standard errors.  Also fits the
+    Where `route` says ``exact``, the density is the exact Gaussian endpoint
+    law that `simulate_paths` samples; otherwise it is estimated by
+    simulation (``sim_config`` required) and the fitted constants are
+    widened by three standard errors.  Also fits the
     on-diagonal constant ``c`` in ``G(t, x; t+h, e^(hB) x) >= c * h**(-Q/2)``,
     the density at the flow image of ``x``, at ``h`` a quarter, a half and
     all of ``T - t``, and, on the exact route, checks the positive-semidefinite
@@ -624,16 +626,13 @@ def verify_bounds(
     g_minus = np.exp(log_g_minus)
     g_plus = np.exp(log_g_plus)
 
-    law = None
-    if all(map(fields.is_zero, (spec.c, spec.a_low, spec.b_low))):
-        law = _exact_law(spec)
+    law, exact, _ = route(spec)
     # The on-diagonal fit reads G(t, x; s, .) at the flow image e^((s-t)B) x,
     # for end times s a quarter, a half and all of the way to T.
     diag_ends = [t + f * tau for f in _DIAGONAL_FRACTIONS[:-1]] + [T]
     diag_points = [system.propagator.flow(s - t) @ x for s in diag_ends]
-    psd_margins = ()
-    zero_hits = ()
-    if law is not None:
+    psd_margins = zero_hits = ()
+    if exact:
         gamma = np.exp(law.log_batch(t, x, T, y_grid))
         diag_gamma = [
             float(np.exp(law.log_batch(t, x, s, y[None, :])[0]))
@@ -691,7 +690,7 @@ def verify_bounds(
         C_plus=C_plus,
         lambda_minus=float(lambda_minus),
         lambda_plus=float(lambda_plus),
-        exact=law is not None,
+        exact=exact,
         zero_hit_indices=zero_hits,
         psd_margins=psd_margins,
         diagonal_horizons=tuple(f * tau for f in _DIAGONAL_FRACTIONS),

@@ -316,10 +316,12 @@ class OperatorSpec:
     constant (``mu**-1 |xi|^2 <= <a xi, xi> <= mu |xi|^2``) and ``M_bound``
     the declared sup-norm bound on the lower-order coefficients.
 
-    Unknown kinds are refused when the spec is built, and later code trusts
-    that: ``a`` must be an isotropic or a constant matrix field and every
-    scalar coefficient one of `kolmo.fields`' kinds, and a table axis or a
-    wave must fit the state; else `CoefficientError` names the coefficient.
+    Unknown kinds and misfit shapes are refused when the spec is built, and
+    later code trusts that: ``a`` must be an ``m0 x m0`` isotropic or
+    constant matrix field, ``a_low`` and ``b_low`` vector fields of ``m0``
+    components, every scalar coefficient one of `kolmo.fields`' kinds, and
+    a table axis or a wave must fit the state; else `CoefficientError`
+    names the coefficient.
     """
 
     system: SystemMatrix
@@ -337,7 +339,18 @@ class OperatorSpec:
             raise CoefficientError(f"coefficient bound must be finite, >= 0, got {self.M_bound}")
         if not isinstance(self.a, (fields.IsotropicMatrixField, fields.ConstantMatrixField)):
             raise CoefficientError(f"coefficient a: unknown field kind {type(self.a).__name__}")
-        d = self.system.d
+        m0, d = self.system.m0, self.system.d
+        a = self.a
+        shape = a.matrix.shape if isinstance(a, fields.ConstantMatrixField) else (a.dim, a.dim)
+        if shape != (m0, m0):
+            raise CoefficientError(f"coefficient a: must be {m0}x{m0}, got {shape}")
+        for name in ("a_low", "b_low"):
+            vec = getattr(self, name)
+            size = len(vec.components) if isinstance(vec, fields.VectorField) else type(vec).__name__
+            if size != m0:
+                raise CoefficientError(
+                    f"coefficient {name}: need a vector field of {m0} components, got {size}"
+                )
         for name, field in _scalar_fields(self):
             if type(field) not in fields._SCALAR_KINDS.values():
                 kind = type(field).__name__

@@ -239,6 +239,29 @@ class TestLoadModel:
         assert os.listdir(tmp_path / "out") == []
 
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("a", {"kind": "constant", "value": [[0.5, 0.0], [0.0, 0.5]]},
+             "coefficient a: must be 1x1, got (2, 2)"),
+            ("a_low", {"kind": "constant", "value": [0.1, 0.2]},
+             "coefficient a_low: need a vector field of 1 components, got 2"),
+            ("b_low", {"components": []},
+             "coefficient b_low: need a vector field of 1 components, got 0"),
+        ],
+        ids=["matrix-2x2", "a-low-2-components", "b-low-no-components"],
+    )
+    def test_misfit_shape_is_validation_failure(self, tmp_path, capsys, key, value, named):
+        # LANGEVIN has m0 = 1: a is 1x1, and a_low and b_low have one component.
+        cfg = langevin_config()
+        cfg["coefficients"][key] = value
+        cfg["M"] = 1.0
+        path = write_model(tmp_path, cfg)
+        assert main(["validate", "--model", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"validation failure [None]: {named}\n"
+
+
 class TestSubcommands:
     def test_validate_ok(self, langevin_model_path, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -901,3 +924,57 @@ class TestOneBlasThread:
         code = self.run_recording(failing, langevin_model_path, tmp_path, monkeypatch)
         assert code == EXIT_NUMERIC
         assert "handler failed" in capsys.readouterr().err
+
+
+class TestRoute:
+    """`validate` reports the route `simulate` and `verify-bounds` take, refusals included."""
+
+    MODELS = {
+        "constant-a": ({}, "one-shot", "exact"),
+        "constant-b-low": ({"b_low": 0.3}, "one-shot", "monte-carlo"),
+        "space-sinusoid": (
+            {"a": {"kind": "space-sinusoid", "base": 0.5, "amplitude": 0.1, "wave": [0.5, 0.25]}},
+            "stepped",
+            "monte-carlo",
+        ),
+        "c": ({"c": 0.5}, "refused", "refused"),
+        "space-table": (
+            {"a": {"kind": "tabulated", "points": [0.0, 1.0], "values": [0.5, 0.6], "axis": 0}},
+            "refused",
+            "refused",
+        ),
+    }
+
+    @staticmethod
+    def model(tmp_path, coefficients):
+        cfg = langevin_config()
+        cfg["coefficients"].update(coefficients)
+        cfg["mu"], cfg["M"] = 2.5, 1.0
+        return write_model(tmp_path, cfg)
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_validate_reports_route(self, tmp_path, capsys, name):
+        coefficients, simulate, verify = self.MODELS[name]
+        assert main(["validate", "--model", self.model(tmp_path, coefficients)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)["route"]
+        assert list(report) == ["refusal", "simulate", "verify_bounds"]
+        assert (report["simulate"], report["verify_bounds"]) == (simulate, verify)
+        assert (report["refusal"] is None) == (simulate != "refused")
+
+    @pytest.mark.parametrize(
+        "name, code, prefix",
+        [("c", EXIT_NUMERIC, "computation failed"),
+         ("space-table", EXIT_VALIDATION, "validation failure [None]")],
+    )
+    def test_refusal_is_what_runs_print(self, tmp_path, capsys, name, code, prefix):
+        path = self.model(tmp_path, self.MODELS[name][0])
+        assert main(["validate", "--model", path]) == EXIT_OK
+        refusal = json.loads(capsys.readouterr().out)["route"]["refusal"]
+        run = ["--model", path, "--from", "0,0,0", "--horizon", "1", "--paths", "100",
+               "--seed", "1", "--out", str(tmp_path / "out" / "r")]
+        (tmp_path / "out").mkdir()
+        for argv in (["simulate", *run],
+                     ["verify-bounds", *run, "--lambda-minus", "0.5", "--lambda-plus", "2"]):
+            assert main(argv) == code
+            assert capsys.readouterr().err == f"{prefix}: {refusal}\n"
+        assert os.listdir(tmp_path / "out") == []

@@ -15,12 +15,12 @@ from kolmo.model import dilation_scales, sigma_matrix, validate_structure
 from kolmo.mc import (
     SimConfig,
     _chunk_generator,
-    _exact_law,
     _lane_count,
     _run_lanes,
     _step_grid,
     estimate_density,
     mass_concentration,
+    route,
     simulate_paths,
     summarize_paths,
     verify_bounds,
@@ -530,7 +530,7 @@ class TestSummarizePaths:
         system, rng = random_system(seed)
         spec, d = make_spec(system), system.d
         x, config = rng.uniform(-1.0, 1.0, d), SimConfig(n, 1, seed=50 + seed)
-        law = _exact_law(spec)
+        law = route(spec).law
         mean, cov = law.mean(0.0, x, 1.0), law.covariance(0.0, 1.0)
         X = simulate_paths(spec, 0.0, x, 1.0, config)
         for c in range(-(-n // 2**14)):
@@ -833,6 +833,22 @@ class TestVerifyBounds:
             p = box_mass(scale[:, None] * langevin.propagator.gramian(h) * scale, bandwidth)
             stderr = np.sqrt(p * (1 - p) / n) / bandwidth**2
             assert abs(c - p / bandwidth**2) <= 6 * stderr
+
+    def test_cancelling_lower_order_terms_stay_monte_carlo(self, langevin):
+        # The exact clause reads each of a_low and b_low, not their sum: the
+        # constants 0.3 and -0.3 cancel, so paths are drawn in one shot, bit
+        # for bit those of the operator without them, but the density is
+        # still estimated.
+        a_low = fields.VectorField((fields.ConstantField(0.3),))
+        b_low = fields.VectorField((fields.ConstantField(-0.3),))
+        spec = make_spec(langevin, a_low=a_low, b_low=b_low, M_bound=0.3)
+        law, exact, refusal = route(spec)
+        assert law is not None and not exact and refusal is None
+        x, config = np.array([0.1, -0.2]), SimConfig(3000, 4, seed=37)
+        X = simulate_paths(spec, 0.0, x, 1.0, config)
+        assert np.array_equal(X, simulate_paths(make_spec(langevin), 0.0, x, 1.0, config))
+        report = verify_bounds(spec, 0.0, x, 1.0, X[:5], 0.5, 2.0, sim_config=config)
+        assert not report.exact and report.psd_margins == () and np.any(report.stderr > 0)
 
     def test_exact_route_non_isotropic_constant_matrix(self, kinetic21):
         # The endpoint law of a constant, non-isotropic diffusion matrix is

@@ -399,6 +399,9 @@ class TestExactRanges:
         assert coefficient_bounds(spec) == (1.3, 0.0, 1.1)
 
 
+ZERO = fields.ConstantField(0.0)
+
+
 class TestFieldShapes:
     """A table axis or a wave that does not fit the state is refused at construction."""
 
@@ -422,6 +425,23 @@ class TestFieldShapes:
             make_spec(kinetic21, **{coefficient: value})
         assert f"coefficient {coefficient}" in str(exc.value) and match in str(exc.value)
         assert "3-d state" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "coefficient, value, match",
+        [
+            ("a", fields.IsotropicMatrixField(ZERO, 3), r"a: must be 2x2, got \(3, 3\)"),
+            ("a", fields.ConstantMatrixField(0.5 * np.eye(3)), r"a: must be 2x2, got \(3, 3\)"),
+            ("a", fields.ConstantMatrixField([0.5, 0.5]), r"a: must be 2x2, got \(2,\)"),
+            ("a_low", ZERO, "a_low: need a vector field of 2 components, got ConstantField"),
+            ("b_low", fields.VectorField((ZERO,)), "b_low: need .* 2 components, got 1"),
+            ("a_low", fields.VectorField((ZERO,) * 3), "a_low: need .* 2 components, got 3"),
+        ],
+        ids=["isotropic-dim-3", "matrix-3x3", "matrix-1d", "a-low-scalar", "b-low-1", "a-low-3"],
+    )
+    def test_misfit_shape_rejected(self, kinetic21, coefficient, value, match):
+        # KINETIC21 has m0 = 2: a is 2x2, and a_low and b_low have two components.
+        with pytest.raises(CoefficientError, match=f"^coefficient {match}$"):
+            make_spec(kinetic21, **{coefficient: value})
 
     def test_fitting_fields_accepted(self, kinetic21):
         table = fields.TabulatedField((0.0, 1.0), (1.0, 2.0), axis=2)

@@ -280,3 +280,28 @@ def test_uniform_gramian_grid_only_for_kappa():
     # Every other C(s) is read from the propagator's cached exponential at s;
     # the batched uniform grid serves only the kappa estimate's 1024 horizons.
     assert _call_sites("gramians") == {("control.py", "kappa_estimate")}
+
+
+def test_route_decided_once():
+    # mc.route alone reads the zero-coefficient test and builds the
+    # operator's one-shot law, and each of its two refusals is written once.
+    assert _call_sites("is_zero") == {("mc.py", "route")}
+    assert not hasattr(importlib.import_module("kolmo.mc"), "_exact_law")
+    assert all(
+        node.name != "_exact_law"
+        for tree in _trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    )
+    refusals = [
+        "simulation requires a vanishing zeroth-order coefficient",
+        "tabulated space-dependent diffusion is piecewise constant; "
+        "the scheme has no convergence guarantees there",
+    ]
+    strings = [
+        node.value
+        for tree in _trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert [sum(refusal in text for text in strings) for refusal in refusals] == [1, 1]
