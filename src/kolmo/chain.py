@@ -120,10 +120,13 @@ def build_chain(problem, config):
     ``F(delta) = sum_(i,j<10) (a_i . a_j) delta^(i+j+1) / (i+j+1)``, exact for
     a drift nilpotent of index at most 10 and needing no new exponential.
     Acceptance is still decided by the exact state, so the model moves only
-    where the solve starts: where it is exact, a step costs one exponential.
-    The energy left, its rate and the trajectory point
-    ``e^(-(T-s)B) (y - C(T-s) w)`` at each iterate all come from one
-    exponential of the system's propagator.  Times within
+    where the solve starts.  At ``s = t_j + delta`` the state is
+    ``u(s) = e^(-delta B^T) u_j``, the energy spent ``u(s)^T C(delta) u(s)``,
+    a form with no cancellation, its rate ``|sigma^T u(s)|^2`` and the point
+    ``gamma(s) = e^(delta B) gamma(t_j) + C(delta) u(s)``, all read off the
+    propagator's dilated blocks at ``delta``: on a homogeneous drift every
+    step reads its one exponential, and on any other a step costs one
+    exponential where the Taylor model is exact.  Times within
     ``1e-9 * (T - t)`` of ``T`` snap to ``T``.  A horizon that fits one time
     budget with its whole energy within one cost budget is one ``terminal``
     step, its cost ``w^T C(T - t) w``, taking no exponential beyond the
@@ -154,45 +157,45 @@ def build_chain(problem, config):
     m0 = problem.system.m0
     forms = _energy_forms(problem.system.B, m0)
 
-    def state(s):
-        # The energy left after s (w^T C(T - s) w, decreasing in s), the rate
-        # |sigma^T u|^2 at which it is spent, u = e^((T-s)B^T) w, and
-        # gamma(s), all from the exponential at T - s.
-        if s >= T:
-            u, left, point = ctrl.w, 0.0, problem.y
-        else:
-            inv_flow, flow, C = propagator.at(T - s)
-            Cw = C @ ctrl.w
-            u, left, point = flow.T @ ctrl.w, float(ctrl.w @ Cw), inv_flow @ (problem.y - Cw)
-        v = u[:m0]
-        return left, float(v @ v), u, point
+    def advance(at_j, delta):
+        # The state at t_j + delta (see the docstring), with C = D C~ D and
+        # e^(+-delta B) = D e^(+-B~) D^-1: the energy spent is a form in C~.
+        D, inv_hat, flow_hat, C_hat = propagator.dilated(delta)
+        v = inv_hat.T @ (D * at_j[2])  # D u(s)
+        Cv = C_hat @ v
+        u = v / D
+        return float(v @ Cv), float(u[:m0] @ u[:m0]), u, D * (flow_hat @ (at_j[3] / D) + Cv)
 
     times = [t]
     points = [problem.x]
     steps = []
     max_steps = math.ceil(exponent) + 8
-    # The steering solve cached the exponential at T - t.
-    at_j = state(t)
+    # The state at t: nothing spent yet, u = e^((T-t)B^T) w off the
+    # exponential the steering solve cached, gamma(t) = x.
+    u = propagator.flow(T - t).T @ ctrl.w
+    at_j = (0.0, float(u[:m0] @ u[:m0]), u, problem.x)
     while times[-1] < T:
         if len(steps) > max_steps:
             raise ChainError(f"chain exceeded {max_steps} steps; stopping rule is not advancing")
         t_j = times[-1]
         right = min(t_j + step_cap, T)
         first = _model_root(forms, at_j[2], eps, t_j, right)
+
+        def state(s):
+            return advance(at_j, s - t_j)
+
         t_next, at_next = _stopping_time(state, t_j, at_j, right, eps, first)
-        step_cost = at_j[0] - at_next[0]
-        if t_next == right and step_cost < eps:
+        if t_next == right and at_next[0] < eps:
             clause = "terminal" if right >= T - snap else "time-budget"
         else:
             clause = "cost-budget"
-        if T - t_next <= snap:
-            t_next = T
+        if T - t_next <= snap and t_next < T:
+            t_next, at_next = T, advance(at_j, T - t_j)
             clause = "terminal"
-            step_cost = at_j[0]
         times.append(t_next)
         points.append(problem.y if t_next == T else at_next[3])
-        steps.append(StepRecord(t_j, t_next, step_cost, clause))
-        at_j = at_next
+        steps.append(StepRecord(t_j, t_next, at_next[0], clause))
+        at_j = (0.0, *at_next[1:])
 
     chain = HarnackChain(
         problem=problem,
@@ -273,7 +276,7 @@ def _model_root(forms, u, eps, t_j, right):
 def _stopping_time(state, lo, at_lo, hi, eps, first):
     """The time in ``(lo, hi]`` where the energy spent since ``lo`` reaches ``eps``.
 
-    ``state(s)`` returns ``(energy left, spending rate, ..., gamma(s))``.
+    ``state(s)`` returns ``(energy spent since lo, spending rate, ..., gamma(s))``.
     The solve starts at ``first`` (at ``hi`` if ``first`` is outside
     ``(lo, hi)``); later steps are Newton steps.  ``hi`` is evaluated only
     when a step reaches it, and a step that leaves the bracket is replaced
@@ -284,7 +287,6 @@ def _stopping_time(state, lo, at_lo, hi, eps, first):
     with the smaller residual.
     """
     tol = 1e-12 * max(1.0, eps)
-    left_lo = at_lo[0]
     f_lo, f_hi, at_hi = -eps, None, None
     s = first
     for _ in range(_NEWTON_MAX):
@@ -296,7 +298,7 @@ def _stopping_time(state, lo, at_lo, hi, eps, first):
                 if not lo < s < hi:
                     return (lo, at_lo) if abs(f_lo) < abs(f_hi) else (hi, at_hi)
         at_s = state(s)
-        f = left_lo - at_s[0] - eps
+        f = at_s[0] - eps
         if abs(f) <= tol or (s == hi and f < 0):
             return s, at_s
         if f < 0:

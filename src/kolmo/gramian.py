@@ -1,23 +1,28 @@
 """Controllability Gramians, their factorizations, and scaling equivalences.
 
 The covariance ``C(t) = int_0^t e^(sB) sigma sigma^T e^(sB^T) ds`` is computed
-by the augmented block-exponential identity (Van Loan, IEEE TAC 23(3), 1978)
+in the paper's dilated frame by the augmented block-exponential identity
+(Van Loan, IEEE TAC 23(3), 1978).  With ``D = D(sqrt(t))`` and the dilated
+drift ``B~ = t D^-1 B D``,
 
-    expm(t * [[-B, sigma sigma^T], [0, B^T]]) = [[e(-t B), H], [0, e(t B^T)]],
-    C(t) = e(t B^T)^T  H,
+    expm([[-B~, sigma sigma^T], [0, B~^T]]) = [[e(-B~), H], [0, e(B~^T)]],
+    C(t) = D C~ D,  C~ = e(B~^T)^T H,  e^(tB) = D e(B~) D^-1,
 
-which is exact up to the accuracy of the matrix exponential.  Each system
-owns one `Propagator` (``system.propagator``) that reads the inverse flow,
-the flow and ``C(t)`` off that single exponential and keeps the last few
-horizons in a small bounded cache; a uniform grid of horizons costs one
-exponential, at its step, through the semigroup identity
-``C(s + h) = C(h) + e(hB) C(s) e(hB^T)``.
+which is exact up to the accuracy of the matrix exponential, whose argument
+stays of order one as ``t -> 0``.  Each system owns one `Propagator`
+(``system.propagator``) that reads the inverse flow, the flow and ``C(t)``
+off that exponential, keeps each exponential under its dilated drift and
+the last few horizons in small bounded caches.  A homogeneous drift is its
+own dilated drift, so one exponential serves every horizon; a uniform grid
+of horizons costs one exponential, at its step, through the semigroup
+identity ``C(s + h) = C(h) + e(hB) C(s) e(hB^T)``.
 
 The propagator also keeps the factored `Gramian` of each cached horizon
 (``propagator.factor(s)``), the one unchecked route to ``C(t)`` with its
-Cholesky factor: the steering cost, the bound forms and the equivalence
-constants all read it, so a horizon is factored once however often it is
-revisited.  `input_response` reads a step's flow and its response to a
+Cholesky factor ``D chol(C~)``: the steering cost, the bound forms and the
+equivalence constants all read it, so a horizon is factored once however
+often it is revisited, and a homogeneous drift's horizons share one
+factorization.  `input_response` reads a step's flow and its response to a
 constant input off one exponential of its own.  `gramian_weighted` reads
 the time-weighted covariance off propagators in closed form.  The checked
 `gramian` compares ``C(t)`` with a Taylor series at ``t / 2**m`` carried to
@@ -39,7 +44,9 @@ from scipy.linalg import expm, solve_triangular
 from .exceptions import CoefficientError, GramianError
 from .fields import _SCALAR_KINDS, ConstantField, TabulatedField, TimeSinusoidField
 from .model import (
+    dilated_drift,
     dilation_matrix,
+    dilation_scales,
     homogeneous_system,
     sigma_matrix,
 )
@@ -106,28 +113,61 @@ _CACHE_SIZE = 64
 class Propagator:
     """Flow ``e^(sB)`` and covariance ``int_0^s e^(uB) Q e^(uB^T) du`` of one drift.
 
-    One Van Loan exponential at ``s`` gives all three of ``e^(-sB)`` (its
-    top-left block), ``e^(sB)`` (its bottom-right block, transposed) and the
-    covariance.  The last 64 horizons are cached and their arrays returned
-    read-only, and so are the last 64 factored covariances; both caches are
-    safe to share between threads.  A uniform grid ``h, 2h, ..., nh``
-    (`gramians`) costs the one exponential at ``h``.  A system's own
-    propagator, with ``Q = sigma sigma^T``, is ``system.propagator``.
+    Every horizon is read in the paper's dilated frame.  With
+    ``D = dilation_scales(structure, sqrt(s))`` and the dilated drift
+    ``B~ = s D^-1 B D`` (`kolmo.model.dilated_drift`), one Van Loan
+    exponential of ``[[-B~, Q], [0, B~^T]]`` gives ``e^(-B~)``, ``e^(B~)`` and
+    the horizon-1 covariance ``C~``, and then
+
+        e^(+-sB) = D e^(+-B~) D^-1,    C(s) = D C~ D,
+
+    since ``Q`` lives on block 0, where ``s D^-1 Q D^-1 = Q``.  The
+    exponential and the Cholesky factor of ``C~`` are cached by the bytes of
+    that Van Loan matrix.  A homogeneous drift is its own dilated drift at
+    every horizon, so all its horizons share one exponential and one
+    factorization.  Any other drift costs one exponential per horizon, and
+    past ``s = 1``, where dilating would grow its blocks above the couplings
+    like ``s^(nu + 1)``, it is exponentiated in the plain frame ``D = I``,
+    ``B~ = sB``, ``Q~ = sQ``.  The scaled results of the last 64 horizons are
+    cached too and returned read-only; every cache is bounded and safe to
+    share between threads.  A uniform grid ``h, 2h, ..., nh`` (`gramians`)
+    costs the one exponential at ``h``.  A system's own propagator, with
+    ``Q = sigma sigma^T``, is ``system.propagator``.
     """
 
-    def __init__(self, B, Q):
-        d = B.shape[0]
+    def __init__(self, B, Q, structure):
+        m0 = structure.m0
+        if Q[m0:].any() or Q[:, m0:].any():
+            raise ValueError("the noise Q must live on block 0")
+        d = len(B)
         M = np.zeros((2 * d, 2 * d), dtype=B.dtype)
         M[:d, :d] = -B
         M[:d, d:] = Q
         M[d:, d:] = B.T
-        self._M = M
-        self._at = lru_cache(maxsize=_CACHE_SIZE)(self._exponentiate)
+        self._B, self._M, self._structure = B, M, structure
+        self._homogeneous = np.array_equal(dilated_drift(B, structure, 2.0), B)
+        self._key = M.tobytes()
+        self._vanloan = lru_cache(maxsize=_CACHE_SIZE)(self._exponentiate)
+        self._dilated_factor = lru_cache(maxsize=_CACHE_SIZE)(self._factorize_dilated)
+        self._at = lru_cache(maxsize=_CACHE_SIZE)(self._scaled)
         self._factor = lru_cache(maxsize=_CACHE_SIZE)(self._factorize)
 
-    def _exponentiate(self, s):
-        d = self._M.shape[0] // 2
-        E = expm(self._M * s)
+    def _frame(self, s):
+        """``D`` at the horizon ``|s| > 0``, and the bytes of the Van Loan matrix there."""
+        a, d = abs(s), len(self._B)
+        if self._homogeneous:  # its own dilated drift
+            return dilation_scales(self._structure, np.sqrt(a)), self._key
+        if a <= 1:
+            B = dilated_drift(self._B, self._structure, a)
+            M = self._M.copy()
+            M[:d, :d], M[d:, d:] = -B, B.T
+            return dilation_scales(self._structure, np.sqrt(a)), M.tobytes()
+        return np.ones(d), (a * self._M).tobytes()  # the plain frame
+
+    def _exponentiate(self, key):
+        """``(e^(-B~), e^(B~), C~)`` off the Van Loan matrix whose bytes are ``key``."""
+        d = len(self._B)
+        E = expm(np.frombuffer(key, dtype=self._M.dtype).reshape(2 * d, 2 * d))
         C = E[d:, d:].T @ E[:d, d:]
         C = 0.5 * (C + C.T)
         # Contiguous copies: products with a strided view round differently.
@@ -136,8 +176,37 @@ class Propagator:
             a.setflags(write=False)
         return out
 
+    def dilated(self, s):
+        """``(D, e^(-B~), e^(B~), C~)`` at a horizon ``s > 0``, unscaled.
+
+        ``e^(-sB) = D e^(-B~) D^-1``, ``e^(sB) = D e^(B~) D^-1`` and
+        ``C(s) = D C~ D``; the blocks are the cached exponential's own arrays.
+        """
+        D, key = self._frame(s)
+        return (D, *self._vanloan(key))
+
+    def _scaled(self, s):
+        d = len(self._B)
+        if s == 0:
+            out = (np.eye(d), np.eye(d), np.zeros((d, d)))
+        else:
+            D, inv_hat, flow_hat, C_hat = self.dilated(s)
+            ratio = D[:, None] / D
+            out = (ratio * inv_hat, ratio * flow_hat, np.outer(D, D) * C_hat)
+            if s < 0:  # C(-s) = -e^(-sB) C(s) e^(-sB^T)
+                inv_flow, flow, C = out
+                C = -(inv_flow @ C @ inv_flow.T)
+                out = (flow, inv_flow, 0.5 * (C + C.T))
+        for a in out:
+            a.setflags(write=False)
+        return out
+
     def at(self, s):
-        """``(e^(-sB), e^(sB), C(s))`` from one exponential."""
+        """``(e^(-sB), e^(sB), C(s))``, read off the dilated exponential at ``|s|``.
+
+        ``at(0)`` is ``(I, I, 0)``, and ``at(-s)`` the inverse pair with
+        ``C(-s) = -e^(-sB) C(s) e^(-sB^T)``.
+        """
         return self._at(float(s))
 
     def flow(self, s):
@@ -147,29 +216,61 @@ class Propagator:
     def flows(self, s_grid):
         """``e^(sB)`` at every horizon of a grid, as an ``(n, d, d)`` array.
 
-        One exponential call on the stacked Van Loan matrices, each slice bit
-        for bit ``flow(s)``; the cache is neither read nor filled.
+        One exponential call on the stacked Van Loan matrices of the grid's
+        distinct dilated drifts (the cached one, on a homogeneous drift), each
+        slice bit for bit ``flow(s)``; the per-horizon cache is neither read
+        nor filled.
         """
         s = np.asarray(s_grid, dtype=float)
-        d = self._M.shape[0] // 2
-        E = expm(self._M * s[:, None, None])
-        return np.ascontiguousarray(E[:, d:, d:].swapaxes(1, 2))
+        d = len(self._B)
+        moving = np.flatnonzero(s)
+        frames = [self._frame(v) for v in s[moving]]
+        D = np.array([D for D, _ in frames]).reshape(-1, d)
+        keys = [key for _, key in frames]
+        distinct = list(dict.fromkeys(keys))
+        if len(distinct) > 1:
+            stacked = np.frombuffer(b"".join(distinct), dtype=self._M.dtype)
+            E = expm(stacked.reshape(-1, 2 * d, 2 * d))
+            blocks = {
+                key: (np.ascontiguousarray(e[:d, :d]), np.ascontiguousarray(e[d:, d:].T))
+                for key, e in zip(distinct, E)
+            }
+        else:  # one dilated drift: its cached exponential
+            blocks = {key: self._vanloan(key) for key in distinct}
+        hats = np.array([blocks[key][int(v > 0)] for key, v in zip(keys, s[moving])])
+        out = np.empty((len(s), d, d), dtype=self._M.dtype)
+        out[s == 0] = np.eye(d)
+        out[moving] = (D[:, :, None] / D[:, None, :]) * hats.reshape(-1, d, d)
+        return out
 
     def gramian(self, s):
         """The covariance ``C(s)``, symmetrized."""
         return self.at(s)[2]
 
+    def _factorize_dilated(self, key):
+        return Gramian.from_matrix(self._vanloan(key)[2])
+
     def _factorize(self, s):
         if not s > 0:
             raise ValueError(f"horizon must be positive, got {s}")
-        return Gramian.from_matrix(self.gramian(s))
+        D, key = self._frame(s)
+        g = self._dilated_factor(key)
+        C, chol = np.outer(D, D) * g.C, D[:, None] * g.chol
+        if not np.isfinite(C).all():
+            raise GramianError("covariance is not finite")
+        C.setflags(write=False)
+        chol.setflags(write=False)
+        return Gramian(C=C, chol=chol, logdet=g.logdet + 2.0 * float(np.log(D).sum()))
 
     def factor(self, s):
-        """The `Gramian` of ``C(s)``, factored once per cached horizon.
+        """The `Gramian` of ``C(s) = D C~ D``, factored once per cached horizon.
 
-        Raises `GramianError` where ``C(s)`` is not finite or not positive
-        definite (a horizon whose covariance is too badly conditioned for
-        floats), and ``ValueError`` for ``s <= 0``.
+        ``C~`` is factored, with every check of `Gramian.from_matrix`, once
+        per dilated drift; then ``chol = D chol~`` and
+        ``logdet = logdet C~ + 2 sum log D``.  Raises `GramianError` where
+        ``C~`` is not finite or not positive definite (a horizon whose
+        covariance is too badly conditioned for floats) or ``D C~ D``
+        overflows, and ``ValueError`` for ``s <= 0``.
         """
         return self._factor(float(s))
 
@@ -314,7 +415,8 @@ def gramian_weighted(system, lam, t, T):
     if isinstance(lam, TimeSinusoidField):
         omega = 2.0 * np.pi * lam.frequency
         sig = sigma_matrix(system.structure)
-        G = Propagator(system.B - 0.5j * omega * np.eye(system.d), sig @ sig.T).gramian(T - t)
+        drift = system.B - 0.5j * omega * np.eye(system.d)
+        G = Propagator(drift, sig @ sig.T, system.structure).gramian(T - t)
         rotated = np.exp(1j * (omega * T + lam.phase)) * G
         C = lam.base * system.propagator.gramian(T - t) + lam.amplitude * rotated.imag
         # The weight is least at an end, or at a trough of the sine between.

@@ -31,6 +31,7 @@ __all__ = [
     "dilation_matrix",
     "dilation_scales",
     "dilation_exponents",
+    "dilated_drift",
     "group_compose",
     "group_inverse",
     "scaled_system",
@@ -95,6 +96,13 @@ class BlockStructure:
         exps.setflags(write=False)
         return exps
 
+    @cached_property
+    def _drift_exponents(self):  # built once: a propagator reads them per horizon
+        e = self._exponents
+        exps = 1.0 + 0.5 * (e[None, :] - e[:, None])
+        exps.setflags(write=False)
+        return exps
+
 
 def dilation_exponents(structure):
     """Per-coordinate dilation exponents ``2j+1``, read-only and built once per structure."""
@@ -108,6 +116,16 @@ def dilation_scales(structure, r):
     last axis, so ``dilation_scales(s, r)[..., i]`` scales coordinate ``i``.
     """
     return np.asarray(r, dtype=float)[..., None] ** dilation_exponents(structure)
+
+
+def dilated_drift(B, structure, s):
+    """The drift ``s D^-1 B D`` of the dilated frame, ``D = dilation_scales(structure, sqrt(s))``.
+
+    Entrywise ``B_ij s^(1 + (e_j - e_i)/2)``, ``e`` the dilation exponents,
+    for ``s > 0``.  A coupling ``B_(j+1, j)`` carries exponent 0, so a
+    homogeneous drift is its own dilated drift, bit for bit, at every ``s``.
+    """
+    return B * s**structure._drift_exponents
 
 
 @dataclass(frozen=True)
@@ -147,7 +165,7 @@ class SystemMatrix:
     def propagator(self):
         """The system's `kolmo.gramian.Propagator`: flow and Gramian, built on first use."""
         sig = sigma_matrix(self.structure)
-        return gramian.Propagator(self.B, sig @ sig.T)
+        return gramian.Propagator(self.B, sig @ sig.T, self.structure)
 
     @cached_property
     def _diffusion_propagators(self):
@@ -159,7 +177,9 @@ class SystemMatrix:
         key = a.tobytes()
         if key not in self._diffusion_propagators:
             sig = sigma_matrix(self.structure)
-            self._diffusion_propagators[key] = gramian.Propagator(self.B, sig @ a @ sig.T)
+            self._diffusion_propagators[key] = gramian.Propagator(
+                self.B, sig @ a @ sig.T, self.structure
+            )
         return self._diffusion_propagators[key]
 
 

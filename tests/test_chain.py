@@ -256,9 +256,9 @@ class TestStoppingTimes:
 
     @staticmethod
     def jump_state(at):
-        # Energy left drops from 1 to 0.1 at time ``at``, with zero rate:
+        # Energy spent jumps from 0 to 0.9 at time ``at``, with zero rate:
         # no float meets the residual, so every step bisects.
-        return lambda s: (0.1 if s >= at else 1.0, 0.0, 0.0, s)
+        return lambda s: (0.9 if s >= at else 0.0, 0.0, 0.0, s)
 
     def test_collapsed_bracket_takes_smaller_residual(self):
         state = self.jump_state(0.3)
@@ -286,10 +286,11 @@ class TestExponentialCount:
     """Counts of exponentiated matrices, not times: one propagator serves every consumer.
 
     ``expm_calls`` lists each ``expm`` call's number of matrices, so a
-    stacked call of ``n`` counts ``n``.  A chain step costs one exponential
-    where the Taylor model of the spent energy is exact (every drift here is
-    nilpotent), plus the steering solve's one; verification is one stacked
-    call of the ``J`` step flows.
+    stacked call of ``n`` counts ``n``.  On a homogeneous drift the steering
+    solve, every chain step and verification read one exponential.
+    Otherwise a chain step costs one exponential where the Taylor model of
+    the spent energy is exact, and verification is one stacked call of the
+    distinct step flows.
     """
 
     @pytest.fixture
@@ -312,24 +313,37 @@ class TestExponentialCount:
         assert expm_calls == [1]
 
     @staticmethod
-    def assert_one_exponential_per_step(problem, cfg, expm_calls):
+    def assert_one_exponential_in_all(problem, cfg, expm_calls):
+        # A homogeneous drift is its own dilated drift: the propagator's first
+        # exponential serves the steering solve, every step and verification.
         expm_calls.clear()
         chain = build_chain(problem, cfg)
-        assert sum(expm_calls) <= 1.1 * chain.J + 3
-        expm_calls.clear()
         assert verify_chain(chain)
-        assert expm_calls == [chain.J]
+        assert sum(expm_calls) <= 1
+        assert problem.system.propagator._vanloan.cache_info().currsize == 1
         return chain
 
     def test_heat_trace_per_step(self, heat1d, expm_calls):
         problem = ControlProblem(heat1d, 0.0, 1.0, [0.0], [1.0])
-        chain = self.assert_one_exponential_per_step(problem, heat_config(), expm_calls)
+        chain = self.assert_one_exponential_in_all(problem, heat_config(), expm_calls)
         assert chain.J == 16
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_langevin_chain_per_step(self, langevin, index, expm_calls):
         problem, cfg = overshoot_chain(langevin, index)
-        self.assert_one_exponential_per_step(problem, cfg, expm_calls)
+        self.assert_one_exponential_in_all(problem, cfg, expm_calls)
+
+    def test_starful_chain_per_step(self, starful, expm_calls):
+        # Not homogeneous: each solve's iterates take one exponential apiece,
+        # and verification is one stacked call of the distinct step flows.
+        cfg = heat_config(r=0.4, kappa=kappa_estimate(starful))
+        problem = ControlProblem(starful, 0.0, 1.0, [0.2, -0.1], [1.5, 0.5])
+        expm_calls.clear()
+        chain = build_chain(problem, cfg)
+        assert sum(expm_calls) <= 1.1 * chain.J + 3
+        expm_calls.clear()
+        assert verify_chain(chain)
+        assert expm_calls == [len(set(np.diff(chain.times)))]
 
     @pytest.mark.parametrize("name", ["heat1d", "langevin", "deep221"])
     def test_one_step_chain_takes_only_the_steering_exponential(self, name, request, expm_calls):

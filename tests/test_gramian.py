@@ -25,6 +25,7 @@ from kolmo.model import (
     BlockStructure,
     SystemMatrix,
     dilation_matrix,
+    dilation_scales,
     sigma_matrix,
     validate_structure,
 )
@@ -103,7 +104,7 @@ class TestPropagator:
 
     def test_diffusion_matrix_scales_gramian(self, kinetic21):
         sig = sigma_matrix(kinetic21.structure)
-        doubled = Propagator(kinetic21.B, 2.0 * sig @ sig.T)
+        doubled = Propagator(kinetic21.B, 2.0 * sig @ sig.T, kinetic21.structure)
         np.testing.assert_allclose(
             doubled.gramian(0.4), 2.0 * kinetic21.propagator.gramian(0.4), rtol=1e-14
         )
@@ -112,7 +113,7 @@ class TestPropagator:
     def test_grid_matches_per_point(self, name, request, expm_calls):
         system = request.getfixturevalue(name)
         sig = sigma_matrix(system.structure)
-        fresh = Propagator(system.B, sig @ sig.T)
+        fresh = Propagator(system.B, sig @ sig.T, system.structure)
         stacked = fresh.gramians(1 / 256, 300)
         assert expm_calls[0] == 1
         assert stacked.shape == (300, system.d, system.d)
@@ -122,6 +123,8 @@ class TestPropagator:
 
     @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
     def test_batched_flows_are_flow_bit_for_bit(self, name, request, expm_calls):
+        # One call: the one exponential of a homogeneous drift, or the stacked
+        # Van Loan matrices of STARFUL's distinct dilated drifts.
         system = request.getfixturevalue(name)
         prop = system.propagator
         grid = np.concatenate([np.random.default_rng(5).uniform(1e-4, 1.0, 50), [0.0, 0.5, 0.5]])
@@ -132,9 +135,12 @@ class TestPropagator:
         assert flows.shape == (len(grid), system.d, system.d)
         for s, F in zip(grid, flows):
             np.testing.assert_array_equal(F, prop.flow(s))
+        # Per horizon, only STARFUL exponentiates again.
+        assert expm_calls[0] == (1 + len(set(grid) - {0.0}) if name == "starful" else 1)
 
-    def test_cache_is_bounded(self, langevin, expm_calls):
-        prop = langevin.propagator
+    def test_cache_is_bounded(self, langevin, starful, expm_calls):
+        # STARFUL's dilated drift differs at every horizon: one exponential each.
+        prop = starful.propagator
         horizons = np.linspace(0.01, 1.0, 200)
         for s in horizons:
             prop.at(s)
@@ -143,6 +149,36 @@ class TestPropagator:
         assert expm_calls[0] == 200
         prop.at(horizons[0])
         assert expm_calls[0] == 201
+        assert prop._at.cache_info().currsize == prop._vanloan.cache_info().currsize == 64
+        # LANGEVIN's is its own drift: every horizon reads the first exponential.
+        prop = langevin.propagator
+        for s in horizons:
+            prop.at(s)
+        assert expm_calls[0] == 202
+        assert prop._at.cache_info().currsize == 64
+        assert prop._vanloan.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("name", ["heat1d", "langevin", "deep221", "starful"])
+    def test_edge_horizons(self, name, request, expm_calls):
+        # at(0) is (I, I, 0); at(-s) is the inverse pair, off the exponential at s.
+        system = request.getfixturevalue(name)
+        prop = system.propagator
+        eye = np.eye(system.d)
+        for a, b in zip(prop.at(0.0), (eye, eye, np.zeros_like(eye))):
+            np.testing.assert_array_equal(a, b)
+        inv_flow, flow, C = prop.at(0.3)
+        calls = expm_calls[0]
+        inv_neg, flow_neg, C_neg = prop.at(-0.3)
+        assert expm_calls[0] == calls
+        np.testing.assert_array_equal(inv_neg, flow)
+        np.testing.assert_array_equal(flow_neg, inv_flow)
+        ref = -expm(-0.3 * system.B) @ C @ expm(-0.3 * system.B.T)
+        assert np.abs(C_neg - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert not any(a.flags.writeable for a in prop.at(0.0) + prop.at(-0.3))
+
+    def test_noise_off_block_zero_refused(self, kinetic21):
+        with pytest.raises(ValueError, match="block 0"):
+            Propagator(kinetic21.B, np.eye(3), kinetic21.structure)
 
 
 class TestInputResponse:
@@ -172,11 +208,15 @@ class TestFactor:
     @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
     @pytest.mark.parametrize("s", [0.05, 0.7, 1.0])
     def test_factor_is_the_cholesky_of_the_gramian(self, name, s, request):
+        # chol = D chol~ with C~ the dilated covariance: C = chol chol^T.
         system = request.getfixturevalue(name)
         g = system.propagator.factor(s)
-        np.testing.assert_array_equal(g.chol, np.linalg.cholesky(system.propagator.gramian(s)))
+        D, _, _, C_hat = system.propagator.dilated(s)
+        np.testing.assert_array_equal(g.chol, D[:, None] * np.linalg.cholesky(C_hat))
         np.testing.assert_array_equal(g.C, system.propagator.gramian(s))
+        assert np.abs(g.chol @ g.chol.T - g.C).max() <= 1e-15 * np.abs(g.C).max()
         assert g.logdet == gramian(system, s).logdet
+        assert abs(g.logdet - np.linalg.slogdet(g.C)[1]) <= 1e-12 * abs(g.logdet)
 
     def test_repeated_horizon_is_cached_and_read_only(self, langevin):
         g = langevin.propagator.factor(0.7)
@@ -209,7 +249,8 @@ class TestFactor:
 
 
 class TestCheckedGramianCost:
-    # The cross-check takes no exponential: the Van Loan one is all.
+    # The cross-check takes no exponential: the Van Loan one is all, and a
+    # homogeneous drift's first one serves every horizon.
     @pytest.mark.parametrize("name", ["heat1d", "langevin", "kinetic21", "deep221", "starful"])
     def test_expm_calls(self, name, request, expm_calls):
         system = request.getfixturevalue(name)
@@ -218,9 +259,10 @@ class TestCheckedGramianCost:
             expm_calls[0] = 0
             gramian(system, t)
             counts.append(expm_calls[0])
-        assert counts == [1, 1, 1]
+        assert counts == ([1, 1, 1] if name == "starful" else [1, 0, 0])
+        expm_calls[0] = 0
         gramian(system, 0.5)  # a cached horizon
-        assert expm_calls[0] == 1
+        assert expm_calls[0] == 0
 
 
 def nilpotent_gramian(system, t):
@@ -258,14 +300,16 @@ class TestMutation:
         ("deep221", (0, 0)),
     ]
 
-    def perturbed_system(self, system, entry, rel, monkeypatch):
+    def perturbed_system(self, system, entry, rel, t, monkeypatch):
+        # Moves C(t) = D C~ D by rel * max|C(t)| at ``entry``, through C~.
         original = Propagator._exponentiate
+        D = dilation_scales(system.structure, np.sqrt(t))
 
-        def perturbed(self, s):
-            inv_flow, flow, C = original(self, s)
+        def perturbed(self, key):
+            inv_flow, flow, C = original(self, key)
             C = C.copy()
             i, j = entry
-            delta = rel * np.abs(C).max()
+            delta = rel * np.abs(np.outer(D, D) * C).max() / (D[i] * D[j])
             C[i, j] += delta
             if i != j:
                 C[j, i] += delta
@@ -277,7 +321,7 @@ class TestMutation:
     @pytest.mark.parametrize("name, entry", CASES)
     @pytest.mark.parametrize("t", [0.3, 1.0])
     def test_both_checks_refuse_1e_8(self, name, entry, t, request, monkeypatch):
-        fresh = self.perturbed_system(request.getfixturevalue(name), entry, 1e-8, monkeypatch)
+        fresh = self.perturbed_system(request.getfixturevalue(name), entry, 1e-8, t, monkeypatch)
         with pytest.raises(GramianError, match="disagree"):
             gramian(fresh, t)
         sig = sigma_matrix(fresh.structure)
@@ -292,7 +336,7 @@ class TestMutation:
     @pytest.mark.parametrize("name, entry", CASES)
     @pytest.mark.parametrize("t", [0.3, 1.0])
     def test_check_passes_1e_11(self, name, entry, t, request, monkeypatch):
-        fresh = self.perturbed_system(request.getfixturevalue(name), entry, 1e-11, monkeypatch)
+        fresh = self.perturbed_system(request.getfixturevalue(name), entry, 1e-11, t, monkeypatch)
         gramian(fresh, t)
 
 
@@ -308,6 +352,13 @@ class TestFiniteGuard:
                 starful.propagator.factor(400.0)
             with pytest.raises(GramianError, match="not finite"):
                 gramian(starful, 400.0)
+
+    def test_overflowing_dilation_raises(self, deep221):
+        # A homogeneous drift's C~ is finite at every horizon; D C~ D is not
+        # past about 1e62 on a three-level cascade, and is refused.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GramianError, match="not finite"):
+                deep221.propagator.factor(1e100)
 
 
 class TestWeightedGramian:

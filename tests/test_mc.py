@@ -280,14 +280,18 @@ class TestSimulatePaths:
 
     def test_stepped_run_exponentiates_two_matrices_per_step_length(self, monkeypatch):
         # Per distinct step length, one exponential gives the step's flow and
-        # its input response, and one its covariance factor.
-        system = validate_structure([[0.0, 0.0], [1.0, 0.0]], [1, 1])  # empty caches
+        # its input response, and one its covariance factor; a homogeneous
+        # drift's covariance factors share one exponential.
         horizons = [0.25, 1.0]  # 2 steps of 0.125, then 8 of 0.09375
         _, lengths, _ = _step_grid(0.0, horizons, 10)
-        matrices = count_exponentials(monkeypatch)
-        simulate_paths(space_spec(system), 0.0, np.zeros(2), horizons, SimConfig(100, 10, seed=1))
         assert len(set(lengths)) == 2
-        assert sum(matrices) == 2 * len(set(lengths))
+        matrices = count_exponentials(monkeypatch)
+        for B, covariances in (([[1.0, 0.0], [1.0, 0.0]], 2), ([[0.0, 0.0], [1.0, 0.0]], 1)):
+            system = validate_structure(B, [1, 1])  # empty caches
+            matrices.clear()
+            config = SimConfig(100, 10, seed=1)
+            simulate_paths(space_spec(system), 0.0, np.zeros(2), horizons, config)
+            assert sum(matrices) == len(set(lengths)) + covariances
 
 
 class TestSnapshots:
@@ -863,7 +867,7 @@ class TestVerifyBounds:
         report = verify_bounds(spec, t, x, T, ys, 0.5, 2.0)
         assert report.exact
         sig = sigma_matrix(kinetic21.structure)
-        C = Propagator(kinetic21.B, sig @ (2.0 * A) @ sig.T).gramian(T - t)
+        C = Propagator(kinetic21.B, sig @ (2.0 * A) @ sig.T, kinetic21.structure).gramian(T - t)
         delta = ys - mean
         log_ref = -0.5 * (
             3 * np.log(2 * np.pi)
